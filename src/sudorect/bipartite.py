@@ -2,17 +2,17 @@
 certificates, and max-degree edge coloring.
 
 Vertices are 0-based; parallel edges are allowed and matter (a matching is
-a subset of edge *positions*).  Everything here is deterministic for a
-fixed edge order: matchings come from a shortest-augmenting-path max flow
-with adjacency in insertion order, and colorings from alternating Euler
-splits with lowest-index tie-breaking.
+a subset of edge *positions*).  Matchings are found on the graph itself:
+a greedy pass in edge order, then Hopcroft–Karp phases of augmenting
+paths that alternate between unmatched and matched edges.  Colorings come
+from alternating Euler splits, with a perfect-matching peel for odd
+degree.  Everything here is deterministic for a fixed edge order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Sequence, Union
 
 
@@ -37,7 +37,8 @@ class BipartiteGraph:
 
     @classmethod
     def build(cls, left_count: int, right_count: int, edges) -> "BipartiteGraph":
-        return cls(left_count, right_count, tuple((u, v) for u, v in edges))
+        # __post_init__ unpacks every edge, so anything but a pair still fails
+        return cls(left_count, right_count, tuple(map(tuple, edges)))
 
     def max_degree(self) -> int:
         left = [0] * self.left_count
@@ -77,83 +78,14 @@ class HallCertificate:
 MatchingResult = Union[tuple[int, ...], HallCertificate]
 
 
-class _Dinic:
-    """Integer max flow (level graph + blocking flow), insertion-ordered."""
-
-    def __init__(self, node_count: int):
-        self.n = node_count
-        self.head: list[list[int]] = [[] for _ in range(node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            cursor = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while cursor[u] < len(self.head[u]):
-                    idx = self.head[u][cursor[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    cursor[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def reachable(self, s: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
-
-
 def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     """Edge subset giving every vertex exactly its quota, or a certificate.
 
-    Infeasibility is witnessed by the left vertices reachable from the
-    source in the residual network: their quota mass exceeds what their
-    combined neighborhood can absorb.
+    A greedy pass in edge order seeds the matching, then Hopcroft–Karp
+    phases augment it.  Infeasibility is witnessed by the left vertices
+    that alternating search reaches from the deficient ones: the source
+    side of the minimal minimum cut, the same for every maximum matching.
+    Their quota mass exceeds what their combined neighborhood can absorb.
     """
     if len(demand.left_quota) != g.left_count or len(demand.right_quota) != g.right_count:
         raise KernelError("quota vectors do not match vertex counts")
@@ -165,23 +97,152 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
             f"quota sums differ: left {total}, right {sum(demand.right_quota)}"
         )
 
-    source = g.left_count + g.right_count
-    sink = source + 1
-    net = _Dinic(sink + 1)
-    for u, q in enumerate(demand.left_quota):
-        net.add_edge(source, u, q)
-    edge_arc = []
-    for u, v in g.edges:
-        edge_arc.append(net.add_edge(u, g.left_count + v, 1))
-    for v, q in enumerate(demand.right_quota):
-        net.add_edge(g.left_count + v, sink, q)
+    net = _Matching(g, demand)
+    missing = total - net.seed_greedily()
+    if missing:
+        net.index_edges()
+    while missing:
+        if not net.label_levels():
+            reached = [u for u, depth in enumerate(net.level) if depth >= 0]
+            return _certificate(g, demand, reached)
+        missing -= net.augment_phase()
+    return tuple(compress(range(len(g.edges)), net.matched))
 
-    if net.max_flow(source, sink) == total:
-        chosen = tuple(i for i, arc in enumerate(edge_arc) if net.cap[arc] == 0)
-        return chosen
 
-    seen = net.reachable(source)
-    left_set = tuple(u for u in range(g.left_count) if seen[u])
+class _Matching:
+    """Partial b-matching on the graph itself, plus its alternating search.
+
+    An augmenting path leaves a left vertex along an unmatched edge and
+    returns from a right vertex along a matched edge, until it reaches a
+    right vertex with spare quota.  Flipping its edges keeps every inner
+    vertex's degree and adds one unit at both ends.
+    """
+
+    def __init__(self, g: BipartiteGraph, demand: DegreeDemand):
+        self.edges = g.edges
+        self.right_count = g.right_count
+        self.need = list(demand.left_quota)  # units each left vertex still lacks
+        self.room = list(demand.right_quota)  # units each right vertex can still take
+        self.matched = bytearray(len(g.edges))
+        self.level = [-1] * g.left_count
+
+    def seed_greedily(self) -> int:
+        need, room, matched = self.need, self.room, self.matched
+        taken = 0
+        for e, (u, v) in enumerate(self.edges):
+            if need[u] and room[v]:
+                need[u] -= 1
+                room[v] -= 1
+                matched[e] = 1
+                taken += 1
+        return taken
+
+    def index_edges(self) -> None:
+        """Adjacency for the search, which the greedy seed alone does not need:
+        every edge out of each left vertex, the matched edges into each right
+        vertex."""
+        edges = self.edges
+        self.tail = [u for u, _ in edges]
+        self.out_edges: list[list[int]] = [[] for _ in self.need]
+        for e, u in enumerate(self.tail):
+            self.out_edges[u].append(e)
+        self.mates: list[list[int]] = [[] for _ in range(self.right_count)]
+        for e in compress(range(len(edges)), self.matched):
+            self.mates[edges[e][1]].append(e)
+
+    def label_levels(self) -> bool:
+        """Label left vertices with their breadth-first alternating level
+        from the deficient ones (-1: unreached).  True as soon as a level
+        sees a right vertex with spare quota; False, with every reachable
+        vertex labelled, when none is reachable."""
+        edges, tail, out_edges, mates, matched, room = (
+            self.edges, self.tail, self.out_edges, self.mates, self.matched, self.room
+        )
+        level = self.level = [-1] * len(self.need)
+        frontier = [u for u, lack in enumerate(self.need) if lack]
+        for u in frontier:
+            level[u] = 0
+        depth = 0
+        while frontier:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for e in out_edges[u]:
+                    if matched[e]:
+                        continue
+                    v = edges[e][1]
+                    if room[v]:
+                        return True
+                    for f in mates[v]:
+                        w = tail[f]
+                        if level[w] < 0:
+                            level[w] = depth
+                            reached.append(w)
+            frontier = reached
+        return False
+
+    def augment_phase(self) -> int:
+        """Augment along level-increasing paths until none is left; the
+        count of units added.  A vertex whose search fails is dropped for
+        the rest of the phase, and each vertex's edge cursor only moves
+        forward: it passes each edge at most once per phase."""
+        edges, tail, out_edges, mates = self.edges, self.tail, self.out_edges, self.mates
+        matched, need, room, level = self.matched, self.need, self.room, self.level
+        cursor = [0] * len(need)
+        gained = 0
+        for source in range(len(need)):
+            while need[source] and level[source] == 0:
+                stack = [source]
+                path: list[tuple[int, int]] = []  # (unmatched edge out, matched edge back)
+                while stack:
+                    u = stack[-1]
+                    out = out_edges[u]
+                    target = level[u] + 1
+                    i = cursor[u]
+                    step = None
+                    while i < len(out):
+                        e = out[i]
+                        if not matched[e]:
+                            v = edges[e][1]
+                            if room[v]:
+                                step = (e, -1)
+                                break
+                            for f in mates[v]:
+                                if level[tail[f]] == target:
+                                    step = (e, f)
+                                    break
+                            if step is not None:
+                                break
+                        i += 1
+                    cursor[u] = i
+                    if step is None:
+                        level[u] = -1
+                        stack.pop()
+                        if path:
+                            path.pop()
+                        continue
+                    path.append(step)
+                    if step[1] >= 0:
+                        stack.append(tail[step[1]])
+                        continue
+                    for e, f in path:
+                        matched[e] = 1
+                        into = mates[edges[e][1]]
+                        if f >= 0:
+                            matched[f] = 0
+                            into[into.index(f)] = e
+                        else:
+                            into.append(e)
+                    need[source] -= 1
+                    room[edges[step[0]][1]] -= 1
+                    gained += 1
+                    break
+        return gained
+
+
+def _certificate(
+    g: BipartiteGraph, demand: DegreeDemand, left_set: list[int]
+) -> HallCertificate:
     member = set(left_set)
     reach: dict[int, int] = {}
     for u, v in g.edges:
@@ -192,7 +253,7 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     capacity = sum(min(demand.right_quota[v], reach[v]) for v in neighborhood)
     if capacity >= required:
         raise KernelError("min-cut certificate failed its own deficiency check")
-    return HallCertificate(left_set, neighborhood, required, capacity)
+    return HallCertificate(tuple(left_set), neighborhood, required, capacity)
 
 
 def hall_check(
@@ -305,53 +366,43 @@ def _euler_split(
 ) -> tuple[list[int], list[int]]:
     """Split an even-regular multigraph into two halves of equal degree.
 
-    Walks an Euler circuit of every component (lowest unused edge first) and
-    alternates the edges between the halves; bipartite circuits have even
-    length, so each vertex splits evenly.
+    From every vertex in turn, walks a closed trail (lowest unused edge
+    first) until the vertex has no edge left, and alternates the trail's
+    edges between the halves.  Every vertex has even degree, so a trail
+    can only get stuck where it started; bipartite closed trails have even
+    length, so every vertex splits evenly.
     """
-    node_count = 2 * side
-    incidence: list[list[int]] = [[] for _ in range(node_count)]
-    for e in live:
+    incidence: list[list[int]] = [[] for _ in range(2 * side)]
+    link = [0] * len(edges)  # node ^ link[e] is the other end of e
+    for e in reversed(live):
         u, v = edges[e]
         incidence[u].append(e)
         incidence[side + v].append(e)
-    used = {e: False for e in live}
-    cursor = [0] * node_count
-    pick_a: list[int] = []
-    pick_b: list[int] = []
-    for start in range(node_count):
-        if cursor[start] >= len(incidence[start]):
-            continue
-        while cursor[start] < len(incidence[start]) and used[incidence[start][cursor[start]]]:
-            cursor[start] += 1
-        if cursor[start] >= len(incidence[start]):
-            continue
-        circuit: list[int] = []
-        stack = [(start, -1)]
-        while stack:
-            node, via = stack[-1]
-            advanced = False
-            while cursor[node] < len(incidence[node]):
-                e = incidence[node][cursor[node]]
-                if used[e]:
-                    cursor[node] += 1
-                    continue
-                used[e] = True
-                u, v = edges[e]
-                other = side + v if node == u else u
-                stack.append((other, e))
-                advanced = True
-                break
-            if not advanced:
+        link[e] = u ^ (side + v)
+    used = bytearray(len(edges))
+    half_a: list[int] = []
+    half_b: list[int] = []
+    for start in range(2 * side):
+        node = start
+        while True:
+            stack = incidence[node]
+            while stack and used[stack[-1]]:
                 stack.pop()
-                if via >= 0:
-                    circuit.append(via)
-        for i, e in enumerate(circuit):
-            (pick_a if i % 2 == 0 else pick_b).append(e)
-    # keep deterministic edge order within each half
-    pick_a.sort()
-    pick_b.sort()
-    return pick_a, pick_b
+            if not stack:
+                break
+            e = stack.pop()
+            used[e] = 1
+            half_a.append(e)
+            node ^= link[e]
+            # an odd number of steps in, the walk cannot be stuck
+            stack = incidence[node]
+            while used[stack[-1]]:
+                stack.pop()
+            e = stack.pop()
+            used[e] = 1
+            half_b.append(e)
+            node ^= link[e]
+    return half_a, half_b
 
 
 def recount_matching(

@@ -24,9 +24,8 @@ from .completion import (
 from .constructions import ConstructionError, construct_counterexample
 from .counting import (
     CountingError,
-    asymptotic_table,
+    bounds_table,
     count_completions,
-    sudoku_bounds,
 )
 from .grid import GridError, ParseError, SudokuGrid, is_m_rectangle, parse, render, validate
 
@@ -176,18 +175,19 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rows = asymptotic_table(args.k_max)
+    reports = bounds_table(args.k_max)
     if args.format == "kv":
-        for k, _, _ in rows:
-            report = sudoku_bounds(k)
+        for report in reports:
             _emit(
                 f"{report.k} {report.n} {report.log_lower:.6f} {report.log_upper:.6f}"
                 f" {report.ratio_lower:.6f} {report.ratio_upper:.6f}"
             )
         return EXIT_OK
     _emit(f"{'k':>5} {'n':>8} {'ratio_lower':>12} {'ratio_upper':>12}")
-    for k, lo, up in rows:
-        _emit(f"{k:>5} {k * k:>8} {lo:>12.6f} {up:>12.6f}")
+    for report in reports:
+        _emit(
+            f"{report.k:>5} {report.n:>8} {report.ratio_lower:>12.6f} {report.ratio_upper:>12.6f}"
+        )
     return EXIT_OK
 
 

@@ -84,7 +84,7 @@ def decide_guaranteed(k: int, m: int) -> Completability:
 
 
 def _stage1_graph(
-    grid: SudokuGrid, shape: RectShape, block: BlockIndex
+    grid: SudokuGrid, block: BlockIndex
 ) -> tuple[list[int], list[int], BipartiteGraph]:
     """Columns-vs-values eligibility graph for one block of row block l+1.
 
@@ -97,11 +97,11 @@ def _stage1_graph(
     cols = [(block.block_col - 1) * k + j for j in range(1, k + 1)]
     present = grid.block_values(block)
     values = [v for v in range(1, n + 1) if v not in present]
+    index = {v: vi for vi, v in enumerate(values)}
     edges = []
     for ci, col in enumerate(cols):
-        for vi, v in enumerate(values):
-            if not grid.in_column(col, v):
-                edges.append((ci, vi))
+        eligible = index.keys() - grid.column_values(col)
+        edges.extend((ci, index[v]) for v in sorted(eligible))
     return cols, values, BipartiteGraph.build(len(cols), len(values), edges)
 
 
@@ -122,7 +122,7 @@ def complete_row_block_stage1(
         raise CompletionError(
             f"block row {block.block_row} is not the open row block {shape.l + 1}"
         )
-    cols, values, graph = _stage1_graph(grid, shape, block)
+    cols, values, graph = _stage1_graph(grid, block)
     if rng is not None:
         edges = list(graph.edges)
         rng.shuffle(edges)
@@ -305,6 +305,7 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
         for chunk in range(k - r):
             matrix.append(missing[chunk * k : (chunk + 1) * k])
     row_sets = [set(row) for row in matrix]
+    all_values = set(range(1, n + 1))
 
     block_count = height // k
     for t in range(1, k):
@@ -314,9 +315,7 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
             rows = range(b * k, (b + 1) * k)
             edges = []
             for ri, row in enumerate(rows):
-                for v in range(1, n + 1):
-                    if v not in row_sets[row]:
-                        edges.append((ri, v - 1))
+                edges.extend((ri, v - 1) for v in sorted(all_values - row_sets[row]))
             graph = BipartiteGraph.build(k, n, edges)
             result = degree_matching(graph, DegreeDemand.uniform(graph, k, 1))
             if isinstance(result, HallCertificate):

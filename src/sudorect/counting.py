@@ -165,15 +165,16 @@ def sudoku_bounds(k: int) -> BoundsReport:
     )
 
 
-def asymptotic_table(k_max: int) -> list[tuple[int, float, float]]:
-    """(k, ratio_lower, ratio_upper) for k = 2..k_max; both columns → 1."""
+def bounds_table(k_max: int) -> list[BoundsReport]:
+    """The bounds report of every k = 2..k_max."""
     if k_max < 2:
         raise CountingError(f"need k_max >= 2, got {k_max}")
-    rows = []
-    for k in range(2, k_max + 1):
-        report = sudoku_bounds(k)
-        rows.append((k, report.ratio_lower, report.ratio_upper))
-    return rows
+    return [sudoku_bounds(k) for k in range(2, k_max + 1)]
+
+
+def asymptotic_table(k_max: int) -> list[tuple[int, float, float]]:
+    """(k, ratio_lower, ratio_upper) for k = 2..k_max; both columns → 1."""
+    return [(r.k, r.ratio_lower, r.ratio_upper) for r in bounds_table(k_max)]
 
 
 def log_factorial_stirling_upper(x: float) -> float:

@@ -14,6 +14,7 @@ All public row/column indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 
@@ -304,11 +305,42 @@ class SudokuGrid:
 def validate(grid: SudokuGrid) -> Optional[Violation]:
     """Check the row, column and block conditions; None means valid.
 
-    The scan is row-major and reports the first offending cell, paired with
+    Validity is proved in bulk first.  Only a grid that fails that proof is
+    scanned row-major, which reports the first offending cell, paired with
     its earliest (row-major) conflicting partner.  When the pair sits in one
     block, the conflict is reported as a block violation even if the cells
     also share a column; a shared row wins over both.
     """
+    if _valid_in_bulk(grid):
+        return None
+    return _first_violation(grid)
+
+
+def _valid_in_bulk(grid: SudokuGrid) -> bool:
+    """True iff every entry is an int in [1, n] and no row, column or block
+    repeats a value: one set per row, column and block.  False is no
+    verdict; the scan then finds the violation."""
+    n, k = grid.order.n, grid.order.k
+    cells = grid._cells
+    if not set(map(type, chain.from_iterable(cells))) <= {int, type(None)}:
+        return False
+    if not {None, *range(1, n + 1)}.issuperset(chain.from_iterable(cells)):
+        return False
+    blocks = (
+        [v for row in cells[top : top + k] for v in row[left : left + k]]
+        for top in range(0, n, k)
+        for left in range(0, n, k)
+    )
+    return all(map(_distinct, chain(cells, zip(*cells), blocks)))
+
+
+def _distinct(unit: Sequence[Optional[int]]) -> bool:
+    values = set(unit)
+    values.discard(None)
+    return len(values) == len(unit) - unit.count(None)
+
+
+def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
     order = grid.order
     n, k = order.n, order.k
     first_in_row: dict[tuple[int, int], CellRef] = {}

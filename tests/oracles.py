@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from sudorect import CellRef, Violation
+
 
 def sud4_brute_force() -> set[tuple[tuple[int, ...], ...]]:
     """All full 4×4 squares (rows, columns and 2×2 blocks all distinct),
@@ -165,3 +167,46 @@ def permanent(matrix) -> int:
                 break
         total += product
     return total
+
+
+def reference_validate(grid) -> Violation | None:
+    """The row-major validity scan: the first offending cell, paired with
+    its earliest (row-major) conflicting partner.  A shared row wins, then
+    a shared block, then a shared column; an entry that is not an int in
+    [1, n] is reported as malformed."""
+    n, k = grid.order.n, grid.order.k
+    first_in_row: dict[tuple[int, int], CellRef] = {}
+    first_in_col: dict[tuple[int, int], CellRef] = {}
+    first_in_block: dict[tuple[int, int], CellRef] = {}
+    cells = grid.rows()
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            v = cells[r - 1][c - 1]
+            if v is None:
+                continue
+            here = CellRef(r, c)
+            if not isinstance(v, int) or not (1 <= v <= n):
+                return Violation("malformed", here, here)
+            b = ((r - 1) // k) * k + (c - 1) // k
+            partners = [
+                p
+                for p in (
+                    first_in_row.get((r, v)),
+                    first_in_col.get((c, v)),
+                    first_in_block.get((b, v)),
+                )
+                if p is not None
+            ]
+            if partners:
+                partner = min(partners)
+                if partner.row == r:
+                    kind = "row"
+                elif ((partner.row - 1) // k) * k + (partner.col - 1) // k == b:
+                    kind = "block"
+                else:
+                    kind = "column"
+                return Violation(kind, partner, here)
+            first_in_row.setdefault((r, v), here)
+            first_in_col.setdefault((c, v), here)
+            first_in_block.setdefault((b, v), here)
+    return None

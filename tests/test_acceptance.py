@@ -6,7 +6,7 @@ terminal summary prints one PASS/FAIL line per criterion.
 Known red: criterion 8 asserts that the upper-bound ratio at k = 100 is
 within 5% of its limit, but the Bregman-Minc product genuinely converges
 like exp(O(ln²k / k)) and still sits near 1.146 there (it first drops
-below 1.05 around k ≈ 450).  The assertion is kept as stated rather than
+below 1.05 at k = 390).  The assertion is kept as stated rather than
 loosened; the lower ratio and both convergence claims do hold.
 """
 

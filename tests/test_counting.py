@@ -211,6 +211,13 @@ def test_asymptotic_table_validates_input():
         asymptotic_table(1)
 
 
+def test_upper_ratio_first_drops_below_1_05_at_k_390():
+    assert sudoku_bounds(389).ratio_upper == pytest.approx(1.05004, abs=1e-5)
+    assert sudoku_bounds(390).ratio_upper == pytest.approx(1.04994, abs=1e-5)
+    below = [k for k, _, up in asymptotic_table(390) if up < 1.05]
+    assert below == [390]
+
+
 # -- Stirling helper ----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_validate
 from sudorect import (
     CellRef,
     GridError,
@@ -253,6 +254,59 @@ def test_audit_matches_incremental_occupancy(ops):
         else:
             g.clear(row, col)
         assert g.audit()
+
+
+@st.composite
+def planted_grids(draw) -> SudokuGrid:
+    """A relabelled pattern square with cells cleared, values copied from a
+    row, column or block partner, and malformed entries poked past the API.
+
+    A copied value is first cleared from the target's other row, column and
+    block peers, so that its one conflict is with the partner it came from.
+    """
+    k = draw(st.integers(2, 3))
+    n = k * k
+    label = draw(st.permutations(range(1, n + 1)))
+    keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    grid = SudokuGrid(k)
+    for r in range(n):
+        for c in range(n):
+            if keep[r * n + c]:
+                grid.set(r + 1, c + 1, label[((r % k) * k + r // k + c) % n])
+    plants = st.tuples(
+        st.sampled_from(["row", "column", "block"]),
+        st.integers(1, n),
+        st.integers(1, n),
+        st.integers(0, n - 1),
+    )
+    for kind, r, c, j in draw(st.lists(plants, max_size=3)):
+        if kind == "row":
+            source = (r, j + 1)
+        elif kind == "column":
+            source = (j + 1, c)
+        else:
+            top, left = (r - 1) // k * k, (c - 1) // k * k
+            source = (top + j // k + 1, left + j % k + 1)
+        value = grid.get(*source)
+        if value is None or source == (r, c):
+            continue
+        peers = [(r, col) for col in range(1, n + 1)] + [(row, c) for row in range(1, n + 1)]
+        peers += grid.order.block_cells(grid.order.block_of(r, c))
+        for peer in peers:
+            if tuple(peer) != source and grid.get(*peer) == value:
+                grid.clear(*peer)
+        grid.clear(r, c)
+        grid.set(r, c, value)
+    pokes = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([99, 1.0, True]))
+    for r, c, value in draw(st.lists(pokes, max_size=2)):
+        grid._cells[r][c] = value  # simulate drift past the API
+    return grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=planted_grids())
+def test_validate_matches_reference_scan(grid):
+    assert validate(grid) == reference_validate(grid)
 
 
 def test_completed_square_value_counts(squares_k3):
