@@ -2,7 +2,9 @@
 
 Subcommands: check, decide, complete, construct, count, bounds.  Exit
 codes: 0 success/affirmative, 1 well-formed negative (violation found, not
-completable, not guaranteed, capped count), 2 usage or input errors.  All
+completable, not guaranteed, capped count), 2 usage or input errors,
+and also an interrupt, exhausted memory or an exceeded recursion limit,
+each reported in one line and never as a traceback.  All
 diagnostics go to stderr; stdout carries only grid/table payloads, so the
 commands compose in pipes.  ``--format kv`` switches the reports to
 machine-readable key=value lines.
@@ -252,6 +254,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except ValueError as exc:
         _warn(str(exc))
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        _warn("interrupted")
+        return EXIT_ERROR
+    except MemoryError:
+        _warn("out of memory")
+        return EXIT_ERROR
+    except RecursionError:
+        _warn("recursion limit exceeded")
         return EXIT_ERROR
 
 

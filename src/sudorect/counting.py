@@ -1,8 +1,11 @@
 """Exact completion counting and log-space counting bounds.
 
-The enumerator is a plain backtracking search (most-constrained cell
-first, smallest value first) with arbitrary-precision counts; it is the
-desk-scale oracle for small orders and heavily filled grids.  The bounds
+The enumerator is a backtracking search with arbitrary-precision counts;
+it is the desk-scale oracle for small orders and heavily filled grids.  It
+keeps one value bitmask per row, column and block and an explicit stack of
+placements, so its depth is not limited by Python's recursion limit.  Its
+order is fixed, so node counts are reproducible: the first row-major cell
+with the fewest candidates, then its values in ascending order.  The bounds
 machinery evaluates, purely in log space via ``lgamma``, the product
 formulas that sandwich the number of full squares of order n = k² between
 a Van der Waerden-style lower bound and a Bregman-Minc-style upper bound
@@ -13,7 +16,7 @@ normalized ratios that approach 1 as k grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, pi
+from math import exp, lgamma, log
 from typing import Optional
 
 from .grid import SudokuGrid, validate
@@ -55,53 +58,89 @@ def count_completions(
     """Count the full squares extending ``grid`` by exhaustive backtracking.
 
     ``exhausted`` is False iff a cap stopped the search early, in which
-    case ``count`` is a lower bound.  Deterministic: nodes are placements
-    tried, most-constrained cell first with lowest (row, col, value)
-    tie-breaks, single-threaded.
+    case ``count`` is a lower bound.  ``max_nodes`` must be at least 0 and
+    ``max_solutions`` at least 1; an invalid grid or a bad cap raises
+    :class:`CountingError`.
+
+    Deterministic: nodes are placements tried.  The search takes the first
+    row-major open cell with the fewest candidates (stopping at the first
+    cell with none) and tries its values in ascending order.  It runs on an
+    explicit stack over one value bitmask per row, column and block, so its
+    depth is not bounded by Python's recursion limit.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise CountingError(f"max_nodes must be >= 0, got {max_nodes}")
+    if max_solutions is not None and max_solutions < 1:
+        raise CountingError(f"max_solutions must be >= 1, got {max_solutions}")
     violation = validate(grid)
     if violation is not None:
         raise CountingError(f"input grid is invalid: {violation.describe()}")
-    work = grid.copy()
-    state = {"count": 0, "nodes": 0, "capped": False}
-
-    def pick_cell() -> Optional[tuple[int, int, list[int]]]:
-        best = None
-        for ref in work.empty_cells():
-            cands = work.candidates(ref.row, ref.col)
-            if best is None or len(cands) < len(best[2]):
-                best = (ref.row, ref.col, cands)
-                if len(cands) == 0:
-                    break
-        return best
-
-    def search() -> None:
-        if state["capped"]:
-            return
-        spot = pick_cell()
-        if spot is None:
-            state["count"] += 1
-            if max_solutions is not None and state["count"] >= max_solutions:
-                state["capped"] = True
-            return
-        row, col, cands = spot
-        for value in cands:
-            if max_nodes is not None and state["nodes"] >= max_nodes:
-                state["capped"] = True
-                return
-            state["nodes"] += 1
-            work.set(row, col, value)
-            search()
-            work.clear(row, col)
-            if state["capped"]:
-                return
-
-    search()
-    return CountResult(
-        count=state["count"],
-        exhausted=not state["capped"],
-        nodes_visited=state["nodes"],
-    )
+    n, k = grid.order.n, grid.order.k
+    row_mask = [0] * n
+    col_mask = [0] * n
+    block_mask = [0] * n
+    open_cells: list[tuple[int, int, int]] = []  # (row, col, block), row-major
+    for r, values in enumerate(grid.rows()):
+        for c, v in enumerate(values):
+            b = (r // k) * k + c // k
+            if v is None:
+                open_cells.append((r, c, b))
+            else:
+                row_mask[r] |= 1 << v
+                col_mask[c] |= 1 << v
+                block_mask[b] |= 1 << v
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    count = nodes = 0
+    capped = False
+    # One frame per placed cell: [index in open_cells, cell, untried values, placed bit]
+    stack: list[list] = []
+    while True:
+        # A new node: the grid holds every placement on the stack.
+        if not open_cells:
+            count += 1
+            if max_solutions is not None and count >= max_solutions:
+                capped = True
+                break
+        else:
+            best = -1
+            most = -1  # most values taken is fewest candidates
+            for i, (r, c, b) in enumerate(open_cells):
+                taken = (row_mask[r] | col_mask[c] | block_mask[b]).bit_count()
+                if taken > most:
+                    best, most = i, taken
+                    if taken == n:
+                        break
+            if most < n:
+                r, c, b = cell = open_cells.pop(best)
+                free = full & ~(row_mask[r] | col_mask[c] | block_mask[b])
+                stack.append([best, cell, free, 0])
+        # Place the next untried value of the deepest frame, backtracking
+        # out of frames that have none left.
+        while stack:
+            frame = stack[-1]
+            i, (r, c, b), free, bit = frame
+            if bit:
+                row_mask[r] ^= bit
+                col_mask[c] ^= bit
+                block_mask[b] ^= bit
+            if not free:
+                stack.pop()
+                open_cells.insert(i, frame[1])
+                continue
+            if max_nodes is not None and nodes >= max_nodes:
+                capped = True
+                break
+            nodes += 1
+            bit = free & -free
+            frame[2] = free ^ bit
+            frame[3] = bit
+            row_mask[r] |= bit
+            col_mask[c] |= bit
+            block_mask[b] |= bit
+            break
+        if capped or not stack:
+            break
+    return CountResult(count=count, exhausted=not capped, nodes_visited=nodes)
 
 
 def matching_bounds(n: int, r: int) -> tuple[float, float]:
@@ -116,11 +155,6 @@ def matching_bounds(n: int, r: int) -> tuple[float, float]:
     return log_lower, log_upper
 
 
-def _log_matching(n: int, r: int, upper: bool) -> float:
-    lo, up = matching_bounds(n, r)
-    return up if upper else lo
-
-
 def _log_product(k: int, upper: bool) -> float:
     """The two-stage product formula, evaluated structurally as written:
 
@@ -129,13 +163,14 @@ def _log_product(k: int, upper: bool) -> float:
     with PM replaced by its lower or upper matching bound.
     """
     n = k * k
+    side = 1 if upper else 0
     log_kfact = lgamma(k + 1)
     total = 0.0
     for l in range(1, k + 1):
-        total += k * (_log_matching(n, n - k * (l - 1), upper) - k * log_kfact)
+        total += k * (matching_bounds(n, n - k * (l - 1))[side] - k * log_kfact)
     tail = 0.0
     for r in range(1, k + 1):
-        tail += _log_matching(n, r, upper)
+        tail += matching_bounds(n, r)[side]
     return total + k * tail
 
 
@@ -175,14 +210,3 @@ def bounds_table(k_max: int) -> list[BoundsReport]:
 def asymptotic_table(k_max: int) -> list[tuple[int, float, float]]:
     """(k, ratio_lower, ratio_upper) for k = 2..k_max; both columns → 1."""
     return [(r.k, r.ratio_lower, r.ratio_upper) for r in bounds_table(k_max)]
-
-
-def log_factorial_stirling_upper(x: float) -> float:
-    """log of the Stirling overestimate (x/e)^x·sqrt(2πx)·e^(1/(12x)).
-
-    Documentation-grade helper: the bound products never use it, but it
-    certifies the x! < 3·(x/e)^x·sqrt(x) step used in derivations.
-    """
-    if x <= 0:
-        raise CountingError("the Stirling overestimate needs x > 0")
-    return x * (log(x) - 1.0) + 0.5 * log(2.0 * pi * x) + 1.0 / (12.0 * x)

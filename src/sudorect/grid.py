@@ -5,7 +5,7 @@ Grids are plain mutable containers: placing a conflicting value is allowed
 and later reported by :func:`validate`, so files with broken content can be
 loaded and diagnosed instead of rejected at parse time.  Occupancy is
 tracked incrementally (value -> multiplicity per row/column/block) so that
-candidate checks during search are O(1); :meth:`SudokuGrid.audit` rescans
+placement and membership checks are O(1); :meth:`SudokuGrid.audit` rescans
 from the cells and detects drift.
 
 All public row/column indices are 1-based.
@@ -193,17 +193,6 @@ class SudokuGrid:
             and value not in self._block_occ[self._block_id(row, col)]
         )
 
-    def candidates(self, row: int, col: int) -> list[int]:
-        self._check_index(row, col)
-        row_occ = self._row_occ[row - 1]
-        col_occ = self._col_occ[col - 1]
-        blk_occ = self._block_occ[self._block_id(row, col)]
-        return [
-            v
-            for v in range(1, self.order.n + 1)
-            if v not in row_occ and v not in col_occ and v not in blk_occ
-        ]
-
     # -- queries used by the completion pipeline
 
     def row_values(self, row: int) -> set[int]:
@@ -219,23 +208,12 @@ class SudokuGrid:
     def in_column(self, col: int, value: int) -> bool:
         return value in self._col_occ[col - 1]
 
-    def in_row(self, row: int, value: int) -> bool:
-        return value in self._row_occ[row - 1]
-
     @property
     def filled_count(self) -> int:
         return self._filled
 
     def is_full(self) -> bool:
         return self._filled == self.order.n * self.order.n
-
-    def empty_cells(self) -> Iterator[CellRef]:
-        n = self.order.n
-        for r in range(n):
-            row = self._cells[r]
-            for c in range(n):
-                if row[c] is None:
-                    yield CellRef(r + 1, c + 1)
 
     def rows(self) -> list[tuple[Optional[int], ...]]:
         return [tuple(row) for row in self._cells]

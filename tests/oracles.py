@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import exp, factorial, fsum, log, pi
 
-from sudorect import CellRef, Violation
+from sudorect import CellRef, CountResult, Violation
 
 
 def sud4_brute_force() -> set[tuple[tuple[int, ...], ...]]:
@@ -268,3 +268,63 @@ def upper_ratio_stirling_envelope(k: int) -> tuple[float, float]:
         return exp(log_bound / (n * n) + 3 - log(n))
 
     return normalize(below), normalize(above)
+
+
+def reference_count(grid, max_nodes=None, max_solutions=None) -> CountResult:
+    """The recursive completion counter, on plain lists of rows.
+
+    At each node it rescans every empty cell row-major, lists the values
+    missing from the cell's row, column and block, and takes the first
+    cell with the fewest (stopping at a cell with none); it then tries the
+    values in ascending order.  Nodes are placements tried; ``max_nodes``
+    is checked before each one and ``max_solutions`` after each solution.
+    The input is assumed valid and the caps in range."""
+    n, k = grid.order.n, grid.order.k
+    cells = [list(row) for row in grid.rows()]
+    state = {"count": 0, "nodes": 0, "capped": False}
+
+    def candidates(r: int, c: int) -> list[int]:
+        top, left = r - r % k, c - c % k
+        used = set(cells[r]) | {cells[i][c] for i in range(n)}
+        used |= {cells[i][j] for i in range(top, top + k) for j in range(left, left + k)}
+        return [v for v in range(1, n + 1) if v not in used]
+
+    def pick_cell():
+        best = None
+        for r in range(n):
+            for c in range(n):
+                if cells[r][c] is not None:
+                    continue
+                cands = candidates(r, c)
+                if best is None or len(cands) < len(best[2]):
+                    best = (r, c, cands)
+                    if not cands:
+                        return best
+        return best
+
+    def search() -> None:
+        spot = pick_cell()
+        if spot is None:
+            state["count"] += 1
+            if max_solutions is not None and state["count"] >= max_solutions:
+                state["capped"] = True
+            return
+        r, c, cands = spot
+        for value in cands:
+            if max_nodes is not None and state["nodes"] >= max_nodes:
+                state["capped"] = True
+                return
+            state["nodes"] += 1
+            cells[r][c] = value
+            search()
+            cells[r][c] = None
+            if state["capped"]:
+                return
+
+    search()
+    return CountResult(state["count"], not state["capped"], state["nodes"])
+
+
+def log_factorial_stirling_upper(x: float) -> float:
+    """log of the Stirling overestimate (x/e)^x·sqrt(2πx)·e^(1/(12x))."""
+    return x * (log(x) - 1.0) + 0.5 * log(2.0 * pi * x) + 1.0 / (12.0 * x)

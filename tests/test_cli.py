@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from sudorect import SudokuGrid, figure1_fixture, is_m_rectangle, parse, render, validate
+from sudorect import cli
 from sudorect.cli import main
 
 
@@ -215,6 +216,23 @@ def test_count_kv(empty4_file):
     assert out.strip() == "count=288 exhausted=true nodes=2272"
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--max-solutions", "0"), ("--max-solutions", "-1"), ("--max-nodes", "-5")],
+)
+def test_count_rejects_bad_caps(empty4_file, flag, value):
+    code, out, err = run_cli("count", empty4_file, flag, value)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and flag[2:].replace("-", "_") in err
+
+
+def test_count_zero_node_cap_is_partial(empty4_file):
+    code, out, err = run_cli("count", empty4_file, "--max-nodes", "0", "--format", "kv")
+    assert code == 1
+    assert out.strip() == "count=0 exhausted=false nodes=0"
+
+
 # -- bounds -----------------------------------------------------------------------
 
 
@@ -253,3 +271,22 @@ def test_missing_subcommand_is_usage_error():
 def test_unknown_subcommand_is_usage_error():
     code, out, err = run_cli("frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "exc,message",
+    [
+        (KeyboardInterrupt, "interrupted"),
+        (MemoryError, "out of memory"),
+        (RecursionError, "recursion limit exceeded"),
+    ],
+)
+def test_fatal_conditions_exit_2_with_one_line(monkeypatch, empty4_file, exc, message):
+    def boom(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "_cmd_count", boom)
+    code, out, err = run_cli("count", empty4_file)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"

@@ -2,18 +2,25 @@
 
 import math
 import random
+import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     count_extensions_4x4,
     exact_log_bound_products,
+    log_factorial_stirling_upper,
     permanent,
+    reference_count,
     regular_bipartite_graphs,
     sud4_brute_force,
 )
 from sudorect import (
     CountingError,
+    CountResult,
     SudokuGrid,
     asymptotic_table,
     complete_randomized,
@@ -22,7 +29,6 @@ from sudorect import (
     sudoku_bounds,
     truncate_rows,
 )
-from sudorect.counting import log_factorial_stirling_upper
 
 
 # -- count_completions -----------------------------------------------------------
@@ -49,6 +55,8 @@ def test_full_square_counts_one():
     square = complete_randomized(SudokuGrid(3), 0)
     result = count_completions(square)
     assert result.count == 1 and result.exhausted and result.nodes_visited == 0
+    # the one solution reaches the cap before any placement
+    assert count_completions(square, max_solutions=1) == CountResult(1, False, 0)
 
 
 def test_caps_mark_search_as_partial():
@@ -65,6 +73,58 @@ def test_count_rejects_invalid_grid():
     g.set(1, 2, 1)
     with pytest.raises(CountingError):
         count_completions(g)
+
+
+@pytest.mark.parametrize("caps", [{"max_solutions": 0}, {"max_solutions": -3}, {"max_nodes": -5}])
+def test_count_rejects_bad_caps(caps):
+    with pytest.raises(CountingError, match=next(iter(caps))):
+        count_completions(SudokuGrid(2), **caps)
+
+
+def test_deep_search_needs_no_recursion():
+    # 256 open cells: a recursive search would go 256 frames deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        result = count_completions(SudokuGrid(4), max_nodes=400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == CountResult(5, False, 400)
+
+
+@lru_cache(maxsize=None)
+def _square(k: int, seed: int) -> SudokuGrid:
+    return complete_randomized(SudokuGrid(k), seed)
+
+
+@st.composite
+def capped_partial_grids(draw):
+    """A square cut from ``complete_randomized`` (every cell of it may be
+    cleared at k = 2, up to 45 at k = 3), with random caps."""
+    k = draw(st.sampled_from([2, 3]))
+    n = k * k
+    grid = _square(k, draw(st.integers(0, 19))).copy()
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    holes = draw(st.integers(0, 16 if k == 2 else 45))
+    for r, c in draw(st.randoms(use_true_random=False)).sample(cells, holes):
+        grid.clear(r, c)
+    max_nodes = draw(st.one_of(st.none(), st.integers(0, 1), st.integers(0, 3000)))
+    max_solutions = draw(st.one_of(st.none(), st.just(1), st.integers(1, 300)))
+    return grid, max_nodes, max_solutions
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=capped_partial_grids())
+@example(case=(SudokuGrid(2), None, None))
+@example(case=(SudokuGrid(2), 0, None))
+@example(case=(SudokuGrid(2), 1, 1))
+@example(case=(_square(3, 0), None, 1))
+@example(case=(_square(3, 0), 0, None))
+def test_count_matches_recursive_reference(case):
+    grid, max_nodes, max_solutions = case
+    assert count_completions(grid, max_nodes, max_solutions) == reference_count(
+        grid, max_nodes, max_solutions
+    )
 
 
 def test_heavily_filled_k3_instances(figure1):
