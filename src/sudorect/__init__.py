@@ -12,12 +12,10 @@ bounds with their asymptotic ratios.
 from .bipartite import (
     BipartiteGraph,
     DegreeDemand,
-    ExhaustiveLimitExceeded,
     HallCertificate,
     KernelError,
     degree_matching,
     edge_color,
-    hall_check,
 )
 from .completion import (
     Completability,
@@ -77,7 +75,6 @@ __all__ = [
     "CounterexampleReport",
     "CountingError",
     "DegreeDemand",
-    "ExhaustiveLimitExceeded",
     "GridError",
     "HallCertificate",
     "KernelError",
@@ -101,7 +98,6 @@ __all__ = [
     "edge_color",
     "extend_column_blocks",
     "figure1_fixture",
-    "hall_check",
     "is_m_rectangle",
     "is_pq_rectangle",
     "matching_bounds",

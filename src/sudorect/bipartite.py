@@ -12,16 +12,12 @@ degree.  Everything here is deterministic for a fixed edge order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
-from typing import Sequence, Union
+from itertools import compress
+from typing import Union
 
 
 class KernelError(Exception):
     """Contract violation (mismatched quotas, malformed graph, ...)."""
-
-
-class ExhaustiveLimitExceeded(KernelError):
-    """Left side too large for the subset-enumeration Hall check."""
 
 
 @dataclass(frozen=True)
@@ -256,35 +252,6 @@ def _certificate(
     return HallCertificate(tuple(left_set), neighborhood, required, capacity)
 
 
-def hall_check(
-    g: BipartiteGraph, multiplier: int, limit: int = 20
-) -> HallCertificate | None:
-    """Exhaustively test |N(S)| >= multiplier·|S| for every left subset.
-
-    Returns the first violating set in (size, lexicographic) order, or None.
-    Intended for small left sides; refuses above ``limit`` vertices.
-    """
-    if multiplier < 1:
-        raise KernelError(f"multiplier must be >= 1, got {multiplier}")
-    if g.left_count > limit:
-        raise ExhaustiveLimitExceeded(
-            f"{g.left_count} left vertices exceed the exhaustive limit {limit}"
-        )
-    adj: list[set[int]] = [set() for _ in range(g.left_count)]
-    for u, v in g.edges:
-        adj[u].add(v)
-    for size in range(1, g.left_count + 1):
-        for subset in combinations(range(g.left_count), size):
-            hood: set[int] = set()
-            for u in subset:
-                hood |= adj[u]
-            if len(hood) < multiplier * size:
-                return HallCertificate(
-                    subset, tuple(sorted(hood)), multiplier * size, len(hood)
-                )
-    return None
-
-
 # -- edge coloring ----------------------------------------------------------
 
 
@@ -403,33 +370,3 @@ def _euler_split(
             half_b.append(e)
             node ^= link[e]
     return half_a, half_b
-
-
-def recount_matching(
-    g: BipartiteGraph, demand: DegreeDemand, matching: Sequence[int]
-) -> bool:
-    """True iff the edge subset meets every quota exactly (audit helper)."""
-    left = [0] * g.left_count
-    right = [0] * g.right_count
-    seen = set()
-    for e in matching:
-        if e in seen or not (0 <= e < len(g.edges)):
-            return False
-        seen.add(e)
-        u, v = g.edges[e]
-        left[u] += 1
-        right[v] += 1
-    return tuple(left) == demand.left_quota and tuple(right) == demand.right_quota
-
-
-def coloring_is_proper(g: BipartiteGraph, colors: Sequence[int]) -> bool:
-    if len(colors) != len(g.edges):
-        return False
-    seen_left: set[tuple[int, int]] = set()
-    seen_right: set[tuple[int, int]] = set()
-    for (u, v), c in zip(g.edges, colors):
-        if (u, c) in seen_left or (v, c) in seen_right:
-            return False
-        seen_left.add((u, c))
-        seen_right.add((v, c))
-    return True

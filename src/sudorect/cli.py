@@ -151,8 +151,12 @@ def _cmd_construct(args) -> int:
         header.append(f"# special elements: x={x} x1={x1} x2={x2}")
     payload = "\n".join(header) + "\n" + render(report.rectangle)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            _warn(f"cannot write {args.output}: {exc.strerror or exc}")
+            return EXIT_ERROR
     else:
         _emit(payload)
     return EXIT_OK

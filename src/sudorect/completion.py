@@ -27,6 +27,7 @@ from .bipartite import (
 )
 from .grid import (
     BlockIndex,
+    GridError,
     RectShape,
     SudokuGrid,
     is_m_rectangle,
@@ -90,17 +91,20 @@ def _stage1_graph(
 
     The values on offer are those absent from the block's filled rows; a
     value is eligible for a column iff it does not already appear in that
-    column.  Left quota is k−r per column, right quota 1 per value.
+    column.  Left quota is k−r per column, right quota 1 per value.  Rows
+    below the block are empty in an m-rectangle, so each column is read
+    only down to the block's last row.
     """
     k = grid.order.k
     n = grid.order.n
     cols = [(block.block_col - 1) * k + j for j in range(1, k + 1)]
-    present = grid.block_values(block)
+    columns = grid.block_columns(block.block_col, block.block_row * k)
+    present = {v for column in columns for v in column[-k:]}
     values = [v for v in range(1, n + 1) if v not in present]
     index = {v: vi for vi, v in enumerate(values)}
     edges = []
-    for ci, col in enumerate(cols):
-        eligible = index.keys() - grid.column_values(col)
+    for ci, column in enumerate(columns):
+        eligible = index.keys() - set(column)
         edges.extend((ci, index[v]) for v in sorted(eligible))
     return cols, values, BipartiteGraph.build(len(cols), len(values), edges)
 
@@ -115,7 +119,9 @@ def complete_row_block_stage1(
 
     Returns {absolute column -> sorted values} on success, or the
     deficient-set witness.  ``shape`` describes the filled rows of the
-    row block being extended (r = 0 for a fully empty row block).
+    row block being extended (r = 0 for a fully empty row block); rows
+    below that row block are taken to be empty, as in an m-rectangle, and
+    are not read.
     """
     k = grid.order.k
     if block.block_row != shape.l + 1:
@@ -201,10 +207,13 @@ def _fill_row_block(
         if isinstance(outcome, NotCompletable):
             return outcome
         merged.update(outcome)
-    for row, col, value in complete_row_block_stage2(k, shape, merged, rng):
-        if not work.can_place(row, col, value):
-            raise CompletionError(f"stage 2 produced a conflict at ({row},{col})")
-        work.set(row, col, value)
+    placements = complete_row_block_stage2(k, shape, merged, rng)
+    # a clash between placements is caught by the final validate in _complete
+    try:
+        for row, col, value in placements:
+            work.set(row, col, value)
+    except GridError as exc:
+        raise CompletionError(f"stage 2 produced a bad placement: {exc}") from None
     return None
 
 
@@ -263,9 +272,7 @@ def verify_certificate(grid: SudokuGrid, witness: NotCompletable) -> bool:
     present = grid.block_values(witness.block)
     reachable: set[int] = set()
     for col in witness.columns:
-        for v in range(1, n + 1):
-            if v not in present and not grid.in_column(col, v):
-                reachable.add(v)
+        reachable |= set(range(1, n + 1)) - present - grid.column_values(col)
     return len(reachable) < witness.quota * len(witness.columns)
 
 
@@ -341,10 +348,7 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
         if any(0 in row[t * k :] for row in matrix):
             raise CompletionError(f"column block {t + 1} left a hole; coloring bug")
 
-    out = SudokuGrid(k)
-    for i in range(m):
-        for j in range(n):
-            out.set(i + 1, j + 1, matrix[i][j])
+    out = SudokuGrid.from_rows(k, matrix[:m] + [[None] * n] * (n - m))
     violation = validate(out)
     if violation is not None:
         raise CompletionError(f"extension failed validity: {violation.describe()}")

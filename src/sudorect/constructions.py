@@ -19,9 +19,10 @@ There are three structural recipes, selected by the shape:
   top block borrows a scratch alphabet that is substituted away before
   assembly.
 
-Every recipe ends with a validity check and a completion run that must
-reject; a construction that fails either check raises instead of
-returning.  All placements are deterministic.
+Every recipe ends with the widening, which validates the column block and
+the widened rectangle, and a completion run that must reject with a
+witness that replays; a construction that fails any of these checks
+raises instead of returning.  All placements are deterministic.
 """
 
 from __future__ import annotations
@@ -88,11 +89,7 @@ def construct_lemma2(
         if any(not (1 <= v <= n) for v in part):
             raise ConstructionError(f"part values must lie in 1..{n}")
         seen |= set(part)
-    matrix = _lemma2_matrix(a, b, k, parts)
-    grid = SudokuGrid(k)
-    for i, row in enumerate(matrix, start=1):
-        for j, v in enumerate(row, start=1):
-            grid.set(i, j, v)
+    grid = _matrix_to_grid(_lemma2_matrix(a, b, k, parts), k)
     violation = validate(grid)
     if violation is not None:
         raise ConstructionError(f"building block invalid: {violation.describe()}")
@@ -122,11 +119,7 @@ def figure1_fixture() -> SudokuGrid:
         [8, 3, 2, 5, 6, 1, 9, 4, 7],
         [9, 6, 5, 8, 4, 7, 2, 3, 1],
     ]
-    grid = SudokuGrid(3)
-    for r, row in enumerate(rows, start=1):
-        for c, v in enumerate(row, start=1):
-            grid.set(r, c, v)
-    return grid
+    return _matrix_to_grid(rows, 3)
 
 
 # -- matrix helpers (constructions work on raw m×k column blocks) -----------
@@ -159,14 +152,10 @@ def _swap_cells(matrix, r1, c1, r2, c2):
 
 
 def _matrix_to_grid(matrix: list[list[int]], k: int) -> SudokuGrid:
-    grid = SudokuGrid(k)
-    for r, row in enumerate(matrix, start=1):
-        for c, v in enumerate(row, start=1):
-            grid.set(r, c, v)
-    violation = validate(grid)
-    if violation is not None:
-        raise ConstructionError(f"column block invalid: {violation.describe()}")
-    return grid
+    """The matrix as the top-left corner of an otherwise empty grid."""
+    n = k * k
+    rows = [row + [None] * (n - len(row)) for row in matrix]
+    return SudokuGrid.from_rows(k, rows + [[None] * n] * (n - len(rows)))
 
 
 # -- case a: l < k/2 ---------------------------------------------------------
@@ -233,24 +222,11 @@ def _case_a_matrix(k: int, l: int, r: int) -> list[list[int]]:
                     continue
                 choice = v
                 break
-            if choice is None:
-                choice = _case_a_fill_by_matching(pool, used, fresh_rows, i, j)
             _require(choice is not None, "cannot place a recycled value")
             fresh_rows[i][j] = choice
             used.add(choice)
     left_tall = left + fresh_rows
     return _beside(left_tall, right)
-
-
-def _case_a_fill_by_matching(pool, used, fresh_rows, i, j) -> Optional[int]:
-    """Fallback for the greedy fill; the pool values are mutually fresh, so
-    any unused value without a same-row/column duplicate works."""
-    for v in pool:
-        if v not in used and v not in fresh_rows[i] and all(
-            row[j] != v for row in fresh_rows
-        ):
-            return v
-    return None
 
 
 # -- case b: l >= k/2, k even ------------------------------------------------
@@ -389,8 +365,9 @@ def construct_counterexample(k: int, m: int) -> CounterexampleReport:
     """Build and verify a non-completable m×n rectangle.
 
     Raises if (k, m) is guaranteed-completable.  The returned rectangle is
-    full-width (m×n): the jammed k-column block is widened first, and both
-    the validity check and the completion rejection are re-verified here.
+    full-width (m×n): the jammed k-column block is widened first, which
+    validates it and the result, and the completion rejection and its
+    witness are re-verified here.
     """
     if k < 2:
         raise ConstructionError("constructions need k >= 2")
@@ -411,10 +388,8 @@ def construct_counterexample(k: int, m: int) -> CounterexampleReport:
         case_used = "c"
         matrix, special = _case_c_matrix(k, l, r)
 
-    column_block = _matrix_to_grid(matrix, k)
-    rectangle = extend_column_blocks(column_block)
-    violation = validate(rectangle)
-    _require(violation is None, f"extended rectangle invalid: {violation}")
+    # extend_column_blocks validates both the column block and its output
+    rectangle = extend_column_blocks(_matrix_to_grid(matrix, k))
     outcome = complete(rectangle)
     _require(
         isinstance(outcome, NotCompletable),

@@ -3,10 +3,11 @@
 A grid cell holds either a value in [1, n] or the empty marker ``None``.
 Grids are plain mutable containers: placing a conflicting value is allowed
 and later reported by :func:`validate`, so files with broken content can be
-loaded and diagnosed instead of rejected at parse time.  Occupancy is
-tracked incrementally (value -> multiplicity per row/column/block) so that
-placement and membership checks are O(1); :meth:`SudokuGrid.audit` rescans
-from the cells and detects drift.
+loaded and diagnosed instead of rejected at parse time.  The cells are a
+grid's only state: row, column and block contents are read from them when
+asked for, :meth:`SudokuGrid.from_rows` and :func:`parse` check every entry
+and then fill the cells in bulk, and :meth:`SudokuGrid.audit` recounts the
+filled cells and detects a write past the API.
 
 All public row/column indices are 1-based.
 """
@@ -113,17 +114,20 @@ class Violation:
 
 
 class SudokuGrid:
-    """An n×n partial Sudoku square with incremental occupancy tracking."""
+    """An n×n partial Sudoku square; the cells are its only state.
 
-    __slots__ = ("order", "_cells", "_row_occ", "_col_occ", "_block_occ", "_filled")
+    Every write goes through :meth:`set`, :meth:`clear`, :meth:`from_rows`
+    or :func:`parse`, which check indices and values, so a cell holds
+    either ``None`` or an int in [1, n].  Row, column and block contents
+    are read from the cells when asked for.
+    """
+
+    __slots__ = ("order", "_cells", "_filled")
 
     def __init__(self, order: Order | int):
         self.order = order if isinstance(order, Order) else Order(order)
         n = self.order.n
         self._cells: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        self._row_occ: list[dict[int, int]] = [dict() for _ in range(n)]
-        self._col_occ: list[dict[int, int]] = [dict() for _ in range(n)]
-        self._block_occ: list[dict[int, int]] = [dict() for _ in range(n)]
         self._filled = 0
 
     # -- geometry helpers
@@ -132,10 +136,6 @@ class SudokuGrid:
         n = self.order.n
         if not (1 <= row <= n and 1 <= col <= n):
             raise GridError(f"cell ({row},{col}) outside 1..{n}")
-
-    def _block_id(self, row: int, col: int) -> int:
-        k = self.order.k
-        return ((row - 1) // k) * k + (col - 1) // k
 
     # -- cell access
 
@@ -156,31 +156,13 @@ class SudokuGrid:
         if self._cells[row - 1][col - 1] is not None:
             raise GridError(f"cell ({row},{col}) already filled; clear it first")
         self._cells[row - 1][col - 1] = value
-        for occ, idx in (
-            (self._row_occ, row - 1),
-            (self._col_occ, col - 1),
-            (self._block_occ, self._block_id(row, col)),
-        ):
-            occ[idx][value] = occ[idx].get(value, 0) + 1
         self._filled += 1
 
     def clear(self, row: int, col: int) -> None:
         self._check_index(row, col)
-        value = self._cells[row - 1][col - 1]
-        if value is None:
-            return
-        self._cells[row - 1][col - 1] = None
-        for occ, idx in (
-            (self._row_occ, row - 1),
-            (self._col_occ, col - 1),
-            (self._block_occ, self._block_id(row, col)),
-        ):
-            bag = occ[idx]
-            if bag[value] == 1:
-                del bag[value]
-            else:
-                bag[value] -= 1
-        self._filled -= 1
+        if self._cells[row - 1][col - 1] is not None:
+            self._cells[row - 1][col - 1] = None
+            self._filled -= 1
 
     def can_place(self, row: int, col: int, value: int) -> bool:
         """True iff placing ``value`` at the empty cell keeps all conditions."""
@@ -188,25 +170,33 @@ class SudokuGrid:
         if self._cells[row - 1][col - 1] is not None:
             return False
         return (
-            value not in self._row_occ[row - 1]
-            and value not in self._col_occ[col - 1]
-            and value not in self._block_occ[self._block_id(row, col)]
+            value not in self.row_values(row)
+            and not self.in_column(col, value)
+            and value not in self.block_values(self.order.block_of(row, col))
         )
 
     # -- queries used by the completion pipeline
 
     def row_values(self, row: int) -> set[int]:
-        return set(self._row_occ[row - 1])
+        return set(self._cells[row - 1]) - {None}
 
     def column_values(self, col: int) -> set[int]:
-        return set(self._col_occ[col - 1])
+        return {row[col - 1] for row in self._cells} - {None}
 
     def block_values(self, block: BlockIndex) -> set[int]:
         k = self.order.k
-        return set(self._block_occ[(block.block_row - 1) * k + (block.block_col - 1)])
+        top, left = (block.block_row - 1) * k, (block.block_col - 1) * k
+        return {v for row in self._cells[top : top + k] for v in row[left : left + k]} - {None}
+
+    def block_columns(self, block_col: int, depth: int) -> list[tuple[Optional[int], ...]]:
+        """The k columns of column block ``block_col``, rows 1..depth."""
+        k = self.order.k
+        left = (block_col - 1) * k
+        columns = list(zip(*(row[left : left + k] for row in self._cells[:depth])))
+        return columns or [()] * k
 
     def in_column(self, col: int, value: int) -> bool:
-        return value in self._col_occ[col - 1]
+        return value in self.column_values(col)
 
     @property
     def filled_count(self) -> int:
@@ -224,9 +214,6 @@ class SudokuGrid:
         dup = SudokuGrid.__new__(SudokuGrid)
         dup.order = self.order
         dup._cells = [row[:] for row in self._cells]
-        dup._row_occ = [dict(d) for d in self._row_occ]
-        dup._col_occ = [dict(d) for d in self._col_occ]
-        dup._block_occ = [dict(d) for d in self._block_occ]
         dup._filled = self._filled
         return dup
 
@@ -245,38 +232,34 @@ class SudokuGrid:
     # -- consistency
 
     def audit(self) -> bool:
-        """Recompute occupancy from the cells; True iff nothing drifted."""
-        fresh = SudokuGrid(self.order)
-        for r, row in enumerate(self._cells):
-            for c, v in enumerate(row):
-                if v is None:
-                    continue
-                fresh._cells[r][c] = v
-                for occ, idx in (
-                    (fresh._row_occ, r),
-                    (fresh._col_occ, c),
-                    (fresh._block_occ, self._block_id(r + 1, c + 1)),
-                ):
-                    occ[idx][v] = occ[idx].get(v, 0) + 1
-                fresh._filled += 1
-        return (
-            fresh._row_occ == self._row_occ
-            and fresh._col_occ == self._col_occ
-            and fresh._block_occ == self._block_occ
-            and fresh._filled == self._filled
+        """True iff the filled count matches the cells and every entry is one
+        that :meth:`set` accepts; a write past the API shows here."""
+        n = self.order.n
+        entries = [v for row in self._cells for v in row if v is not None]
+        return len(entries) == self._filled and all(
+            isinstance(v, int) and 1 <= v <= n for v in entries
         )
 
     @classmethod
     def from_rows(cls, k: int, rows: Sequence[Sequence[Optional[int]]]) -> "SudokuGrid":
-        """Build a grid from n rows of n entries (``None`` = empty)."""
+        """Build a grid from n rows of n entries (``None`` = empty).
+
+        A bad entry raises the :class:`GridError` that :meth:`set` raises
+        for the first one in row-major order.
+        """
         grid = cls(k)
         n = grid.order.n
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GridError(f"expected {n}×{n} entries")
-        for r, row in enumerate(rows, start=1):
-            for c, v in enumerate(row, start=1):
-                if v is not None:
-                    grid.set(r, c, v)
+        cells = [list(row) for row in rows]
+        if not _well_formed(cells, n):
+            for r, row in enumerate(cells, start=1):  # raises at the first bad entry
+                for c, v in enumerate(row, start=1):
+                    if v is not None:
+                        grid.set(r, c, v)
+            return grid
+        grid._cells = cells
+        grid._filled = n * n - sum(row.count(None) for row in cells)
         return grid
 
 
@@ -300,9 +283,7 @@ def _valid_in_bulk(grid: SudokuGrid) -> bool:
     verdict; the scan then finds the violation."""
     n, k = grid.order.n, grid.order.k
     cells = grid._cells
-    if not set(map(type, chain.from_iterable(cells))) <= {int, type(None)}:
-        return False
-    if not {None, *range(1, n + 1)}.issuperset(chain.from_iterable(cells)):
+    if not _well_formed(cells, n):
         return False
     blocks = (
         [v for row in cells[top : top + k] for v in row[left : left + k]]
@@ -310,6 +291,13 @@ def _valid_in_bulk(grid: SudokuGrid) -> bool:
         for left in range(0, n, k)
     )
     return all(map(_distinct, chain(cells, zip(*cells), blocks)))
+
+
+def _well_formed(cells: list[list[Optional[int]]], n: int) -> bool:
+    """True iff every entry is None or an int (not a subclass) in [1, n]."""
+    if not set(map(type, chain.from_iterable(cells))) <= {int, type(None)}:
+        return False
+    return {None, *range(1, n + 1)}.issuperset(chain.from_iterable(cells))
 
 
 def _distinct(unit: Sequence[Optional[int]]) -> bool:
@@ -445,22 +433,29 @@ def parse(text: str) -> SudokuGrid:
     if len(rows) != n:
         lineno = rows[-1][0] if rows else header_line
         raise ParseError(f"expected {n} rows for k={k}, got {len(rows)}", lineno)
-    grid = SudokuGrid(k)
-    for r, (lineno, line) in enumerate(rows, start=1):
+    tokens_to_values = {".": None, "0": None, **{str(v): v for v in range(1, n + 1)}}
+    cells = []
+    for lineno, line in rows:
         tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} tokens, got {len(tokens)}", lineno)
-        for c, token in enumerate(tokens, start=1):
-            if token == "." or token == "0":
-                continue
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"bad token {token!r}", lineno, c) from None
-            if not (1 <= value <= n):
-                raise ParseError(f"value {value} outside 1..{n}", lineno, c)
-            grid.set(r, c, value)
-    return grid
+        values = [tokens_to_values.get(token, 0) for token in tokens]
+        if 0 in values:  # a token outside the canonical spellings
+            values = [_parse_token(token, n, lineno, c) for c, token in enumerate(tokens, 1)]
+        cells.append(values)
+    return SudokuGrid.from_rows(k, cells)
+
+
+def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:
+    if token == "." or token == "0":
+        return None
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"bad token {token!r}", lineno, column) from None
+    if not (1 <= value <= n):
+        raise ParseError(f"value {value} outside 1..{n}", lineno, column)
+    return value
 
 
 def render(grid: SudokuGrid) -> str:

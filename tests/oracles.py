@@ -9,8 +9,19 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import exp, factorial, fsum, log, pi
+from typing import Sequence
 
-from sudorect import CellRef, CountResult, Violation
+from sudorect import (
+    BipartiteGraph,
+    CellRef,
+    CountResult,
+    DegreeDemand,
+    HallCertificate,
+    KernelError,
+    ParseError,
+    SudokuGrid,
+    Violation,
+)
 
 
 def sud4_brute_force() -> set[tuple[tuple[int, ...], ...]]:
@@ -213,6 +224,46 @@ def reference_validate(grid) -> Violation | None:
     return None
 
 
+def reference_units(grid) -> tuple[list[set], list[set], list[set], int]:
+    """Row, column and block value sets (blocks row-major) and the filled
+    count, recomputed from ``grid.rows()`` alone."""
+    n, k = grid.order.n, grid.order.k
+    cells = grid.rows()
+    rows = [{v for v in cells[r] if v is not None} for r in range(n)]
+    cols = [{cells[r][c] for r in range(n) if cells[r][c] is not None} for c in range(n)]
+    blocks = [set() for _ in range(n)]
+    filled = 0
+    for r in range(n):
+        for c in range(n):
+            if cells[r][c] is not None:
+                blocks[(r // k) * k + c // k].add(cells[r][c])
+                filled += 1
+    return rows, cols, blocks, filled
+
+
+def reference_parse(k: int, lines: list[str]):
+    """The body of a grid file (row lines after a ``k=`` header on line 1)
+    read token by token into per-cell ``set`` calls: the grid, or the
+    ParseError for the first bad row length or token in row-major order."""
+    n = k * k
+    grid = SudokuGrid(k)
+    for r, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if len(tokens) != n:
+            return ParseError(f"expected {n} tokens, got {len(tokens)}", r + 1)
+        for c, token in enumerate(tokens, start=1):
+            if token in (".", "0"):
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                return ParseError(f"bad token {token!r}", r + 1, c)
+            if not 1 <= value <= n:
+                return ParseError(f"value {value} outside 1..{n}", r + 1, c)
+            grid.set(r, c, value)
+    return grid
+
+
 def exact_log_bound_products(k: int) -> tuple[float, float]:
     """Natural logs of the lower and upper two-stage bound products for
     order n = k², from big-integer factorials (no lgamma):
@@ -328,3 +379,67 @@ def reference_count(grid, max_nodes=None, max_solutions=None) -> CountResult:
 def log_factorial_stirling_upper(x: float) -> float:
     """log of the Stirling overestimate (x/e)^x·sqrt(2πx)·e^(1/(12x))."""
     return x * (log(x) - 1.0) + 0.5 * log(2.0 * pi * x) + 1.0 / (12.0 * x)
+
+
+
+class ExhaustiveLimitExceeded(KernelError):
+    """Left side too large for the subset-enumeration Hall check."""
+
+
+def hall_check(
+    g: BipartiteGraph, multiplier: int, limit: int = 20
+) -> HallCertificate | None:
+    """Exhaustively test |N(S)| >= multiplier·|S| for every left subset.
+
+    Returns the first violating set in (size, lexicographic) order, or None.
+    Intended for small left sides; refuses above ``limit`` vertices.
+    """
+    if multiplier < 1:
+        raise KernelError(f"multiplier must be >= 1, got {multiplier}")
+    if g.left_count > limit:
+        raise ExhaustiveLimitExceeded(
+            f"{g.left_count} left vertices exceed the exhaustive limit {limit}"
+        )
+    adj: list[set[int]] = [set() for _ in range(g.left_count)]
+    for u, v in g.edges:
+        adj[u].add(v)
+    for size in range(1, g.left_count + 1):
+        for subset in combinations(range(g.left_count), size):
+            hood: set[int] = set()
+            for u in subset:
+                hood |= adj[u]
+            if len(hood) < multiplier * size:
+                return HallCertificate(
+                    subset, tuple(sorted(hood)), multiplier * size, len(hood)
+                )
+    return None
+
+
+def recount_matching(
+    g: BipartiteGraph, demand: DegreeDemand, matching: Sequence[int]
+) -> bool:
+    """True iff the edge subset meets every quota exactly (audit helper)."""
+    left = [0] * g.left_count
+    right = [0] * g.right_count
+    seen = set()
+    for e in matching:
+        if e in seen or not (0 <= e < len(g.edges)):
+            return False
+        seen.add(e)
+        u, v = g.edges[e]
+        left[u] += 1
+        right[v] += 1
+    return tuple(left) == demand.left_quota and tuple(right) == demand.right_quota
+
+
+def coloring_is_proper(g: BipartiteGraph, colors: Sequence[int]) -> bool:
+    if len(colors) != len(g.edges):
+        return False
+    seen_left: set[tuple[int, int]] = set()
+    seen_right: set[tuple[int, int]] = set()
+    for (u, v), c in zip(g.edges, colors):
+        if (u, c) in seen_left or (v, c) in seen_right:
+            return False
+        seen_left.add((u, c))
+        seen_right.add((v, c))
+    return True

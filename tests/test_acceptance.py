@@ -18,8 +18,10 @@ import pytest
 
 from oracles import (
     all_proper_edge_colorings,
+    coloring_is_proper,
     count_extensions_4x4,
     exhaustive_degree_matching,
+    recount_matching,
     sud4_brute_force,
     upper_ratio_stirling_envelope,
 )
@@ -43,7 +45,6 @@ from sudorect import (
     validate,
     verify_certificate,
 )
-from sudorect.bipartite import coloring_is_proper, recount_matching
 
 
 def test_criterion_1_figure1_regression():

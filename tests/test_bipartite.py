@@ -4,19 +4,23 @@ import random
 
 import pytest
 
-from oracles import all_proper_edge_colorings, exhaustive_degree_matching
+from oracles import (
+    ExhaustiveLimitExceeded,
+    all_proper_edge_colorings,
+    coloring_is_proper,
+    exhaustive_degree_matching,
+    hall_check,
+    recount_matching,
+)
 from sudorect import (
     BipartiteGraph,
     DegreeDemand,
-    ExhaustiveLimitExceeded,
     HallCertificate,
     KernelError,
     degree_matching,
     edge_color,
-    hall_check,
     truncate_rows,
 )
-from sudorect.bipartite import coloring_is_proper, recount_matching
 from sudorect.constructions import figure1_fixture
 
 

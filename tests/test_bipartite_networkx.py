@@ -12,8 +12,8 @@ import random
 
 import pytest
 
+from oracles import recount_matching
 from sudorect import BipartiteGraph, DegreeDemand, HallCertificate, degree_matching
-from sudorect.bipartite import recount_matching
 
 nx = pytest.importorskip("networkx")
 

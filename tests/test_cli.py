@@ -189,6 +189,15 @@ def test_construct_k4_m10_stdout():
     assert "case: b" in out
 
 
+def test_construct_unwritable_output_exits_2_with_one_line(tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli("construct", "--k", "3", "--m", "5", "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"cannot write {target}" in err
+    assert not target.exists()
+
+
 # -- count ------------------------------------------------------------------------
 
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from oracles import count_extensions_4x4, sud4_brute_force
+from oracles import coloring_is_proper, count_extensions_4x4, sud4_brute_force
+from sudorect import completion
 from sudorect import (
     BlockIndex,
     CompletionError,
@@ -234,6 +235,37 @@ def test_complete_contract_errors(figure1):
     broken.set(5, 9, 7)
     with pytest.raises(CompletionError):
         complete(broken)
+
+
+def _colors_in_column_order(graph):
+    """Colours 1, 2, ... along each column's edges: every cell gets one
+    value, but one value may land twice in a row."""
+    seen: dict[int, int] = {}
+    colors = []
+    for col, _ in graph.edges:
+        seen[col] = seen.get(col, 0) + 1
+        colors.append(seen[col])
+    return tuple(colors)
+
+
+def _all_color_one(graph):
+    """Every value of a column into the same cell."""
+    return (1,) * len(graph.edges)
+
+
+@pytest.mark.parametrize("coloring", [_colors_in_column_order, _all_color_one])
+def test_clashing_stage2_coloring_raises_completion_error(monkeypatch, coloring):
+    proper = []
+
+    def clashing(graph):
+        colors = coloring(graph)
+        proper.append(coloring_is_proper(graph, colors))
+        return colors
+
+    monkeypatch.setattr(completion, "edge_color", clashing)
+    with pytest.raises(CompletionError):
+        complete(SudokuGrid(3))
+    assert not all(proper)
 
 
 def test_randomized_completion_reproducible_and_varied():

@@ -1,13 +1,17 @@
 """Grid model, validation, shapes, and the text format."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_validate
+import sudorect
+from oracles import reference_parse, reference_units, reference_validate
 from sudorect import (
+    BlockIndex,
     CellRef,
     GridError,
     ParseError,
@@ -254,6 +258,136 @@ def test_audit_matches_incremental_occupancy(ops):
         else:
             g.clear(row, col)
         assert g.audit()
+
+
+@st.composite
+def set_clear_runs(draw) -> tuple[int, list]:
+    """k and a list of set/clear calls; values are random, so placements
+    conflict and calls hit filled cells."""
+    k = draw(st.integers(2, 3))
+    n = k * k
+    call = st.tuples(
+        st.sampled_from(["set", "clear"]), st.integers(1, n), st.integers(1, n), st.integers(1, n)
+    )
+    return k, draw(st.lists(call, max_size=4 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=set_clear_runs())
+def test_queries_match_units_recomputed_from_rows(run):
+    k, calls = run
+    n = k * k
+    g = SudokuGrid(k)
+    for op, row, col, value in calls:
+        if op == "clear":
+            g.clear(row, col)
+        elif g.get(row, col) is None:
+            g.set(row, col, value)
+        else:
+            before = g.rows()
+            with pytest.raises(GridError, match="already filled"):
+                g.set(row, col, value)
+            assert g.rows() == before
+    rows, cols, blocks, filled = reference_units(g)
+    assert g.filled_count == filled
+    assert g.is_full() == (filled == n * n)
+    assert g.audit()
+    for unit in range(1, n + 1):
+        assert g.row_values(unit) == rows[unit - 1]
+        assert g.column_values(unit) == cols[unit - 1]
+        block = BlockIndex((unit - 1) // k + 1, (unit - 1) % k + 1)
+        assert g.block_values(block) == blocks[unit - 1]
+    for row in range(1, n + 1):
+        for col in range(1, n + 1):
+            b = ((row - 1) // k) * k + (col - 1) // k
+            for value in range(1, n + 1):
+                assert g.in_column(col, value) == (value in cols[col - 1])
+                assert g.can_place(row, col, value) == (
+                    g.get(row, col) is None
+                    and value not in rows[row - 1] | cols[col - 1] | blocks[b]
+                )
+
+
+@st.composite
+def rows_with_bad_entries(draw) -> tuple[int, list]:
+    """k and n rows of n entries: a pattern square with cells emptied and
+    up to three entries replaced by values that ``set`` refuses or accepts
+    unusually (a bool)."""
+    k = draw(st.integers(2, 3))
+    n = k * k
+    keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rows = [
+        [((r % k) * k + r // k + c) % n + 1 if keep[r * n + c] else None for c in range(n)]
+        for r in range(n)
+    ]
+    bad = st.sampled_from([0, -1, n + 1, 2.0, "1", True])
+    for r, c, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), bad), max_size=3)):
+        rows[r][c] = value
+    return k, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rows_with_bad_entries())
+def test_from_rows_raises_as_a_per_cell_set_loop(case):
+    k, rows = case
+    expected = SudokuGrid(k)
+    try:
+        for r, row in enumerate(rows, start=1):
+            for c, value in enumerate(row, start=1):
+                if value is not None:
+                    expected.set(r, c, value)
+    except GridError as exc:
+        with pytest.raises(GridError) as got:
+            SudokuGrid.from_rows(k, rows)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    grid = SudokuGrid.from_rows(k, rows)
+    assert grid == expected and grid.filled_count == expected.filled_count
+    assert grid.audit()
+
+
+@st.composite
+def grid_bodies(draw) -> tuple[int, list[str]]:
+    """k and the n row lines of a grid file: canonical tokens, plus up to
+    three odd tokens (bad, out of range, or valid but unusual spellings)
+    and sometimes a row with a token missing."""
+    k = draw(st.integers(2, 3))
+    n = k * k
+    token = st.sampled_from([".", "0", *map(str, range(1, n + 1))])
+    rows = draw(st.lists(st.lists(token, min_size=n, max_size=n), min_size=n, max_size=n))
+    odd = st.sampled_from(["x", "-1", "00", str(n + 1), "1.0", "03", "+2", "\u0663"])
+    for r, c, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), odd), max_size=3)):
+        rows[r][c] = value
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))].pop()
+    return k, [" ".join(row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=grid_bodies())
+def test_parse_raises_as_a_per_token_loop(body):
+    k, lines = body
+    expected = reference_parse(k, lines)
+    text = f"k={k}\n" + "\n".join(lines) + "\n"
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert str(got.value) == str(expected)
+        assert (got.value.line, got.value.column) == (expected.line, expected.column)
+    else:
+        grid = parse(text)
+        assert grid == expected and grid.filled_count == expected.filled_count
+
+
+def test_only_the_grid_module_touches_cells():
+    # the cells are the grid's only state; every write goes through grid.py
+    package = Path(sudorect.__file__).parent
+    touching = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "grid.py" and re.search(r"\._cells\b", path.read_text())
+    ]
+    assert touching == []
 
 
 @st.composite
