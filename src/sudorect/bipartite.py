@@ -7,6 +7,13 @@ a greedy pass in edge order, then Hopcroft–Karp phases of augmenting
 paths that alternate between unmatched and matched edges.  Colorings come
 from alternating Euler splits, with a perfect-matching peel for odd
 degree.  Everything here is deterministic for a fixed edge order.
+
+The completion pipeline's own matchings (stage 1 without a seed and the
+column-block widening) have unit right quotas and edges in increasing
+value order, so they run on value bitmasks in ``_assign_on_masks``, which
+replays :func:`degree_matching` step for step.  :func:`degree_matching`
+itself serves the perfect-matching peel, the seeded stage 1, whose
+shuffled edge order the masks cannot express, and public callers.
 """
 
 from __future__ import annotations
@@ -35,6 +42,18 @@ class BipartiteGraph:
     def build(cls, left_count: int, right_count: int, edges) -> "BipartiteGraph":
         # __post_init__ unpacks every edge, so anything but a pair still fails
         return cls(left_count, right_count, tuple(map(tuple, edges)))
+
+    @classmethod
+    def _trusted(
+        cls, left_count: int, right_count: int, edges: tuple[tuple[int, int], ...]
+    ) -> "BipartiteGraph":
+        """A graph whose in-range index pairs the caller built itself; skips
+        the per-edge check of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "left_count", left_count)
+        object.__setattr__(g, "right_count", right_count)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def max_degree(self) -> int:
         left = [0] * self.left_count
@@ -236,6 +255,138 @@ class _Matching:
         return gained
 
 
+def _assign_on_masks(
+    eligible: list[int], quota: int, free: int
+) -> tuple[list[int], list[int]]:
+    """:func:`degree_matching` with left quota ``quota`` and unit right
+    quotas, replayed on int bitmasks.
+
+    Left vertex u may take the values whose bits are set in
+    ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
+    taken once.  The graph this stands for lists each left vertex's edges
+    in increasing bit order.  The greedy seed, the level labelling and
+    the augmenting phases run step for step as in :class:`_Matching`:
+    matched edges become the bits each left vertex holds, the mates of a
+    right vertex its one owner, and an edge cursor the lowest bit still
+    to scan (0 once every edge is passed).  So the assignment and the
+    reached set are those that degree_matching returns on that graph.
+
+    Returns (assigned, reached): the bits each left vertex holds, and the
+    left vertices the last failed search reached, which is empty iff
+    every left vertex got its quota.
+    """
+    left = len(eligible)
+    if quota * left != free.bit_count():
+        raise KernelError(
+            f"quota sums differ: left {quota * left}, right {free.bit_count()}"
+        )
+    # greedy seed: every left vertex in turn takes its lowest free bits
+    assigned = []
+    missing = 0
+    for mask in eligible:
+        avail = mask & free
+        if avail.bit_count() > quota:
+            take = 0
+            for _ in range(quota):
+                low = avail & -avail
+                take |= low
+                avail ^= low
+        else:
+            take = avail
+            missing += quota - take.bit_count()
+        free ^= take
+        assigned.append(take)
+    if not missing:
+        return assigned, []
+    need = [quota - mask.bit_count() for mask in assigned]
+    owner = {}  # bit -> the left vertex holding it
+    for u, mask in enumerate(assigned):
+        while mask:
+            low = mask & -mask
+            owner[low] = u
+            mask ^= low
+    while True:
+        # label_levels: breadth-first alternating levels from the deficient
+        # vertices; ``unlabelled`` holds the bits whose owner has none yet
+        level = [-1] * left
+        frontier = [u for u in range(left) if need[u]]
+        unlabelled = 0
+        for u in range(left):
+            if need[u]:
+                level[u] = 0
+            else:
+                unlabelled |= assigned[u]
+        depth = 0
+        spare_seen = False
+        while frontier and not spare_seen:
+            depth += 1
+            reached = []
+            for u in frontier:
+                scan = eligible[u] & ~assigned[u]
+                spare = scan & free
+                if spare:  # labelling stops at u's first edge with room
+                    scan &= (spare & -spare) - 1
+                    spare_seen = True
+                scan &= unlabelled
+                while scan:
+                    w = owner[scan & -scan]
+                    level[w] = depth
+                    reached.append(w)
+                    unlabelled &= ~assigned[w]
+                    scan &= ~assigned[w]
+                if spare_seen:
+                    break
+            frontier = reached
+        if not spare_seen:
+            return assigned, [u for u in range(left) if level[u] >= 0]
+        # augment_phase: level-increasing paths, each cursor moving forward.
+        # The cursors bound the work only: an edge a cursor has passed cannot
+        # become usable later in the same phase.
+        cursor = [1] * left
+        for source in range(left):
+            while need[source] and level[source] == 0:
+                stack = [source]
+                path: list[tuple[int, int]] = []  # (bit taken, its owner or -1)
+                while stack:
+                    u = stack[-1]
+                    target = level[u] + 1
+                    scan = eligible[u] & ~assigned[u] & -cursor[u]
+                    step = None
+                    while scan:
+                        low = scan & -scan
+                        if free & low:
+                            step = (low, -1)
+                            break
+                        w = owner[low]
+                        if level[w] == target:
+                            step = (low, w)
+                            break
+                        scan ^= low
+                    if step is None:
+                        cursor[u] = 0
+                        level[u] = -1
+                        stack.pop()
+                        if path:
+                            path.pop()
+                        continue
+                    cursor[u] = step[0]
+                    path.append(step)
+                    if step[1] >= 0:
+                        stack.append(step[1])
+                        continue
+                    for taker, (bit, held_by) in zip(stack, path):
+                        assigned[taker] |= bit
+                        if held_by >= 0:
+                            assigned[held_by] ^= bit
+                        owner[bit] = taker
+                    free ^= step[0]
+                    need[source] -= 1
+                    missing -= 1
+                    break
+        if not missing:
+            return assigned, []
+
+
 def _certificate(
     g: BipartiteGraph, demand: DegreeDemand, left_set: list[int]
 ) -> HallCertificate:
@@ -320,7 +471,7 @@ def _color_regular(
 def _peel_perfect_matching(
     side: int, edges: list[tuple[int, int]], live: list[int]
 ) -> set[int]:
-    sub = BipartiteGraph.build(side, side, [edges[e] for e in live])
+    sub = BipartiteGraph._trusted(side, side, tuple([edges[e] for e in live]))
     demand = DegreeDemand.uniform(sub, 1, 1)
     result = degree_matching(sub, demand)
     if isinstance(result, HallCertificate):

@@ -10,18 +10,28 @@ the same procedure with r = 0.  Infeasibility of a stage-1 matching in the
 first, partial row block is the one and only source of "not completable",
 and it comes with a deficient-column-set certificate that can be replayed
 against the input grid.
+
+Stage 1 and the column-block widening match on value bitmasks with
+``bipartite._assign_on_masks``, which gives what :func:`degree_matching`
+gives on the eligibility graph.  Only the seeded stage 1 of
+:func:`complete_randomized` builds that graph and calls
+:func:`degree_matching`, because its shuffled edge order is not one the
+masks can replay.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .bipartite import (
     BipartiteGraph,
     DegreeDemand,
     HallCertificate,
+    KernelError,
+    _assign_on_masks,
     degree_matching,
     edge_color,
 )
@@ -84,29 +94,53 @@ def decide_guaranteed(k: int, m: int) -> Completability:
     return Completability(k, m, False, None)
 
 
-def _stage1_graph(
-    grid: SudokuGrid, block: BlockIndex
-) -> tuple[list[int], list[int], BipartiteGraph]:
-    """Columns-vs-values eligibility graph for one block of row block l+1.
+@lru_cache(maxsize=32)
+def _value_bits(n: int) -> dict[Optional[int], int]:
+    """Value v -> bit v−1 of a value mask; an empty cell sets no bit.
+    Shared between calls, so callers only read it."""
+    return {None: 0, **{v: 1 << (v - 1) for v in range(1, n + 1)}}
+
+
+def _mask_values(mask: int) -> list[int]:
+    """The values whose bits are set in ``mask``, in increasing order."""
+    values = []
+    while mask:
+        low = mask & -mask
+        values.append(low.bit_length())
+        mask ^= low
+    return values
+
+
+def _stage1_masks(grid: SudokuGrid, block: BlockIndex) -> tuple[list[int], int, list[int]]:
+    """Columns, offered values and per-column eligible values of one block
+    of row block l+1, the values as masks.
 
     The values on offer are those absent from the block's filled rows; a
-    value is eligible for a column iff it does not already appear in that
-    column.  Left quota is k−r per column, right quota 1 per value.  Rows
-    below the block are empty in an m-rectangle, so each column is read
-    only down to the block's last row.
+    value is eligible for a column iff it is on offer and does not already
+    appear in that column.  Rows below the block are empty in an
+    m-rectangle, so each column is read only down to the block's last row.
     """
     k = grid.order.k
     n = grid.order.n
+    bits = _value_bits(n)
     cols = [(block.block_col - 1) * k + j for j in range(1, k + 1)]
     columns = grid.block_columns(block.block_col, block.block_row * k)
-    present = {v for column in columns for v in column[-k:]}
-    values = [v for v in range(1, n + 1) if v not in present]
+    present = sum(map(bits.__getitem__, {v for column in columns for v in column[-k:]}))
+    offered = ((1 << n) - 1) & ~present
+    eligible = [offered & ~sum(map(bits.__getitem__, set(column))) for column in columns]
+    return cols, offered, eligible
+
+
+def _stage1_graph(
+    offered: int, eligible: list[int], rng: random.Random
+) -> tuple[list[int], BipartiteGraph]:
+    """The offered values and the columns-vs-values eligibility graph, its
+    edge list shuffled by ``rng``."""
+    values = _mask_values(offered)
     index = {v: vi for vi, v in enumerate(values)}
-    edges = []
-    for ci, column in enumerate(columns):
-        eligible = index.keys() - set(column)
-        edges.extend((ci, index[v]) for v in sorted(eligible))
-    return cols, values, BipartiteGraph.build(len(cols), len(values), edges)
+    edges = [(ci, index[v]) for ci, mask in enumerate(eligible) for v in _mask_values(mask)]
+    rng.shuffle(edges)
+    return values, BipartiteGraph._trusted(len(eligible), len(values), tuple(edges))
 
 
 def complete_row_block_stage1(
@@ -121,34 +155,42 @@ def complete_row_block_stage1(
     deficient-set witness.  ``shape`` describes the filled rows of the
     row block being extended (r = 0 for a fully empty row block); rows
     below that row block are taken to be empty, as in an m-rectangle, and
-    are not read.
+    are not read.  Without ``rng`` the matching runs on value masks; with
+    it, the eligibility graph's edges are shuffled, an edge order the mask
+    kernel cannot replay, so that path matches on the graph.
     """
     k = grid.order.k
     if block.block_row != shape.l + 1:
         raise CompletionError(
             f"block row {block.block_row} is not the open row block {shape.l + 1}"
         )
-    cols, values, graph = _stage1_graph(grid, block)
-    if rng is not None:
-        edges = list(graph.edges)
-        rng.shuffle(edges)
-        graph = BipartiteGraph.build(graph.left_count, graph.right_count, edges)
-    demand = DegreeDemand.uniform(graph, k - shape.r, 1)
-    result = degree_matching(graph, demand)
-    if isinstance(result, HallCertificate):
+    quota = k - shape.r
+    cols, offered, eligible = _stage1_masks(grid, block)
+    if rng is None:
+        assigned, reached = _assign_on_masks(eligible, quota, offered)
+    else:
+        values, graph = _stage1_graph(offered, eligible, rng)
+        result = degree_matching(graph, DegreeDemand.uniform(graph, quota, 1))
+        assigned, reached = [0] * k, []
+        if isinstance(result, HallCertificate):
+            reached = list(result.left_set)
+        else:
+            for e in result:
+                ci, vi = graph.edges[e]
+                assigned[ci] |= 1 << (values[vi] - 1)
+    if reached:
+        candidates = 0
+        for ci in reached:
+            candidates |= eligible[ci]
+        if candidates.bit_count() >= quota * len(reached):
+            raise KernelError("deficient column set failed its own deficiency check")
         return NotCompletable(
             block=block,
-            quota=k - shape.r,
-            columns=tuple(cols[i] for i in result.left_set),
-            candidates=tuple(sorted(values[i] for i in result.neighborhood)),
+            quota=quota,
+            columns=tuple(cols[ci] for ci in reached),
+            candidates=tuple(_mask_values(candidates)),
         )
-    assigned: dict[int, list[int]] = {col: [] for col in cols}
-    for e in result:
-        ci, vi = graph.edges[e]
-        assigned[cols[ci]].append(values[vi])
-    for col in assigned:
-        assigned[col].sort()
-    return assigned
+    return {col: _mask_values(mask) for col, mask in zip(cols, assigned)}
 
 
 def complete_row_block_stage2(
@@ -169,6 +211,7 @@ def complete_row_block_stage2(
     quota = k - shape.r
     if sorted(assignments) != list(range(1, n + 1)):
         raise CompletionError("assignments must cover every column once")
+    in_range = set(range(1, n + 1))
     edges = []
     for col in range(1, n + 1):
         values = assignments[col]
@@ -176,6 +219,8 @@ def complete_row_block_stage2(
             raise CompletionError(
                 f"column {col} got {len(values)} values, expected {quota}"
             )
+        if not in_range.issuperset(values):
+            raise CompletionError(f"column {col} got a value outside 1..{n}")
         for v in values:
             edges.append((col - 1, v - 1))
     per_value = [0] * n
@@ -185,7 +230,7 @@ def complete_row_block_stage2(
         raise CompletionError("assignments are not value-regular; stage-1 bug")
     if rng is not None:
         rng.shuffle(edges)
-    graph = BipartiteGraph.build(n, n, edges)
+    graph = BipartiteGraph._trusted(n, n, tuple(edges))
     colors = edge_color(graph)
     base_row = shape.l * k + shape.r
     placements = []
@@ -210,8 +255,7 @@ def _fill_row_block(
     placements = complete_row_block_stage2(k, shape, merged, rng)
     # a clash between placements is caught by the final validate in _complete
     try:
-        for row, col, value in placements:
-            work.set(row, col, value)
+        work.set_many(placements)
     except GridError as exc:
         raise CompletionError(f"stage 2 produced a bad placement: {exc}") from None
     return None
@@ -221,6 +265,11 @@ def _complete(grid: SudokuGrid, rng: random.Random | None) -> CompletionOutcome:
     violation = validate(grid)
     if violation is not None:
         raise CompletionError(f"input grid is invalid: {violation.describe()}")
+    return _complete_valid(grid, rng)
+
+
+def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOutcome:
+    """:func:`_complete` past its validity gate, for a grid known to be valid."""
     shape = is_m_rectangle(grid)
     if shape is None:
         raise CompletionError("input is not an m-rectangle (first m rows filled)")
@@ -311,40 +360,33 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
             raise CompletionError("partial block does not hold r·k distinct values")
         for chunk in range(k - r):
             matrix.append(missing[chunk * k : (chunk + 1) * k])
-    row_sets = [set(row) for row in matrix]
-    all_values = set(range(1, n + 1))
+    bits = _value_bits(n)
+    row_masks = [sum(map(bits.__getitem__, set(row))) for row in matrix]
+    full = (1 << n) - 1
 
     block_count = height // k
     for t in range(1, k):
         # stage 1: per row block, give each row k values it does not contain
-        chosen: list[list[int]] = [[] for _ in range(height)]
+        edges = []
         for b in range(block_count):
             rows = range(b * k, (b + 1) * k)
-            edges = []
-            for ri, row in enumerate(rows):
-                edges.extend((ri, v - 1) for v in sorted(all_values - row_sets[row]))
-            graph = BipartiteGraph.build(k, n, edges)
-            result = degree_matching(graph, DegreeDemand.uniform(graph, k, 1))
-            if isinstance(result, HallCertificate):
+            assigned, reached = _assign_on_masks(
+                [full & ~row_masks[row] for row in rows], k, full
+            )
+            if reached:
                 raise CompletionError(
                     f"column block {t + 1}, row block {b + 1}: matching infeasible; bug"
                 )
-            for e in result:
-                ri, vi = graph.edges[e]
-                chosen[b * k + ri].append(vi + 1)
+            for row, mask in zip(rows, assigned):
+                edges.extend([(row, v - 1) for v in _mask_values(mask)])
+                row_masks[row] |= mask
         # stage 2: color (row, value) pairs with k colors = the k new columns
-        edges = []
-        for row in range(height):
-            chosen[row].sort()
-            for v in chosen[row]:
-                edges.append((row, v - 1))
-        graph = BipartiteGraph.build(height, n, edges)
+        graph = BipartiteGraph._trusted(height, n, tuple(edges))
         colors = edge_color(graph)
         for row in range(height):
             matrix[row].extend([0] * k)
         for (row, vi), color in zip(graph.edges, colors):
             matrix[row][t * k + color - 1] = vi + 1
-            row_sets[row].add(vi + 1)
         if any(0 in row[t * k :] for row in matrix):
             raise CompletionError(f"column block {t + 1} left a hole; coloring bug")
 

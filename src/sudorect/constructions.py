@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .completion import (
     NotCompletable,
-    complete,
+    _complete_valid,
     decide_guaranteed,
     extend_column_blocks,
     verify_certificate,
@@ -388,9 +388,10 @@ def construct_counterexample(k: int, m: int) -> CounterexampleReport:
         case_used = "c"
         matrix, special = _case_c_matrix(k, l, r)
 
-    # extend_column_blocks validates both the column block and its output
+    # extend_column_blocks validates both the column block and its output,
+    # so the completion run skips its own validity gate
     rectangle = extend_column_blocks(_matrix_to_grid(matrix, k))
-    outcome = complete(rectangle)
+    outcome = _complete_valid(rectangle, None)
     _require(
         isinstance(outcome, NotCompletable),
         "constructed rectangle is unexpectedly completable",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GridError(Exception):
@@ -55,18 +55,6 @@ class Order:
             raise GridError(f"block side must be a positive integer, got {k!r}")
         self.k = k
         self.n = k * k
-
-    def block_of(self, row: int, col: int) -> BlockIndex:
-        k = self.k
-        return BlockIndex((row - 1) // k + 1, (col - 1) // k + 1)
-
-    def block_cells(self, block: BlockIndex) -> Iterator[CellRef]:
-        k = self.k
-        r0 = (block.block_row - 1) * k
-        c0 = (block.block_col - 1) * k
-        for dr in range(1, k + 1):
-            for dc in range(1, k + 1):
-                yield CellRef(r0 + dr, c0 + dc)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Order) and other.k == self.k
@@ -116,10 +104,10 @@ class Violation:
 class SudokuGrid:
     """An n×n partial Sudoku square; the cells are its only state.
 
-    Every write goes through :meth:`set`, :meth:`clear`, :meth:`from_rows`
-    or :func:`parse`, which check indices and values, so a cell holds
-    either ``None`` or an int in [1, n].  Row, column and block contents
-    are read from the cells when asked for.
+    Every write goes through :meth:`set`, :meth:`set_many`, :meth:`clear`,
+    :meth:`from_rows` or :func:`parse`, which check indices and values, so
+    a cell holds either ``None`` or an int in [1, n].  Row, column and
+    block contents are read from the cells when asked for.
     """
 
     __slots__ = ("order", "_cells", "_filled")
@@ -158,27 +146,34 @@ class SudokuGrid:
         self._cells[row - 1][col - 1] = value
         self._filled += 1
 
+    def set_many(self, placements: Iterable[tuple[int, int, int]]) -> None:
+        """:meth:`set` for each (row, col, value) in turn, with its errors."""
+        n = self.order.n
+        cells = self._cells
+        written = 0
+        for row, col, value in placements:
+            if (
+                1 <= row <= n
+                and 1 <= col <= n
+                and type(value) is int
+                and 1 <= value <= n
+                and cells[row - 1][col - 1] is None
+            ):
+                cells[row - 1][col - 1] = value
+                written += 1
+            else:
+                self._filled += written
+                written = 0
+                self.set(row, col, value)  # raises, or takes what the test above did not
+        self._filled += written
+
     def clear(self, row: int, col: int) -> None:
         self._check_index(row, col)
         if self._cells[row - 1][col - 1] is not None:
             self._cells[row - 1][col - 1] = None
             self._filled -= 1
 
-    def can_place(self, row: int, col: int, value: int) -> bool:
-        """True iff placing ``value`` at the empty cell keeps all conditions."""
-        self._check_index(row, col)
-        if self._cells[row - 1][col - 1] is not None:
-            return False
-        return (
-            value not in self.row_values(row)
-            and not self.in_column(col, value)
-            and value not in self.block_values(self.order.block_of(row, col))
-        )
-
     # -- queries used by the completion pipeline
-
-    def row_values(self, row: int) -> set[int]:
-        return set(self._cells[row - 1]) - {None}
 
     def column_values(self, col: int) -> set[int]:
         return {row[col - 1] for row in self._cells} - {None}
@@ -194,9 +189,6 @@ class SudokuGrid:
         left = (block_col - 1) * k
         columns = list(zip(*(row[left : left + k] for row in self._cells[:depth])))
         return columns or [()] * k
-
-    def in_column(self, col: int, value: int) -> bool:
-        return value in self.column_values(col)
 
     @property
     def filled_count(self) -> int:

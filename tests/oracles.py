@@ -13,14 +13,17 @@ from typing import Sequence
 
 from sudorect import (
     BipartiteGraph,
+    BlockIndex,
     CellRef,
     CountResult,
     DegreeDemand,
     HallCertificate,
     KernelError,
+    NotCompletable,
     ParseError,
     SudokuGrid,
     Violation,
+    degree_matching,
 )
 
 
@@ -241,6 +244,37 @@ def reference_units(grid) -> tuple[list[set], list[set], list[set], int]:
     return rows, cols, blocks, filled
 
 
+def row_values(grid, row: int) -> set[int]:
+    return set(grid.rows()[row - 1]) - {None}
+
+
+def in_column(grid, col: int, value: int) -> bool:
+    return value in grid.column_values(col)
+
+
+def block_of(order, row: int, col: int) -> BlockIndex:
+    k = order.k
+    return BlockIndex((row - 1) // k + 1, (col - 1) // k + 1)
+
+
+def block_cells(order, block: BlockIndex) -> list[CellRef]:
+    k = order.k
+    r0 = (block.block_row - 1) * k
+    c0 = (block.block_col - 1) * k
+    return [CellRef(r0 + dr, c0 + dc) for dr in range(1, k + 1) for dc in range(1, k + 1)]
+
+
+def can_place(grid, row: int, col: int, value: int) -> bool:
+    """True iff placing ``value`` at the empty cell keeps all conditions."""
+    if grid.get(row, col) is not None:
+        return False
+    return (
+        value not in row_values(grid, row)
+        and not in_column(grid, col, value)
+        and value not in grid.block_values(block_of(grid.order, row, col))
+    )
+
+
 def reference_parse(k: int, lines: list[str]):
     """The body of a grid file (row lines after a ``k=`` header on line 1)
     read token by token into per-cell ``set`` calls: the grid, or the
@@ -443,3 +477,35 @@ def coloring_is_proper(g: BipartiteGraph, colors: Sequence[int]) -> bool:
         seen_left.add((u, c))
         seen_right.add((v, c))
     return True
+
+
+def reference_stage1(grid, shape, block: BlockIndex):
+    """Stage 1 on the columns-vs-values graph, as the pipeline ran it before
+    the value masks: edges column by column in increasing value order,
+    right vertices the values absent from the block's filled rows, one
+    degree_matching; {column -> sorted values} or the deficient-set
+    witness with the certificate's left set and neighbourhood."""
+    k, n = grid.order.k, grid.order.n
+    cols = [(block.block_col - 1) * k + j for j in range(1, k + 1)]
+    present = grid.block_values(block)
+    values = [v for v in range(1, n + 1) if v not in present]
+    edges = [
+        (ci, vi)
+        for ci, col in enumerate(cols)
+        for vi, v in enumerate(values)
+        if v not in grid.column_values(col)
+    ]
+    graph = BipartiteGraph.build(k, len(values), edges)
+    result = degree_matching(graph, DegreeDemand.uniform(graph, k - shape.r, 1))
+    if isinstance(result, HallCertificate):
+        return NotCompletable(
+            block=block,
+            quota=k - shape.r,
+            columns=tuple(cols[i] for i in result.left_set),
+            candidates=tuple(values[i] for i in result.neighborhood),
+        )
+    assigned = {col: [] for col in cols}
+    for e in result:
+        ci, vi = graph.edges[e]
+        assigned[cols[ci]].append(values[vi])
+    return {col: sorted(vals) for col, vals in assigned.items()}

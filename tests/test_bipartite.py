@@ -40,7 +40,7 @@ def figure1_block_graph(rows_kept: int) -> BipartiteGraph:
     edges = []
     for ci, col in enumerate((1, 2, 3)):
         for vi, v in enumerate(values):
-            if not grid.in_column(col, v):
+            if v not in grid.column_values(col):
                 edges.append((ci, vi))
     return BipartiteGraph.build(3, len(values), edges)
 
@@ -65,7 +65,7 @@ def test_figure1_prefix_block_graph_feasible():
     grid = truncate_rows(figure1_fixture(), 3)
     for e in result:
         ci, vi = g.edges[e]
-        assert not grid.in_column(ci + 1, vi + 1)
+        assert vi + 1 not in grid.column_values(ci + 1)
 
 
 def test_quota_sum_mismatch_is_contract_error():

@@ -1,5 +1,6 @@
 """The shape predicate, the two-stage pipeline, and column-block extension."""
 
+import hashlib
 import itertools
 import random
 
@@ -17,10 +18,12 @@ from sudorect import (
     complete_randomized,
     complete_row_block_stage1,
     complete_row_block_stage2,
+    construct_counterexample,
     construct_lemma2,
     decide_guaranteed,
     extend_column_blocks,
     is_m_rectangle,
+    render,
     truncate_rows,
     validate,
     verify_certificate,
@@ -85,7 +88,7 @@ def test_stage1_figure1_prefix_partitions_all_values(figure1):
     assert union == set(range(1, 10))
     for col, values in outcome.items():
         for v in values:
-            assert not prefix.in_column(col, v)
+            assert v not in prefix.column_values(col)
 
 
 def test_stage1_forced_split_matches_exhaustive_assignments():
@@ -103,9 +106,9 @@ def test_stage1_forced_split_matches_exhaustive_assignments():
         for c2 in itertools.combinations(range(1, 5), 2):
             if set(c1) & set(c2):
                 continue
-            if any(grid.in_column(1, v) for v in c1):
+            if any(v in grid.column_values(1) for v in c1):
                 continue
-            if any(grid.in_column(2, v) for v in c2):
+            if any(v in grid.column_values(2) for v in c2):
                 continue
             valid.append({1: sorted(c1), 2: sorted(c2)})
     assert valid == [{1: [2, 4], 2: [1, 3]}]
@@ -174,6 +177,15 @@ def test_stage2_rejects_irregular_assignments():
     with pytest.raises(CompletionError):
         complete_row_block_stage2(2, shape, lopsided)
 
+
+
+@pytest.mark.parametrize("bad", [0, -1, 5])
+def test_stage2_rejects_values_outside_the_range(bad):
+    shape = RectShape.of(2, 2)
+    assignments = {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [1, 3]}
+    assignments[4] = [1, bad]
+    with pytest.raises(CompletionError, match="outside 1..4"):
+        complete_row_block_stage2(2, shape, assignments)
 
 def test_stage2_completes_figure1_prefix_to_full_square(figure1):
     prefix = truncate_rows(figure1, 3)
@@ -381,3 +393,94 @@ def test_certificate_replay_rejects_tampering(figure1):
     # replaying against a different grid must not certify
     other = truncate_rows(figure1, 3)
     assert not verify_certificate(other, outcome)
+
+
+# -- pinned outputs --------------------------------------------------------------
+
+
+def _witness_text(witness: NotCompletable) -> str:
+    return repr(
+        (tuple(witness.block), witness.quota, tuple(witness.columns), tuple(witness.candidates))
+    )
+
+
+def _relabelled_pattern_square(k: int) -> SudokuGrid:
+    """The cyclic pattern square with its values permuted by a fixed seed."""
+    n = k * k
+    perm = list(range(1, n + 1))
+    random.Random(k).shuffle(perm)
+    return SudokuGrid.from_rows(
+        k, [[perm[((r % k) * k + r // k + c) % n] for c in range(n)] for r in range(n)]
+    )
+
+
+def _pinned_outputs() -> dict[str, str]:
+    texts = {}
+    for k in range(2, 11):
+        texts[f"empty k={k}"] = render(complete(SudokuGrid(k)))
+    for k, ms in ((3, (2, 4, 5)), (4, (3, 7, 10))):
+        square = _relabelled_pattern_square(k)
+        for m in ms:
+            out = complete(truncate_rows(square, m))
+            texts[f"pattern k={k} m={m}"] = (
+                render(out) if isinstance(out, SudokuGrid) else _witness_text(out)
+            )
+    for k in (4, 5, 6):
+        for m in range(k * k + 1):
+            if not decide_guaranteed(k, m).guaranteed:
+                report = construct_counterexample(k, m)
+                texts[f"construct k={k} m={m}"] = render(report.rectangle) + _witness_text(
+                    report.witness
+                )
+    return {label: hashlib.sha256(text.encode()).hexdigest() for label, text in texts.items()}
+
+
+# sha256 of each output's text, recorded before the stage-1 and widening
+# matchings moved from the edge-list graph to value bitmasks: the pipeline's
+# outputs are byte-identical across that change.
+PINNED_DIGESTS = {
+    "empty k=2": "1b9dc9dddc983fcff7390f4dc0108b137eb6dba7980f91c38396bc0c8b709190",
+    "empty k=3": "549f556f9c90655d681cad3238ba7b2f6465c817221dc19b8bae933e6a619efb",
+    "empty k=4": "46e8bc040c5f80346e6b68d93259fe613d16ffb991407e60c7ec0982b774f0c3",
+    "empty k=5": "fc63cd0be31cabb03c995df320b93b0e2fe665b7c591ee034e5992237da7c225",
+    "empty k=6": "662f202e19f839831333aea1d92a93cef4734ab2f595750f3a2e10b425bbb49e",
+    "empty k=7": "af41cbfecd8377ef7cee71a534c22f3599db6c7a81857eef93d80191d2b9ed06",
+    "empty k=8": "5bc646f8556f6f1d6f774816d97a293345a753f49f9a39a67e6fcd374424ac3e",
+    "empty k=9": "ac1cd23d08ff1ae33f2f7f1912629b30831552073522cfb1de2e0b4f72eb09c0",
+    "empty k=10": "a1a4a1f18d776514ec8255abe6c9631891229a8093628975ad4771b7ab3174de",
+    "pattern k=3 m=2": "905dd72c8680ea336c04bfc242ac9ab95c3a1591830c93e1b27fce216b32825d",
+    "pattern k=3 m=4": "16fde2b2005a05a0998543c8f2b98ba2ab6342485681ca32218129455e04cbcd",
+    "pattern k=3 m=5": "c329e8d0b7e3cd214f42284fcb98785139e33a5300b958f5f73af8c35dd01c2a",
+    "pattern k=4 m=3": "e441132361957bc5ceb6f5b97ad39b5981e4a474c89f50e69afed47a20233125",
+    "pattern k=4 m=7": "30adae9bfd92cf05cac1b13b45c88ab2d55ea32452caf17060261029b1795345",
+    "pattern k=4 m=10": "c8b9120b86cc786837563a3ddd18ee5c602842b1f87bafd3cb722910a12f5f4f",
+    "construct k=4 m=7": "70f96162ca1f43cb457a353718d7853f8818c23a5a749b57a3e19796f99fb464",
+    "construct k=4 m=9": "205f9c70c148a08631f539d8f622c25993b2d3151509dac077cf377b94c27afc",
+    "construct k=4 m=10": "69c88c38f7f1d590e9d2c078bcd054bfb266c953311f7faef2e6fe7d1f26c802",
+    "construct k=4 m=11": "9fdb03fb8ef688cd5aa09d6420eab6d05a9f9c556637c03605dd83ae38f74d8d",
+    "construct k=5 m=9": "5e9428d151f9bfeb0868076bd8b2e73cc8ccc3c0f05d31ab788e689bb3e380d5",
+    "construct k=5 m=12": "db5ffd94b3678576554c887d836ed79a047921f235407c7ab79863624b5fe034",
+    "construct k=5 m=13": "e4a8a713694e23305b39548f7f4c9bed4b766661318fa78269a6db1fdb2e6828",
+    "construct k=5 m=14": "32ca5543f47a815a5a5eb1221ba9dca2d861173a57d10b1154b4825804ba945d",
+    "construct k=5 m=16": "5dfdb2de165dca04a812e7a592fef406919c8f1fe31a8bba76965836a1fb27d1",
+    "construct k=5 m=17": "1997ebea868bf69ea1dd9f98b50a9e1cde311dd37269aa3ffbbf21006da55330",
+    "construct k=5 m=18": "e88dbbe8a5f1d5d301ace7b28fdde3f1d45ac7654d6ba3991cf68e27d3786ea1",
+    "construct k=5 m=19": "c727a9db4530c65047d12ddca6f1263db702b2de2616cc99f6123641bb5cc37c",
+    "construct k=6 m=11": "955cba3007a80c369d20fe77ea265976981d6d880dfcebbff45ac8f5af23fc4d",
+    "construct k=6 m=16": "365e408d951c736aa6dac8be50972438c9317fbc17e49313cf023f0a29348e47",
+    "construct k=6 m=17": "b80e7a12d2cdedb938cc9251f5b1a28f692688a3558c036ca0e094ac61b278e1",
+    "construct k=6 m=19": "3a5267b53297ac936729ac68b92258fb3a5c3f55636f34571d985466c3a02ba9",
+    "construct k=6 m=20": "1dda9dc814e9def069b88cece6feb0e457f0a14dadb32212768f7aa94b0860c6",
+    "construct k=6 m=21": "9bdc5438513504eadc3c9b6a578f6700822c54087e037142d07c4d0de27a7dab",
+    "construct k=6 m=22": "902c7a96bb3fa7e9059571b497ce744fa36a85349a7d38b88c73d17f6cf21c72",
+    "construct k=6 m=23": "d777db724f61fa47e40d72bb9d2aa8cad68193b2fb52c20669d5f0076bf0dc1b",
+    "construct k=6 m=25": "3f195d8f19b8a44bd8a2cd85a403544c8142b062bbcdca526ad22c93bee50bbe",
+    "construct k=6 m=26": "6d3da82b44f06304b12927d86da18d7f84a4618e1798cc83f779a80e8ecca56a",
+    "construct k=6 m=27": "fbe76003faeaa9fc90ecc16f2afa91def2bfe08b4c4b800482b8f6b9c880abb9",
+    "construct k=6 m=28": "60445f32aa00b97a01d8e54c0ed32ef842c19c8363a9cd34419d90bfef50ccc0",
+    "construct k=6 m=29": "cf97b7b3ea91fb8cf57e1c600dfef1033b16b0e7b2d5e1ad547182944b1a92e2",
+}
+
+
+def test_outputs_match_pinned_digests():
+    assert _pinned_outputs() == PINNED_DIGESTS

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sudorect
-from oracles import reference_parse, reference_units, reference_validate
+from oracles import (
+    block_cells,
+    block_of,
+    can_place,
+    in_column,
+    reference_parse,
+    reference_units,
+    reference_validate,
+    row_values,
+)
 from sudorect import (
     BlockIndex,
     CellRef,
@@ -293,7 +302,7 @@ def test_queries_match_units_recomputed_from_rows(run):
     assert g.is_full() == (filled == n * n)
     assert g.audit()
     for unit in range(1, n + 1):
-        assert g.row_values(unit) == rows[unit - 1]
+        assert row_values(g, unit) == rows[unit - 1]
         assert g.column_values(unit) == cols[unit - 1]
         block = BlockIndex((unit - 1) // k + 1, (unit - 1) % k + 1)
         assert g.block_values(block) == blocks[unit - 1]
@@ -301,8 +310,8 @@ def test_queries_match_units_recomputed_from_rows(run):
         for col in range(1, n + 1):
             b = ((row - 1) // k) * k + (col - 1) // k
             for value in range(1, n + 1):
-                assert g.in_column(col, value) == (value in cols[col - 1])
-                assert g.can_place(row, col, value) == (
+                assert in_column(g, col, value) == (value in cols[col - 1])
+                assert can_place(g, row, col, value) == (
                     g.get(row, col) is None
                     and value not in rows[row - 1] | cols[col - 1] | blocks[b]
                 )
@@ -345,6 +354,43 @@ def test_from_rows_raises_as_a_per_cell_set_loop(case):
     assert grid == expected and grid.filled_count == expected.filled_count
     assert grid.audit()
 
+
+
+@st.composite
+def placement_runs(draw) -> tuple[int, list, list]:
+    """k, a few cells already filled, and placements that mostly fit but
+    may hit a filled cell, an index outside 1..n or a value ``set`` refuses
+    or accepts unusually (a bool)."""
+    k = draw(st.integers(2, 3))
+    n = k * k
+    cell = st.tuples(st.integers(1, n), st.integers(1, n))
+    filled = draw(st.lists(st.tuples(cell, st.integers(1, n)), max_size=4))
+    index = st.one_of(st.integers(1, n), st.sampled_from([0, n + 1]))
+    value = st.one_of(st.integers(1, n), st.sampled_from([0, n + 1, True, 2.0]))
+    placements = draw(st.lists(st.tuples(index, index, value), max_size=12))
+    return k, filled, placements
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=placement_runs())
+def test_set_many_acts_as_a_per_placement_set_loop(case):
+    k, filled, placements = case
+    expected = SudokuGrid(k)
+    for (row, col), value in filled:
+        if expected.get(row, col) is None:
+            expected.set(row, col, value)
+    grid = expected.copy()
+    try:
+        for placement in placements:
+            expected.set(*placement)
+    except GridError as exc:
+        with pytest.raises(GridError) as got:
+            grid.set_many(placements)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        grid.set_many(placements)
+    assert grid == expected and grid.filled_count == expected.filled_count
+    assert grid.audit()
 
 @st.composite
 def grid_bodies(draw) -> tuple[int, list[str]]:
@@ -425,7 +471,7 @@ def planted_grids(draw) -> SudokuGrid:
         if value is None or source == (r, c):
             continue
         peers = [(r, col) for col in range(1, n + 1)] + [(row, c) for row in range(1, n + 1)]
-        peers += grid.order.block_cells(grid.order.block_of(r, c))
+        peers += block_cells(grid.order, block_of(grid.order, r, c))
         for peer in peers:
             if tuple(peer) != source and grid.get(*peer) == value:
                 grid.clear(*peer)
@@ -452,5 +498,5 @@ def test_completed_square_value_counts(squares_k3):
             counts[v] += 1
     assert all(c == 9 for c in counts.values())
     for unit in range(1, 10):
-        assert square.row_values(unit) == set(range(1, 10))
+        assert row_values(square, unit) == set(range(1, 10))
         assert square.column_values(unit) == set(range(1, 10))
