@@ -41,7 +41,6 @@ from .counting import (
     BoundsReport,
     CountResult,
     CountingError,
-    asymptotic_table,
     count_completions,
     matching_bounds,
     sudoku_bounds,
@@ -84,7 +83,6 @@ __all__ = [
     "RectShape",
     "SudokuGrid",
     "Violation",
-    "asymptotic_table",
     "canonical_partition",
     "complete",
     "complete_randomized",

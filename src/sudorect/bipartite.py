@@ -8,12 +8,11 @@ paths that alternate between unmatched and matched edges.  Colorings come
 from alternating Euler splits, with a perfect-matching peel for odd
 degree.  Everything here is deterministic for a fixed edge order.
 
-The completion pipeline's own matchings (stage 1 without a seed and the
-column-block widening) have unit right quotas and edges in increasing
-value order, so they run on value bitmasks in ``_assign_on_masks``, which
-replays :func:`degree_matching` step for step.  :func:`degree_matching`
-itself serves the perfect-matching peel, the seeded stage 1, whose
-shuffled edge order the masks cannot express, and public callers.
+The completion pipeline's own matchings (stage 1 and the column-block
+widening) have unit right quotas and edges in increasing value order, so
+they run on value bitmasks in ``_assign_on_masks``, which replays
+:func:`degree_matching` step for step.  :func:`degree_matching` itself
+serves the perfect-matching peel and public callers.
 """
 
 from __future__ import annotations

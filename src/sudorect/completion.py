@@ -12,11 +12,9 @@ and it comes with a deficient-column-set certificate that can be replayed
 against the input grid.
 
 Stage 1 and the column-block widening match on value bitmasks with
-``bipartite._assign_on_masks``, which gives what :func:`degree_matching`
-gives on the eligibility graph.  Only the seeded stage 1 of
-:func:`complete_randomized` builds that graph and calls
-:func:`degree_matching`, because its shuffled edge order is not one the
-masks can replay.
+``bipartite._assign_on_masks``.  The seeded stage 1 of
+:func:`complete_randomized` runs the same matcher under a random order of
+the value bits.
 """
 
 from __future__ import annotations
@@ -26,15 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .bipartite import (
-    BipartiteGraph,
-    DegreeDemand,
-    HallCertificate,
-    KernelError,
-    _assign_on_masks,
-    degree_matching,
-    edge_color,
-)
+from .bipartite import BipartiteGraph, KernelError, _assign_on_masks, edge_color
 from .grid import (
     BlockIndex,
     GridError,
@@ -131,16 +121,14 @@ def _stage1_masks(grid: SudokuGrid, block: BlockIndex) -> tuple[list[int], int, 
     return cols, offered, eligible
 
 
-def _stage1_graph(
-    offered: int, eligible: list[int], rng: random.Random
-) -> tuple[list[int], BipartiteGraph]:
-    """The offered values and the columns-vs-values eligibility graph, its
-    edge list shuffled by ``rng``."""
-    values = _mask_values(offered)
-    index = {v: vi for vi, v in enumerate(values)}
-    edges = [(ci, index[v]) for ci, mask in enumerate(eligible) for v in _mask_values(mask)]
-    rng.shuffle(edges)
-    return values, BipartiteGraph._trusted(len(eligible), len(values), tuple(edges))
+def _relabel(mask: int, to: list[int]) -> int:
+    """``mask`` with each bit i moved to bit ``to[i]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << to[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def complete_row_block_stage1(
@@ -155,11 +143,12 @@ def complete_row_block_stage1(
     deficient-set witness.  ``shape`` describes the filled rows of the
     row block being extended (r = 0 for a fully empty row block); rows
     below that row block are taken to be empty, as in an m-rectangle, and
-    are not read.  Without ``rng`` the matching runs on value masks; with
-    it, the eligibility graph's edges are shuffled, an edge order the mask
-    kernel cannot replay, so that path matches on the graph.
+    are not read.  The matching runs on value masks; with ``rng`` it runs
+    under a random order of the value bits, drawn once per call.
     """
     k = grid.order.k
+    if not (1 <= block.block_row <= k and 1 <= block.block_col <= k):
+        raise CompletionError(f"block {tuple(block)} outside 1..{k}")
     if block.block_row != shape.l + 1:
         raise CompletionError(
             f"block row {block.block_row} is not the open row block {shape.l + 1}"
@@ -169,15 +158,13 @@ def complete_row_block_stage1(
     if rng is None:
         assigned, reached = _assign_on_masks(eligible, quota, offered)
     else:
-        values, graph = _stage1_graph(offered, eligible, rng)
-        result = degree_matching(graph, DegreeDemand.uniform(graph, quota, 1))
-        assigned, reached = [0] * k, []
-        if isinstance(result, HallCertificate):
-            reached = list(result.left_set)
-        else:
-            for e in result:
-                ci, vi = graph.edges[e]
-                assigned[ci] |= 1 << (values[vi] - 1)
+        to = list(range(grid.order.n))
+        rng.shuffle(to)
+        assigned, reached = _assign_on_masks(
+            [_relabel(mask, to) for mask in eligible], quota, _relabel(offered, to)
+        )
+        back = sorted(range(len(to)), key=to.__getitem__)
+        assigned = [_relabel(mask, back) for mask in assigned]
     if reached:
         candidates = 0
         for ci in reached:
@@ -221,6 +208,8 @@ def complete_row_block_stage2(
             )
         if not in_range.issuperset(values):
             raise CompletionError(f"column {col} got a value outside 1..{n}")
+        if len(set(values)) != quota:
+            raise CompletionError(f"column {col} got a value twice")
         for v in values:
             edges.append((col - 1, v - 1))
     per_value = [0] * n
@@ -300,7 +289,9 @@ def complete(grid: SudokuGrid) -> CompletionOutcome:
 
 
 def complete_randomized(grid: SudokuGrid, seed: int) -> CompletionOutcome:
-    """Like :func:`complete` but shuffles edge lists; deterministic per seed."""
+    """Like :func:`complete` but matches under random value orders and
+    shuffles the colouring's edge list; deterministic per seed.  A rejection
+    carries the same witness as :func:`complete`'s."""
     return _complete(grid, random.Random(seed))
 
 
@@ -309,20 +300,30 @@ def verify_certificate(grid: SudokuGrid, witness: NotCompletable) -> bool:
 
     Recomputes, independently of the matching code, the set of values still
     placeable in the witnessed columns of the witnessed block, and checks
-    that it is smaller than quota × |columns|.
+    that it is smaller than quota × |columns|.  Each witnessed column must
+    be a distinct column of the block with at least ``quota`` empty cells
+    there: those cells need distinct placeable values, so the grid then
+    has no completion.
     """
     k = grid.order.k
     n = grid.order.n
-    block_cols = {
-        (witness.block.block_col - 1) * k + j for j in range(1, k + 1)
-    }
-    if not witness.columns or not set(witness.columns) <= block_cols:
+    (block_row, block_col), quota, columns = witness.block, witness.quota, witness.columns
+    if not (1 <= block_row <= k and 1 <= block_col <= k and quota >= 1):
         return False
-    present = grid.block_values(witness.block)
+    if not columns or len(set(columns)) != len(columns):
+        return False
+    block_cols = range((block_col - 1) * k + 1, block_col * k + 1)
+    top = (block_row - 1) * k
+    for col in columns:
+        if col not in block_cols:
+            return False
+        if sum(grid.get(top + i, col) is None for i in range(1, k + 1)) < quota:
+            return False
+    absent = set(range(1, n + 1)) - grid.block_values(witness.block)
     reachable: set[int] = set()
-    for col in witness.columns:
-        reachable |= set(range(1, n + 1)) - present - grid.column_values(col)
-    return len(reachable) < witness.quota * len(witness.columns)
+    for col in columns:
+        reachable |= absent - grid.column_values(col)
+    return len(reachable) < quota * len(columns)
 
 
 def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:

@@ -205,8 +205,3 @@ def bounds_table(k_max: int) -> list[BoundsReport]:
     if k_max < 2:
         raise CountingError(f"need k_max >= 2, got {k_max}")
     return [sudoku_bounds(k) for k in range(2, k_max + 1)]
-
-
-def asymptotic_table(k_max: int) -> list[tuple[int, float, float]]:
-    """(k, ratio_lower, ratio_upper) for k = 2..k_max; both columns → 1."""
-    return [(r.k, r.ratio_lower, r.ratio_upper) for r in bounds_table(k_max)]

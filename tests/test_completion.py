@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import coloring_is_proper, count_extensions_4x4, sud4_brute_force
 from sudorect import completion
@@ -22,6 +24,7 @@ from sudorect import (
     construct_lemma2,
     decide_guaranteed,
     extend_column_blocks,
+    figure1_fixture,
     is_m_rectangle,
     render,
     truncate_rows,
@@ -121,6 +124,12 @@ def test_stage1_wrong_block_row_is_contract_error(figure1):
         complete_row_block_stage1(figure1, shape, BlockIndex(3, 1))
 
 
+@pytest.mark.parametrize("block", [BlockIndex(1, 0), BlockIndex(1, 3), BlockIndex(0, 1)])
+def test_stage1_block_outside_the_grid_is_contract_error(block):
+    with pytest.raises(CompletionError, match="outside 1..2"):
+        complete_row_block_stage1(SudokuGrid(2), RectShape.of(0, 2), block)
+
+
 # -- stage 2 -------------------------------------------------------------------
 
 
@@ -172,10 +181,11 @@ def test_stage2_one_empty_row_is_forced():
 
 
 def test_stage2_rejects_irregular_assignments():
-    shape = RectShape.of(2, 2)
     lopsided = {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [1, 4]}
-    with pytest.raises(CompletionError):
-        complete_row_block_stage2(2, shape, lopsided)
+    repeated = {1: [1, 1], 2: [2, 2], 3: [3, 3], 4: [4, 4]}  # value-regular
+    for shape, assignments in ((RectShape.of(2, 2), lopsided), (RectShape.of(0, 2), repeated)):
+        with pytest.raises(CompletionError):
+            complete_row_block_stage2(2, shape, assignments)
 
 
 
@@ -393,6 +403,97 @@ def test_certificate_replay_rejects_tampering(figure1):
     # replaying against a different grid must not certify
     other = truncate_rows(figure1, 3)
     assert not verify_certificate(other, outcome)
+
+
+def test_certificate_replay_rejects_forged_witnesses():
+    square = complete(SudokuGrid(3))
+    prefix = truncate_rows(square, 3)
+    five = truncate_rows(square, 5)
+    assert isinstance(complete(prefix), SudokuGrid) and isinstance(complete(five), SudokuGrid)
+    forged = [
+        (prefix, NotCompletable(BlockIndex(1, 1), 1, (1,), ())),  # a filled block
+        (prefix, NotCompletable(BlockIndex(2, 1), 7, (1, 2, 3), ())),  # quota 7 > 3 empty rows
+        (prefix, NotCompletable(BlockIndex(2, 1), 0, (1,), ())),  # quota 0
+        (five, NotCompletable(BlockIndex(2, 1), 1, (1,) * 9, ())),  # one column nine times
+        (square, NotCompletable(BlockIndex(1, 0), 1, (0,), ())),  # column 0 outside the grid
+        (prefix, NotCompletable(BlockIndex(4, 1), 1, (1,), ())),  # block row 4 at k = 3
+        (prefix, NotCompletable(BlockIndex(2, 1), 1, (4,), ())),  # a column of block (2, 2)
+    ]
+    for grid, witness in forged:
+        assert not verify_certificate(grid, witness), witness
+
+
+def _symmetry_image(grid: SudokuGrid, seed: int) -> SudokuGrid:
+    """``grid`` with its values, its column blocks, the columns inside each
+    block and the filled rows inside each row block permuted at random: an
+    m-rectangle stays one, and it is completable iff ``grid`` is."""
+    rng = random.Random(seed)
+    k, n = grid.order.k, grid.order.n
+    values = rng.sample(range(1, n + 1), n)
+    cols = [b * k + j for b in rng.sample(range(k), k) for j in rng.sample(range(k), k)]
+    m = is_m_rectangle(grid).m
+    order = []
+    for top in range(0, m, k):
+        order += rng.sample(range(top, min(top + k, m)), min(k, m - top))
+    rows = grid.rows()
+    return SudokuGrid.from_rows(
+        k,
+        [[values[rows[r][c] - 1] for c in cols] for r in order] + [[None] * n] * (n - m),
+    )
+
+
+def _rejecting_inputs() -> list[SudokuGrid]:
+    """Every construction at k = 3..6, and figure 1."""
+    grids = [
+        construct_counterexample(k, m).rectangle
+        for k in range(3, 7)
+        for m in range(k * k + 1)
+        if not decide_guaranteed(k, m).guaranteed
+    ]
+    return grids + [figure1_fixture()]
+
+
+def test_genuine_witnesses_replay_on_constructions_and_symmetry_images():
+    grids = _rejecting_inputs()
+    grids += [_symmetry_image(grid, seed) for grid in grids[:5] + grids[-1:] for seed in range(4)]
+    for grid in grids:
+        witness = complete(grid)
+        assert isinstance(witness, NotCompletable)
+        assert verify_certificate(grid, witness)
+
+
+# -- seeded completion -----------------------------------------------------------
+
+
+def test_seeded_rejections_carry_the_unseeded_witness():
+    for grid in _rejecting_inputs():
+        witness = complete(grid)
+        for seed in range(5):
+            assert complete_randomized(grid, seed) == witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 10**6), cut=st.floats(0, 1))
+def test_seeded_stage1_assigns_eligible_values_and_keeps_the_givens(k, seed, cut):
+    n = k * k
+    square = complete_randomized(SudokuGrid(k), seed)
+    grid = truncate_rows(square, min(n - 1, int(cut * n)))
+    shape = is_m_rectangle(grid)
+    rng = random.Random(seed)
+    for d in range(1, k + 1):
+        block = BlockIndex(shape.l + 1, d)
+        got = complete_row_block_stage1(grid, shape, block, rng)
+        offered = set(range(1, n + 1)) - grid.block_values(block)
+        assert sorted(got) == [(d - 1) * k + j for j in range(1, k + 1)]
+        for col, values in got.items():
+            assert len(set(values)) == len(values) == k - shape.r
+            assert offered.issuperset(values)
+            assert not grid.column_values(col) & set(values)
+        assert sorted(v for values in got.values() for v in values) == sorted(offered)
+    done = complete_randomized(grid, seed + 1)
+    assert done.is_full() and validate(done) is None
+    given_cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if grid.get(r, c)]
+    assert all(done.get(r, c) == grid.get(r, c) for r, c in given_cells)
 
 
 # -- pinned outputs --------------------------------------------------------------

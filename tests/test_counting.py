@@ -22,13 +22,13 @@ from sudorect import (
     CountingError,
     CountResult,
     SudokuGrid,
-    asymptotic_table,
     complete_randomized,
     count_completions,
     matching_bounds,
     sudoku_bounds,
     truncate_rows,
 )
+from sudorect.counting import bounds_table
 
 
 # -- count_completions -----------------------------------------------------------
@@ -279,7 +279,7 @@ def test_bounds_finite_up_to_k_1000():
 
 
 def test_asymptotic_table_ratio_order_and_convergence():
-    table = {k: (lo, up) for k, lo, up in asymptotic_table(120)}
+    table = {r.k: (r.ratio_lower, r.ratio_upper) for r in bounds_table(120)}
     for k, (lo, up) in table.items():
         assert lo <= up + 1e-12, k
     # regression anchors for the normalized ratios
@@ -294,13 +294,13 @@ def test_asymptotic_table_ratio_order_and_convergence():
 
 def test_asymptotic_table_validates_input():
     with pytest.raises(CountingError):
-        asymptotic_table(1)
+        bounds_table(1)
 
 
 def test_upper_ratio_first_drops_below_1_05_at_k_390():
     assert sudoku_bounds(389).ratio_upper == pytest.approx(1.05004, abs=1e-5)
     assert sudoku_bounds(390).ratio_upper == pytest.approx(1.04994, abs=1e-5)
-    below = [k for k, _, up in asymptotic_table(390) if up < 1.05]
+    below = [r.k for r in bounds_table(390) if r.ratio_upper < 1.05]
     assert below == [390]
 
 
