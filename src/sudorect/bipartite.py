@@ -6,7 +6,10 @@ a subset of edge *positions*).  Matchings are found on the graph itself:
 a greedy pass in edge order, then Hopcroft–Karp phases of augmenting
 paths that alternate between unmatched and matched edges.  Colorings come
 from alternating Euler splits, with a perfect-matching peel for odd
-degree.  Everything here is deterministic for a fixed edge order.
+degree; the last, 2-regular level is colored directly as alternating even
+cycles.  Each edge's ends are numbered once per coloring, and a split walks
+its trails with one edge iterator per vertex.  Everything here is
+deterministic for a fixed edge order.
 
 The completion pipeline's own matchings (stage 1 and the column-block
 widening) have unit right quotas and edges in increasing value order, so
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Union
+from operator import add, xor
+from typing import NamedTuple, Union
 
 
 class KernelError(Exception):
@@ -412,17 +416,21 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
     vertices/edges; regular multigraphs are colored by alternating Euler
     splits (even degree) and one perfect-matching peel (odd degree), which
     meets the max-degree bound constructively.  Dummy edges are discarded.
+    Each edge's endpoints are numbered once, the right side after the left.
     """
     if not g.edges:
         return ()
-    delta = g.max_degree()
     side = max(g.left_count, g.right_count)
+    edges: list[tuple[int, int]] = list(g.edges)
+    tail = [u for u, _ in edges]
+    head = [v for _, v in edges]
     left_deg = [0] * side
     right_deg = [0] * side
-    edges: list[tuple[int, int]] = list(g.edges)
-    for u, v in edges:
+    for u in tail:
         left_deg[u] += 1
+    for v in head:
         right_deg[v] += 1
+    delta = max(max(left_deg), max(right_deg))
     real_count = len(edges)
     u = v = 0
     while True:
@@ -433,21 +441,33 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
         while right_deg[v] == delta:
             v += 1
         edges.append((u, v))
+        tail.append(u)
+        head.append(v)
         left_deg[u] += 1
         right_deg[v] += 1
 
+    head = [side + v for v in head]
+    ends = _Ends(side, edges, tail, head, list(map(xor, tail, head)))
     colors = [0] * len(edges)
-    _color_regular(side, edges, list(range(len(edges))), delta, 1, colors)
+    _color_regular(ends, list(range(len(edges))), delta, 1, colors)
     return tuple(colors[:real_count])
 
 
+class _Ends(NamedTuple):
+    """The padded regular multigraph: ``side`` vertices on each side, left
+    vertex u numbered u and right vertex v numbered side + v; ``tail`` and
+    ``head`` are each edge's two numbers and ``node ^ link[e]`` is the
+    other end of edge e at ``node``."""
+
+    side: int
+    edges: list[tuple[int, int]]
+    tail: list[int]
+    head: list[int]
+    link: list[int]
+
+
 def _color_regular(
-    side: int,
-    edges: list[tuple[int, int]],
-    live: list[int],
-    degree: int,
-    first_color: int,
-    colors: list[int],
+    ends: _Ends, live: list[int], degree: int, first_color: int, colors: list[int]
 ) -> None:
     if degree == 0 or not live:
         return
@@ -455,16 +475,19 @@ def _color_regular(
         for e in live:
             colors[e] = first_color
         return
+    if degree == 2:
+        _color_cycles(ends, live, first_color, colors)
+        return
     if degree % 2 == 1:
-        matched = _peel_perfect_matching(side, edges, live)
+        matched = _peel_perfect_matching(ends.side, ends.edges, live)
         for e in matched:
             colors[e] = first_color
         rest = [e for e in live if e not in matched]
-        _color_regular(side, edges, rest, degree - 1, first_color + 1, colors)
+        _color_regular(ends, rest, degree - 1, first_color + 1, colors)
         return
-    half_a, half_b = _euler_split(side, edges, live)
-    _color_regular(side, edges, half_a, degree // 2, first_color, colors)
-    _color_regular(side, edges, half_b, degree // 2, first_color + degree // 2, colors)
+    half_a, half_b = _euler_split(ends, live, degree)
+    _color_regular(ends, half_a, degree // 2, first_color, colors)
+    _color_regular(ends, half_b, degree // 2, first_color + degree // 2, colors)
 
 
 def _peel_perfect_matching(
@@ -478,45 +501,80 @@ def _peel_perfect_matching(
     return {live[i] for i in result}
 
 
+def _by_vertex(ends: _Ends, live: list[int]) -> list[int]:
+    """Each edge of ``live`` at both its ends, grouped by vertex in vertex
+    order, left side first; the sorts are stable, so each vertex's edges
+    keep their order in ``live``."""
+    return sorted(live, key=ends.tail.__getitem__) + sorted(live, key=ends.head.__getitem__)
+
+
 def _euler_split(
-    side: int, edges: list[tuple[int, int]], live: list[int]
+    ends: _Ends, live: list[int], degree: int
 ) -> tuple[list[int], list[int]]:
     """Split an even-regular multigraph into two halves of equal degree.
 
-    From every vertex in turn, walks a closed trail (lowest unused edge
-    first) until the vertex has no edge left, and alternates the trail's
-    edges between the halves.  Every vertex has even degree, so a trail
-    can only get stuck where it started; bipartite closed trails have even
-    length, so every vertex splits evenly.
+    From every left vertex in turn, walks a closed trail (the unused edge
+    earliest in ``live`` first) until the vertex has no edge left, and
+    alternates the trail's edges between the halves.  Each vertex keeps one
+    iterator over its edges, which passes each edge once per split.  Every
+    vertex has even degree, so a trail can only get stuck where it
+    started; bipartite closed trails have even length, so every vertex
+    splits evenly.  Every edge has a left end, so once the left vertices
+    are spent so is the graph.
     """
-    incidence: list[list[int]] = [[] for _ in range(2 * side)]
-    link = [0] * len(edges)  # node ^ link[e] is the other end of e
-    for e in reversed(live):
-        u, v = edges[e]
-        incidence[u].append(e)
-        incidence[side + v].append(e)
-        link[e] = u ^ (side + v)
-    used = bytearray(len(edges))
-    half_a: list[int] = []
-    half_b: list[int] = []
-    for start in range(2 * side):
+    side, link = ends.side, ends.link
+    # every vertex has ``degree`` edges: cut the grouped list in chunks
+    ahead = list(map(iter, zip(*[iter(_by_vertex(ends, live))] * degree)))
+    used = [False] * len(link)
+    trail: list[int] = []  # the closed trails, one after another
+    walk = trail.append
+    for start in range(side):
         node = start
         while True:
-            stack = incidence[node]
-            while stack and used[stack[-1]]:
-                stack.pop()
-            if not stack:
+            for e in ahead[node]:
+                if not used[e]:
+                    break
+            else:
                 break
-            e = stack.pop()
-            used[e] = 1
-            half_a.append(e)
+            used[e] = True
+            walk(e)
             node ^= link[e]
-            # an odd number of steps in, the walk cannot be stuck
-            stack = incidence[node]
-            while used[stack[-1]]:
-                stack.pop()
-            e = stack.pop()
-            used[e] = 1
-            half_b.append(e)
+            for e in ahead[node]:
+                if not used[e]:
+                    break
+            else:
+                raise KernelError("Euler walk stuck after an odd step; degrees are not even")
+            used[e] = True
+            walk(e)
             node ^= link[e]
-    return half_a, half_b
+    return trail[0::2], trail[1::2]
+
+
+def _color_cycles(ends: _Ends, live: list[int], first_color: int, colors: list[int]) -> None:
+    """Color a 2-regular multigraph with ``first_color`` and the next color.
+
+    Its components are even cycles.  Each is walked from its lowest vertex
+    along the edge there that comes earlier in ``live``, alternating the
+    two colors: these are the trails :func:`_euler_split` walks, colored as
+    its halves would be.  The edge ids at a vertex sum to ``pair[node]``,
+    so the edge leaving by is the sum less the edge arriving by.
+    """
+    by_vertex = _by_vertex(ends, live)
+    first = by_vertex[0::2]
+    pair = list(map(add, first, by_vertex[1::2]))
+    link = ends.link
+    second_color = first_color + 1
+    for start in range(ends.side):
+        e = first[start]
+        if colors[e]:
+            continue
+        node = start
+        while True:
+            colors[e] = first_color
+            node ^= link[e]
+            e = pair[node] - e
+            colors[e] = second_color
+            node ^= link[e]
+            if node == start:
+                break
+            e = pair[node] - e

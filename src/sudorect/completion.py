@@ -14,7 +14,11 @@ against the input grid.
 Stage 1 and the column-block widening match on value bitmasks with
 ``bipartite._assign_on_masks``.  The seeded stage 1 of
 :func:`complete_randomized` runs the same matcher under a random order of
-the value bits.
+the value bits.  The pipeline keeps one value mask per column: it reads a
+column block from the grid when stage 1 first reaches it, and then ORs in
+the values stage 1 gives each column, so later row blocks read nothing.
+The public :func:`complete_row_block_stage1` runs the same stage-1 core on
+masks it reads from the grid itself.
 """
 
 from __future__ import annotations
@@ -101,24 +105,17 @@ def _mask_values(mask: int) -> list[int]:
     return values
 
 
-def _stage1_masks(grid: SudokuGrid, block: BlockIndex) -> tuple[list[int], int, list[int]]:
-    """Columns, offered values and per-column eligible values of one block
-    of row block l+1, the values as masks.
+def _block_masks(columns: list[tuple[Optional[int], ...]], n: int) -> tuple[int, list[int]]:
+    """The values in the block at the bottom of ``columns``, and in each
+    whole column, as masks.
 
-    The values on offer are those absent from the block's filled rows; a
-    value is eligible for a column iff it is on offer and does not already
-    appear in that column.  Rows below the block are empty in an
-    m-rectangle, so each column is read only down to the block's last row.
+    ``columns`` are the k columns of one column block, read down to the
+    last row of a block; rows below it are empty in an m-rectangle.
     """
-    k = grid.order.k
-    n = grid.order.n
     bits = _value_bits(n)
-    cols = [(block.block_col - 1) * k + j for j in range(1, k + 1)]
-    columns = grid.block_columns(block.block_col, block.block_row * k)
+    k = len(columns)
     present = sum(map(bits.__getitem__, {v for column in columns for v in column[-k:]}))
-    offered = ((1 << n) - 1) & ~present
-    eligible = [offered & ~sum(map(bits.__getitem__, set(column))) for column in columns]
-    return cols, offered, eligible
+    return present, [sum(map(bits.__getitem__, set(column))) for column in columns]
 
 
 def _relabel(mask: int, to: list[int]) -> int:
@@ -141,43 +138,74 @@ def complete_row_block_stage1(
 
     Returns {absolute column -> sorted values} on success, or the
     deficient-set witness.  ``shape`` describes the filled rows of the
-    row block being extended (r = 0 for a fully empty row block); rows
-    below that row block are taken to be empty, as in an m-rectangle, and
-    are not read.  The matching runs on value masks; with ``rng`` it runs
-    under a random order of the value bits, drawn once per call.
+    row block being extended (r = 0 for a fully empty row block): each
+    column of the block must be filled in rows 1..m and empty in the rest
+    of the block.  Rows below the block are taken to be empty, as in an
+    m-rectangle, and are not read.  The matching runs on value masks; with
+    ``rng`` it runs under a random order of the value bits, drawn once per
+    call.
     """
-    k = grid.order.k
+    k, n = grid.order.k, grid.order.n
     if not (1 <= block.block_row <= k and 1 <= block.block_col <= k):
         raise CompletionError(f"block {tuple(block)} outside 1..{k}")
     if block.block_row != shape.l + 1:
         raise CompletionError(
             f"block row {block.block_row} is not the open row block {shape.l + 1}"
         )
-    quota = k - shape.r
-    cols, offered, eligible = _stage1_masks(grid, block)
+    columns = grid.block_columns(block.block_col, block.block_row * k)
+    m = shape.m
+    if any(None in column[:m] or any(column[m:]) for column in columns):  # values are >= 1
+        raise CompletionError(f"block {tuple(block)} is not filled in exactly rows 1..{m}")
+    present, masks = _block_masks(columns, n)
+    offered = ((1 << n) - 1) & ~present
+    outcome = _stage1(block, k - shape.r, offered, masks, rng)
+    if isinstance(outcome, NotCompletable):
+        return outcome
+    left = (block.block_col - 1) * k
+    return {left + j: _mask_values(mask) for j, mask in enumerate(outcome, start=1)}
+
+
+def _stage1(
+    block: BlockIndex,
+    quota: int,
+    offered: int,
+    taken: list[int],
+    rng: random.Random | None,
+) -> Union[list[int], NotCompletable]:
+    """Stage 1 of one block on value masks: the mask of values each column
+    of the block gets, in column order, or the deficient-set witness.
+
+    ``offered`` holds the values absent from the block, ``taken`` the
+    values already in each column; a column may take the offered values
+    it lacks.  With ``rng`` the matching runs under a random order of the
+    value bits, drawn once per call.
+    """
+    k = len(taken)  # a block has k columns, a value mask n = k² bits
+    eligible = [offered & ~mask for mask in taken]
     if rng is None:
         assigned, reached = _assign_on_masks(eligible, quota, offered)
     else:
-        to = list(range(grid.order.n))
+        to = list(range(k * k))
         rng.shuffle(to)
         assigned, reached = _assign_on_masks(
             [_relabel(mask, to) for mask in eligible], quota, _relabel(offered, to)
         )
         back = sorted(range(len(to)), key=to.__getitem__)
         assigned = [_relabel(mask, back) for mask in assigned]
-    if reached:
-        candidates = 0
-        for ci in reached:
-            candidates |= eligible[ci]
-        if candidates.bit_count() >= quota * len(reached):
-            raise KernelError("deficient column set failed its own deficiency check")
-        return NotCompletable(
-            block=block,
-            quota=quota,
-            columns=tuple(cols[ci] for ci in reached),
-            candidates=tuple(_mask_values(candidates)),
-        )
-    return {col: _mask_values(mask) for col, mask in zip(cols, assigned)}
+    if not reached:
+        return assigned
+    candidates = 0
+    for ci in reached:
+        candidates |= eligible[ci]
+    if candidates.bit_count() >= quota * len(reached):
+        raise KernelError("deficient column set failed its own deficiency check")
+    left = (block.block_col - 1) * k
+    return NotCompletable(
+        block=block,
+        quota=quota,
+        columns=tuple(left + ci + 1 for ci in reached),
+        candidates=tuple(_mask_values(candidates)),
+    )
 
 
 def complete_row_block_stage2(
@@ -229,18 +257,38 @@ def complete_row_block_stage2(
 
 
 def _fill_row_block(
-    work: SudokuGrid, shape: RectShape, rng: random.Random | None
+    work: SudokuGrid,
+    shape: RectShape,
+    masks: list[Optional[list[int]]],
+    rng: random.Random | None,
 ) -> Optional[NotCompletable]:
-    """Run both stages for the row block l+1 of ``work``; None on success."""
-    k = work.order.k
+    """Run both stages for the row block l+1 of ``work``; None on success.
+
+    ``masks`` holds, per column block, the value mask of each of its
+    columns down to the rows filled so far, or None for a column block not
+    read yet.  Stage 1 reads such a block from ``work`` when it reaches
+    it, and ORs the values it gives each column into the column's mask.
+    """
+    k, n = work.order.k, work.order.n
+    full = (1 << n) - 1
+    quota = k - shape.r
     merged: dict[int, list[int]] = {}
     for d in range(1, k + 1):
-        outcome = complete_row_block_stage1(
-            work, shape, BlockIndex(shape.l + 1, d), rng
-        )
+        block = BlockIndex(shape.l + 1, d)
+        column_masks = masks[d - 1]
+        if column_masks is None:
+            present, column_masks = _block_masks(work.block_columns(d, block.block_row * k), n)
+            masks[d - 1] = column_masks
+            offered = full & ~present
+        else:
+            offered = full  # a row block after the first is empty
+        outcome = _stage1(block, quota, offered, column_masks, rng)
         if isinstance(outcome, NotCompletable):
             return outcome
-        merged.update(outcome)
+        col = (d - 1) * k
+        for j, mask in enumerate(outcome):
+            column_masks[j] |= mask
+            merged[col + j + 1] = _mask_values(mask)
     placements = complete_row_block_stage2(k, shape, merged, rng)
     # a clash between placements is caught by the final validate in _complete
     try:
@@ -266,14 +314,15 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
     if shape.m == n:
         return grid.copy()
     work = grid.copy()
+    masks: list[Optional[list[int]]] = [None] * k
     if shape.r > 0:
-        failure = _fill_row_block(work, shape, rng)
+        failure = _fill_row_block(work, shape, masks, rng)
         if failure is not None:
             return failure
     # every remaining row block is empty; feasibility is guaranteed there
     start = shape.l + (2 if shape.r > 0 else 1)
     for b in range(start, k + 1):
-        failure = _fill_row_block(work, RectShape.of((b - 1) * k, k), rng)
+        failure = _fill_row_block(work, RectShape.of((b - 1) * k, k), masks, rng)
         if failure is not None:
             raise CompletionError(
                 f"full row block {b} unexpectedly infeasible; pipeline bug"
@@ -300,10 +349,10 @@ def verify_certificate(grid: SudokuGrid, witness: NotCompletable) -> bool:
 
     Recomputes, independently of the matching code, the set of values still
     placeable in the witnessed columns of the witnessed block, and checks
-    that it is smaller than quota × |columns|.  Each witnessed column must
-    be a distinct column of the block with at least ``quota`` empty cells
-    there: those cells need distinct placeable values, so the grid then
-    has no completion.
+    that it equals the witness's ``candidates`` and is smaller than
+    quota × |columns|.  Each witnessed column must be a distinct column of
+    the block with at least ``quota`` empty cells there: those cells need
+    distinct placeable values, so the grid then has no completion.
     """
     k = grid.order.k
     n = grid.order.n
@@ -323,6 +372,8 @@ def verify_certificate(grid: SudokuGrid, witness: NotCompletable) -> bool:
     reachable: set[int] = set()
     for col in columns:
         reachable |= absent - grid.column_values(col)
+    if tuple(witness.candidates) != tuple(sorted(reachable)):
+        return False
     return len(reachable) < quota * len(columns)
 
 

@@ -139,7 +139,7 @@ class SudokuGrid:
         """
         self._check_index(row, col)
         n = self.order.n
-        if not isinstance(value, int) or not (1 <= value <= n):
+        if type(value) is not int or not (1 <= value <= n):  # bool is not a value
             raise GridError(f"value {value!r} outside 1..{n}")
         if self._cells[row - 1][col - 1] is not None:
             raise GridError(f"cell ({row},{col}) already filled; clear it first")
@@ -229,7 +229,7 @@ class SudokuGrid:
         n = self.order.n
         entries = [v for row in self._cells for v in row if v is not None]
         return len(entries) == self._filled and all(
-            isinstance(v, int) and 1 <= v <= n for v in entries
+            type(v) is int and 1 <= v <= n for v in entries
         )
 
     @classmethod

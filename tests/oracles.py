@@ -509,3 +509,96 @@ def reference_stage1(grid, shape, block: BlockIndex):
         ci, vi = graph.edges[e]
         assigned[cols[ci]].append(values[vi])
     return {col: sorted(vals) for col, vals in assigned.items()}
+
+
+def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
+    """``edge_color`` as it stood before each edge's ends were numbered once
+    per coloring: padding to a Δ-regular multigraph, a perfect-matching
+    peel at odd degree, and Euler splits that rebuild their incidence
+    stacks on every call, down to degree 1."""
+    if not g.edges:
+        return ()
+    delta = g.max_degree()
+    side = max(g.left_count, g.right_count)
+    left_deg = [0] * side
+    right_deg = [0] * side
+    edges: list[tuple[int, int]] = list(g.edges)
+    for u, v in edges:
+        left_deg[u] += 1
+        right_deg[v] += 1
+    real_count = len(edges)
+    u = v = 0
+    while True:
+        while u < side and left_deg[u] == delta:
+            u += 1
+        if u == side:
+            break
+        while right_deg[v] == delta:
+            v += 1
+        edges.append((u, v))
+        left_deg[u] += 1
+        right_deg[v] += 1
+    colors = [0] * len(edges)
+    _reference_color_regular(side, edges, list(range(len(edges))), delta, 1, colors)
+    return tuple(colors[:real_count])
+
+
+def _reference_color_regular(side, edges, live, degree, first_color, colors) -> None:
+    if degree == 0 or not live:
+        return
+    if degree == 1:
+        for e in live:
+            colors[e] = first_color
+        return
+    if degree % 2 == 1:
+        matched = _reference_peel(side, edges, live)
+        for e in matched:
+            colors[e] = first_color
+        rest = [e for e in live if e not in matched]
+        _reference_color_regular(side, edges, rest, degree - 1, first_color + 1, colors)
+        return
+    half_a, half_b = _reference_euler_split(side, edges, live)
+    _reference_color_regular(side, edges, half_a, degree // 2, first_color, colors)
+    _reference_color_regular(side, edges, half_b, degree // 2, first_color + degree // 2, colors)
+
+
+def _reference_peel(side, edges, live) -> set[int]:
+    sub = BipartiteGraph(side, side, tuple([edges[e] for e in live]))
+    result = degree_matching(sub, DegreeDemand.uniform(sub, 1, 1))
+    if isinstance(result, HallCertificate):
+        raise KernelError("regular bipartite multigraph lost its perfect matching")
+    return {live[i] for i in result}
+
+
+def _reference_euler_split(side, edges, live) -> tuple[list[int], list[int]]:
+    incidence: list[list[int]] = [[] for _ in range(2 * side)]
+    link = [0] * len(edges)  # node ^ link[e] is the other end of e
+    for e in reversed(live):
+        u, v = edges[e]
+        incidence[u].append(e)
+        incidence[side + v].append(e)
+        link[e] = u ^ (side + v)
+    used = bytearray(len(edges))
+    half_a: list[int] = []
+    half_b: list[int] = []
+    for start in range(2 * side):
+        node = start
+        while True:
+            stack = incidence[node]
+            while stack and used[stack[-1]]:
+                stack.pop()
+            if not stack:
+                break
+            e = stack.pop()
+            used[e] = 1
+            half_a.append(e)
+            node ^= link[e]
+            # an odd number of steps in, the walk cannot be stuck
+            stack = incidence[node]
+            while used[stack[-1]]:
+                stack.pop()
+            e = stack.pop()
+            used[e] = 1
+            half_b.append(e)
+            node ^= link[e]
+    return half_a, half_b

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ExhaustiveLimitExceeded,
@@ -11,16 +13,23 @@ from oracles import (
     exhaustive_degree_matching,
     hall_check,
     recount_matching,
+    reference_edge_color,
 )
 from sudorect import (
     BipartiteGraph,
     DegreeDemand,
     HallCertificate,
     KernelError,
+    SudokuGrid,
+    complete,
+    completion,
+    construct_counterexample,
+    decide_guaranteed,
     degree_matching,
     edge_color,
     truncate_rows,
 )
+from sudorect.bipartite import _Ends, _euler_split
 from sudorect.constructions import figure1_fixture
 
 
@@ -287,3 +296,64 @@ def test_regular_graph_color_classes_are_perfect_matchings(k):
         assert len(class_edges) == n
         assert len({u for u, _ in class_edges}) == n
         assert len({v for _, v in class_edges}) == n
+
+
+@pytest.mark.parametrize("side", [1, 3])
+def test_euler_split_of_odd_regular_graph_is_kernel_error(side):
+    # K_{side,side} is side-regular; a walk gets stuck away from its start
+    edges = [(u, v) for u in range(side) for v in range(side)]
+    tail = [u for u, _ in edges]
+    head = [side + v for _, v in edges]
+    ends = _Ends(side, edges, tail, head, [u ^ w for u, w in zip(tail, head)])
+    with pytest.raises(KernelError, match="stuck after an odd step"):
+        _euler_split(ends, list(range(len(edges))), side)
+
+
+# -- edge coloring against the frozen reference ------------------------------
+
+
+@st.composite
+def multigraphs(draw) -> BipartiteGraph:
+    """Bipartite multigraphs with unequal sides, parallel edges and max
+    degree up to 17, their edges in random order."""
+    left = draw(st.integers(1, 6))
+    right = draw(st.integers(1, 6))
+    delta = draw(st.integers(1, 17))
+    room = [delta] * right
+    edges = []
+    for u in range(left):
+        for _ in range(draw(st.integers(0, delta))):
+            open_right = [v for v in range(right) if room[v]]
+            if not open_right:
+                break
+            v = draw(st.sampled_from(open_right))
+            room[v] -= 1
+            edges.append((u, v))
+    return BipartiteGraph.build(left, right, draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=multigraphs())
+def test_coloring_equals_reference_on_random_multigraphs(g):
+    assert edge_color(g) == reference_edge_color(g)
+
+
+def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
+    graphs = []
+
+    def recording(g):
+        graphs.append(g)
+        return edge_color(g)
+
+    monkeypatch.setattr(completion, "edge_color", recording)
+    for k in range(2, 7):
+        complete(SudokuGrid(k))
+    for k in (4, 5, 6):
+        for m in range(k * k):
+            if not decide_guaranteed(k, m).guaranteed:
+                construct_counterexample(k, m)
+    monkeypatch.undo()
+    degrees = {g.max_degree() for g in graphs}
+    assert degrees == set(range(2, 7)) and len(graphs) == 129
+    for g in graphs:
+        assert edge_color(g) == reference_edge_color(g)

@@ -1,5 +1,6 @@
 """The shape predicate, the two-stage pipeline, and column-block extension."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -128,6 +129,34 @@ def test_stage1_wrong_block_row_is_contract_error(figure1):
 def test_stage1_block_outside_the_grid_is_contract_error(block):
     with pytest.raises(CompletionError, match="outside 1..2"):
         complete_row_block_stage1(SudokuGrid(2), RectShape.of(0, 2), block)
+
+
+@pytest.mark.parametrize("m, block", [(0, BlockIndex(1, 1)), (2, BlockIndex(2, 1))])
+def test_stage1_shape_that_misdescribes_the_block_is_contract_error(m, block):
+    # row 1 is filled, but m = 0 says it is empty and m = 2 that row 2 is filled
+    grid = truncate_rows(complete(SudokuGrid(2)), 1)
+    with pytest.raises(CompletionError, match=f"not filled in exactly rows 1..{m}"):
+        complete_row_block_stage1(grid, RectShape.of(m, 2), block)
+
+
+def test_completion_reads_each_column_block_once_and_only_when_reached(monkeypatch, figure1):
+    five_rows = truncate_rows(complete(SudokuGrid(3)), 5)
+    reads = []
+    block_columns = SudokuGrid.block_columns
+
+    def counting(grid, block_col, depth):
+        reads.append((block_col, depth))
+        return block_columns(grid, block_col, depth)
+
+    monkeypatch.setattr(SudokuGrid, "block_columns", counting)
+    assert isinstance(complete(SudokuGrid(4)), SudokuGrid)
+    assert reads == [(d, 4) for d in range(1, 5)]
+    reads.clear()
+    assert isinstance(complete(five_rows), SudokuGrid)
+    assert reads == [(d, 6) for d in range(1, 4)]
+    reads.clear()
+    assert complete(figure1).block == BlockIndex(2, 1)
+    assert reads == [(1, 6)]
 
 
 # -- stage 2 -------------------------------------------------------------------
@@ -423,6 +452,21 @@ def test_certificate_replay_rejects_forged_witnesses():
         assert not verify_certificate(grid, witness), witness
 
 
+def test_certificate_replay_requires_the_witnessed_candidates(figure1):
+    construction = construct_counterexample(4, 9).rectangle
+    for grid in (figure1, construction):
+        witness = complete(grid)
+        assert verify_certificate(grid, witness)
+        n = grid.order.n
+        wrong = [tuple(range(1, n + 1)), witness.candidates[::-1] + (n,)]
+        if witness.candidates:
+            wrong += [witness.candidates[1:], witness.candidates[::-1]]
+        for candidates in wrong:
+            forged = dataclasses.replace(witness, candidates=candidates)
+            assert not verify_certificate(grid, forged), candidates
+    assert complete(construction).candidates == (4, 13, 14, 15, 16)
+
+
 def _symmetry_image(grid: SudokuGrid, seed: int) -> SudokuGrid:
     """``grid`` with its values, its column blocks, the columns inside each
     block and the filled rows inside each row block permuted at random: an
@@ -519,7 +563,9 @@ def _pinned_outputs() -> dict[str, str]:
     texts = {}
     for k in range(2, 11):
         texts[f"empty k={k}"] = render(complete(SudokuGrid(k)))
-    for k, ms in ((3, (2, 4, 5)), (4, (3, 7, 10))):
+    for k in (12, 16):
+        texts[f"empty k={k}"] = render(complete(SudokuGrid(k)))
+    for k, ms in ((3, (2, 4, 5)), (4, (3, 7, 10)), (12, (30, 72, 131))):
         square = _relabelled_pattern_square(k)
         for m in ms:
             out = complete(truncate_rows(square, m))
@@ -533,6 +579,9 @@ def _pinned_outputs() -> dict[str, str]:
                 texts[f"construct k={k} m={m}"] = render(report.rectangle) + _witness_text(
                     report.witness
                 )
+    for k in range(2, 6):
+        for seed in range(3):
+            texts[f"seeded k={k} seed={seed}"] = render(complete_randomized(SudokuGrid(k), seed))
     return {label: hashlib.sha256(text.encode()).hexdigest() for label, text in texts.items()}
 
 
@@ -580,8 +629,30 @@ PINNED_DIGESTS = {
     "construct k=6 m=27": "fbe76003faeaa9fc90ecc16f2afa91def2bfe08b4c4b800482b8f6b9c880abb9",
     "construct k=6 m=28": "60445f32aa00b97a01d8e54c0ed32ef842c19c8363a9cd34419d90bfef50ccc0",
     "construct k=6 m=29": "cf97b7b3ea91fb8cf57e1c600dfef1033b16b0e7b2d5e1ad547182944b1a92e2",
+    # recorded before the column masks were carried across row blocks and
+    # the Euler split moved to per-vertex iterators
+    "empty k=12": "745a902f80a40fcb748f3eca8cc5f92f3de9d919a83c085a9ba24518fbb2d8b0",
+    "empty k=16": "8a2a2b2d8ec6ac569ec446303547ee21cb02b98985b7e57e8bd914ba22a9eb22",
+    "pattern k=12 m=30": "30ee2c75d050ff7fad5e2f9f64da2dcb665e4155620da312dd3e7c9fb3d4dfd2",
+    "pattern k=12 m=72": "9e3821cdbe5e4e83e8f4b504eac620a2916aa8f086cbd520803bf29ddf4ed1f6",
+    "pattern k=12 m=131": "e71e378caccd1e2e2878593e494269b67473f508b58f6ae3aa69ec40531ca927",
+    "seeded k=2 seed=0": "48793dfa2f5870a024a1117b93c6aa37534bae83d7aac6dcc19a52d4595ef140",
+    "seeded k=2 seed=1": "d0f2eb4afa46d8dc53f05ebca5a09c6329e36f45345599ebc6b6e473fe72e058",
+    "seeded k=2 seed=2": "c8ceefc29787dc72dc82dfc2078a579dfd9b5ce4790040e927d8afc449f83147",
+    "seeded k=3 seed=0": "a25e9e42685eb69f1c4f783009153ac3a2a554d07d99a8603a6b8bae3a2fee68",
+    "seeded k=3 seed=1": "5daba28576a8908faf0e60c1e6976c21d0ecc52289c776877ed1e9ee873f8727",
+    "seeded k=3 seed=2": "b9d50ad1f5dd0f0ff1d298ab333d5bd33d49a9805ce00d9fcdae8c65ac112866",
+    "seeded k=4 seed=0": "588e1c5cd7a1751d4a48e298f51e03dc7146edd105a37d494b1f994595dd716b",
+    "seeded k=4 seed=1": "d629ee2a4480348f4a2677c2a5c1f77be0baeb88f1436c2da52b04063f5093b3",
+    "seeded k=4 seed=2": "3baa73463f13366ac91b02691dce8cf60da94d28b54ba7d0b43d82acecc24f9d",
+    "seeded k=5 seed=0": "d75cdb9f77288ae7768dbb4f040d925d1833fcb91f6eef5ee8678181031560d8",
+    "seeded k=5 seed=1": "3c428b68f9631b11900b5251b9d517634eaf1c9abb62c8be8a15997a3c6055da",
+    "seeded k=5 seed=2": "18244453c1156506acdd1b83f681f0be1fa4185d531e62bc2e0554f12be058d7",
 }
 
 
 def test_outputs_match_pinned_digests():
-    assert _pinned_outputs() == PINNED_DIGESTS
+    outputs = _pinned_outputs()
+    assert sorted(outputs) == sorted(PINNED_DIGESTS)
+    changed = [label for label, digest in PINNED_DIGESTS.items() if outputs[label] != digest]
+    assert not changed, f"outputs changed: {', '.join(changed)}"

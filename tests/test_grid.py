@@ -104,6 +104,20 @@ def test_set_rejects_bad_values_and_occupied_cells():
         g.set(1, 1, 2)
 
 
+def test_writers_and_audit_reject_bools():
+    # bool is an int subclass; True would render as "True", which parse rejects
+    g = SudokuGrid(2)
+    with pytest.raises(GridError, match="True"):
+        g.set(1, 1, True)
+    with pytest.raises(GridError, match="False"):
+        g.set_many([(1, 2, 2), (1, 1, False)])
+    assert g.rows()[0] == (None, 2, None, None) and g.filled_count == 1
+    assert g.audit()
+    g._cells[0][0] = True  # simulate drift past the API
+    g._filled += 1
+    assert not g.audit()
+
+
 # -- shapes ------------------------------------------------------------------
 
 
