@@ -58,14 +58,6 @@ class BipartiteGraph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    def max_degree(self) -> int:
-        left = [0] * self.left_count
-        right = [0] * self.right_count
-        for u, v in self.edges:
-            left[u] += 1
-            right[v] += 1
-        return max(left + right, default=0)
-
 
 @dataclass(frozen=True)
 class DegreeDemand:

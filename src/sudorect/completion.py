@@ -17,8 +17,12 @@ Stage 1 and the column-block widening match on value bitmasks with
 the value bits.  The pipeline keeps one value mask per column: it reads a
 column block from the grid when stage 1 first reaches it, and then ORs in
 the values stage 1 gives each column, so later row blocks read nothing.
-The public :func:`complete_row_block_stage1` runs the same stage-1 core on
-masks it reads from the grid itself.
+Stage 2 takes stage 1's masks as they are: it peels their bits into the
+(column, value) edges, colours them, and writes the row block's new rows
+whole through :meth:`SudokuGrid.fill_rows`; the widening builds its
+(row, value) edges from its masks the same way.  The public
+:func:`complete_row_block_stage1` and :func:`complete_row_block_stage2`
+check their inputs and run the same cores.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Union
 
 from .bipartite import BipartiteGraph, KernelError, _assign_on_masks, edge_color
@@ -219,7 +224,7 @@ def complete_row_block_stage2(
     ``assignments`` must cover all n columns with exactly k−r values each
     and use every value exactly k−r times (a (k−r)-regular bipartite
     graph); its edge coloring with k−r colors names the rows.  Returns
-    (row, column, value) placements for rows l·k+r+1 .. (l+1)·k.
+    (row, column, value) placements for rows l·k+r+1 .. (l+1)·k, row-major.
     """
     k = order_k
     n = k * k
@@ -227,33 +232,48 @@ def complete_row_block_stage2(
     if sorted(assignments) != list(range(1, n + 1)):
         raise CompletionError("assignments must cover every column once")
     in_range = set(range(1, n + 1))
-    edges = []
+    masks = []
     for col in range(1, n + 1):
         values = assignments[col]
         if len(values) != quota:
-            raise CompletionError(
-                f"column {col} got {len(values)} values, expected {quota}"
-            )
+            raise CompletionError(f"column {col} got {len(values)} values, expected {quota}")
         if not in_range.issuperset(values):
             raise CompletionError(f"column {col} got a value outside 1..{n}")
         if len(set(values)) != quota:
             raise CompletionError(f"column {col} got a value twice")
-        for v in values:
-            edges.append((col - 1, v - 1))
-    per_value = [0] * n
-    for _, vi in edges:
-        per_value[vi] += 1
-    if any(count != quota for count in per_value):
-        raise CompletionError("assignments are not value-regular; stage-1 bug")
+        masks.append(sum(1 << (v - 1) for v in values))
+    base_row = shape.l * k + shape.r
+    rows = _stage2(k, quota, masks, rng)  # refuses assignments that are not value-regular
+    return [(base_row + i, col, v) for i, row in enumerate(rows, 1) for col, v in enumerate(row, 1)]
+
+
+def _stage2(k: int, quota: int, masks: list[int], rng: random.Random | None) -> list[list[int]]:
+    """Stage 2 on the n columns' stage-1 value masks: the ``quota`` new rows.
+
+    The (column, value) edges, in column order and increasing value order,
+    are coloured with ``quota`` colours, and each colour names a new row.
+    With ``rng`` the edge list is shuffled before colouring.  A value used
+    more than ``quota`` times needs a colour past ``quota``; a colouring
+    that clashes leaves a hole in some row, which the writer refuses.
+    """
+    n = k * k
+    edges = []
+    for c, mask in enumerate(masks):
+        if mask.bit_count() != quota:
+            raise CompletionError(f"column {c + 1} got {mask.bit_count()} values, expected {quota}")
+        while mask:
+            low = mask & -mask
+            edges.append((c, low.bit_length() - 1))
+            mask ^= low
     if rng is not None:
         rng.shuffle(edges)
-    graph = BipartiteGraph._trusted(n, n, tuple(edges))
-    colors = edge_color(graph)
-    base_row = shape.l * k + shape.r
-    placements = []
-    for (ci, vi), color in zip(graph.edges, colors):
-        placements.append((base_row + color, ci + 1, vi + 1))
-    return placements
+    colors = edge_color(BipartiteGraph._trusted(n, n, tuple(edges)))
+    if max(colors, default=0) > quota:
+        raise CompletionError("assignments are not value-regular; stage-1 bug")
+    rows: list[list] = [[None] * n for _ in range(quota)]
+    for (c, vi), color in zip(edges, colors):
+        rows[color - 1][c] = vi + 1
+    return rows
 
 
 def _fill_row_block(
@@ -268,11 +288,12 @@ def _fill_row_block(
     columns down to the rows filled so far, or None for a column block not
     read yet.  Stage 1 reads such a block from ``work`` when it reaches
     it, and ORs the values it gives each column into the column's mask.
+    Stage 2 takes stage 1's masks in column order and writes its rows whole.
     """
     k, n = work.order.k, work.order.n
     full = (1 << n) - 1
     quota = k - shape.r
-    merged: dict[int, list[int]] = {}
+    assigned: list[int] = []
     for d in range(1, k + 1):
         block = BlockIndex(shape.l + 1, d)
         column_masks = masks[d - 1]
@@ -285,16 +306,14 @@ def _fill_row_block(
         outcome = _stage1(block, quota, offered, column_masks, rng)
         if isinstance(outcome, NotCompletable):
             return outcome
-        col = (d - 1) * k
         for j, mask in enumerate(outcome):
             column_masks[j] |= mask
-            merged[col + j + 1] = _mask_values(mask)
-    placements = complete_row_block_stage2(k, shape, merged, rng)
-    # a clash between placements is caught by the final validate in _complete
+        assigned += outcome
+    # a clash within a new row is caught by the final validate in _complete
     try:
-        work.set_many(placements)
+        work.fill_rows(shape.m, _stage2(k, quota, assigned, rng))
     except GridError as exc:
-        raise CompletionError(f"stage 2 produced a bad placement: {exc}") from None
+        raise CompletionError(f"stage 2 produced a bad row block: {exc}") from None
     return None
 
 
@@ -401,12 +420,9 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
         return grid.copy()
     l, r = divmod(m, k)
     height = (l + 1) * k if r > 0 else m
-    cells = grid.rows()
-    matrix: list[list[int]] = [[cells[i][j] for j in range(k)] for i in range(m)]
+    matrix: list[list[int]] = [list(row[:k]) for row in grid.rows()[:m]]
     if r > 0:
-        present = set()
-        for i in range(l * k, m):
-            present.update(matrix[i])
+        present = set(chain.from_iterable(matrix[l * k :]))
         missing = [v for v in range(1, n + 1) if v not in present]
         if len(missing) != n - r * k:
             raise CompletionError("partial block does not hold r·k distinct values")
@@ -430,8 +446,11 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
                     f"column block {t + 1}, row block {b + 1}: matching infeasible; bug"
                 )
             for row, mask in zip(rows, assigned):
-                edges.extend([(row, v - 1) for v in _mask_values(mask)])
                 row_masks[row] |= mask
+                while mask:
+                    low = mask & -mask
+                    edges.append((row, low.bit_length() - 1))
+                    mask ^= low
         # stage 2: color (row, value) pairs with k colors = the k new columns
         graph = BipartiteGraph._trusted(height, n, tuple(edges))
         colors = edge_color(graph)

@@ -5,9 +5,10 @@ Grids are plain mutable containers: placing a conflicting value is allowed
 and later reported by :func:`validate`, so files with broken content can be
 loaded and diagnosed instead of rejected at parse time.  The cells are a
 grid's only state: row, column and block contents are read from them when
-asked for, :meth:`SudokuGrid.from_rows` and :func:`parse` check every entry
-and then fill the cells in bulk, and :meth:`SudokuGrid.audit` recounts the
-filled cells and detects a write past the API.
+asked for, :meth:`SudokuGrid.from_rows`, :meth:`SudokuGrid.fill_rows` and
+:func:`parse` check every entry and then fill the cells in bulk, and
+:meth:`SudokuGrid.audit` recounts the filled cells and detects a write past
+the API.
 
 All public row/column indices are 1-based.
 """
@@ -15,8 +16,9 @@ All public row/column indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from itertools import chain, repeat
+from typing import NamedTuple, Optional, Sequence
 
 
 class GridError(Exception):
@@ -104,7 +106,7 @@ class Violation:
 class SudokuGrid:
     """An n×n partial Sudoku square; the cells are its only state.
 
-    Every write goes through :meth:`set`, :meth:`set_many`, :meth:`clear`,
+    Every write goes through :meth:`set`, :meth:`fill_rows`, :meth:`clear`,
     :meth:`from_rows` or :func:`parse`, which check indices and values, so
     a cell holds either ``None`` or an int in [1, n].  Row, column and
     block contents are read from the cells when asked for.
@@ -146,26 +148,25 @@ class SudokuGrid:
         self._cells[row - 1][col - 1] = value
         self._filled += 1
 
-    def set_many(self, placements: Iterable[tuple[int, int, int]]) -> None:
-        """:meth:`set` for each (row, col, value) in turn, with its errors."""
+    def fill_rows(self, top: int, rows: Sequence[Sequence[int]]) -> None:
+        """Write whole rows into the empty rows top+1, top+2, ...
+
+        Every entry must be one that :meth:`set` accepts, so no cell is left
+        empty; as with :meth:`set`, conflicts are stored, not rejected.  The
+        grid is unchanged when a check fails.
+        """
         n = self.order.n
-        cells = self._cells
-        written = 0
-        for row, col, value in placements:
-            if (
-                1 <= row <= n
-                and 1 <= col <= n
-                and type(value) is int
-                and 1 <= value <= n
-                and cells[row - 1][col - 1] is None
-            ):
-                cells[row - 1][col - 1] = value
-                written += 1
-            else:
-                self._filled += written
-                written = 0
-                self.set(row, col, value)  # raises, or takes what the test above did not
-        self._filled += written
+        new = [list(row) for row in rows]
+        if not (0 <= top <= n - len(new)) or any(len(row) != n for row in new):
+            raise GridError(f"expected at most {n - top} rows of {n} entries below row {top}")
+        if any(row.count(None) != n for row in self._cells[top : top + len(new)]):
+            raise GridError(f"rows {top + 1}..{top + len(new)} are not all empty")
+        if not _well_formed(new, n) or any(None in row for row in new):
+            for v in chain.from_iterable(new):  # raises at the first bad entry, a hole too
+                if type(v) is not int or not (1 <= v <= n):
+                    raise GridError(f"value {v!r} outside 1..{n}")
+        self._cells[top : top + len(new)] = new
+        self._filled += n * len(new)
 
     def clear(self, row: int, col: int) -> None:
         self._check_index(row, col)
@@ -311,7 +312,7 @@ def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
             if v is None:
                 continue
             here = CellRef(r, c)
-            if not isinstance(v, int) or not (1 <= v <= n):
+            if type(v) is not int or not (1 <= v <= n):  # bool is not a value
                 return Violation("malformed", here, here)
             b = ((r - 1) // k) * k + (c - 1) // k
             partners = [
@@ -340,44 +341,26 @@ def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
 
 def is_m_rectangle(grid: SudokuGrid) -> Optional[RectShape]:
     """Shape of the grid if its filled region is exactly the first m rows."""
-    n, k = grid.order.n, grid.order.k
-    cells = grid.rows()
+    n = grid.order.n
     m = 0
-    for r in range(n):
-        filled = sum(1 for v in cells[r] if v is not None)
-        if filled == n and m == r:
+    for r, row in enumerate(grid._cells):
+        empty = row.count(None)
+        if empty == 0 and m == r:
             m += 1
-        elif filled != 0:
+        elif empty != n:
             return None
-    return RectShape.of(m, k)
+    return RectShape.of(m, grid.order.k)
 
 
 def is_pq_rectangle(grid: SudokuGrid) -> Optional[tuple[int, int]]:
     """(p, q) if exactly the top-left p×q region is filled; (0, 0) if empty."""
     n = grid.order.n
-    cells = grid.rows()
-    if grid.filled_count == 0:
-        return (0, 0)
-    p = 0
-    q = None
-    for r in range(n):
-        filled_cols = [c for c, v in enumerate(cells[r]) if v is not None]
-        if not filled_cols:
-            if any(any(v is not None for v in cells[t]) for t in range(r + 1, n)):
-                return None
-            break
-        width = len(filled_cols)
-        if filled_cols != list(range(width)):
-            return None
-        if q is None:
-            q = width
-        elif width != q:
-            return None
-        if r != p:
-            return None
-        p += 1
-    if q is None:
-        return (0, 0)
+    holes = [[v is None for v in row] for row in grid._cells]
+    q = holes[0].count(False)
+    top = [False] * q + [True] * (n - q)
+    p = next((r for r, row in enumerate(holes) if row != top), n) if q else 0
+    if any(False in row for row in holes[p:]):
+        return None
     return (p, q)
 
 
@@ -386,11 +369,7 @@ def truncate_rows(grid: SudokuGrid, m: int) -> SudokuGrid:
     n = grid.order.n
     if not (0 <= m <= n):
         raise GridError(f"row count {m} outside 0..{n}")
-    out = grid.copy()
-    for r in range(m + 1, n + 1):
-        for c in range(1, n + 1):
-            out.clear(r, c)
-    return out
+    return SudokuGrid.from_rows(grid.order.k, grid.rows()[:m] + [(None,) * n] * (n - m))
 
 
 def parse(text: str) -> SudokuGrid:
@@ -425,13 +404,13 @@ def parse(text: str) -> SudokuGrid:
     if len(rows) != n:
         lineno = rows[-1][0] if rows else header_line
         raise ParseError(f"expected {n} rows for k={k}, got {len(rows)}", lineno)
-    tokens_to_values = {".": None, "0": None, **{str(v): v for v in range(1, n + 1)}}
+    table = _text_tables(n)[0]
     cells = []
     for lineno, line in rows:
         tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} tokens, got {len(tokens)}", lineno)
-        values = [tokens_to_values.get(token, 0) for token in tokens]
+        values = list(map(table.get, tokens, repeat(0, n)))
         if 0 in values:  # a token outside the canonical spellings
             values = [_parse_token(token, n, lineno, c) for c, token in enumerate(tokens, 1)]
         cells.append(values)
@@ -450,9 +429,16 @@ def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:
     return value
 
 
+@lru_cache(maxsize=32)
+def _text_tables(n: int) -> tuple[dict[str, Optional[int]], dict[Optional[int], str]]:
+    """Token -> entry and entry -> token for side n; shared between calls,
+    so callers only read them."""
+    names = {None: ".", **{v: str(v) for v in range(1, n + 1)}}
+    return {"0": None, **{name: v for v, name in names.items()}}, names
+
+
 def render(grid: SudokuGrid) -> str:
     """Canonical text form: single spaces, "." for empty, k=<int> header."""
-    lines = [f"k={grid.order.k}"]
-    for row in grid.rows():
-        lines.append(" ".join("." if v is None else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    names = _text_tables(grid.order.n)[1]
+    lines = [" ".join(map(names.__getitem__, row)) for row in grid._cells]
+    return f"k={grid.order.k}\n" + "\n".join(lines) + "\n"

@@ -200,7 +200,7 @@ def reference_validate(grid) -> Violation | None:
             if v is None:
                 continue
             here = CellRef(r, c)
-            if not isinstance(v, int) or not (1 <= v <= n):
+            if type(v) is not int or not (1 <= v <= n):
                 return Violation("malformed", here, here)
             b = ((r - 1) // k) * k + (c - 1) // k
             partners = [
@@ -225,6 +225,34 @@ def reference_validate(grid) -> Violation | None:
             first_in_col.setdefault((c, v), here)
             first_in_block.setdefault((b, v), here)
     return None
+
+
+def reference_render(grid) -> str:
+    """The text form written out cell by cell: a ``k=<int>`` header, then
+    each row's entries as decimals or "." joined by single spaces."""
+    lines = [f"k={grid.order.k}"]
+    for row in grid.rows():
+        lines.append(" ".join("." if v is None else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_pq_rectangle(grid) -> tuple[int, int] | None:
+    """``is_pq_rectangle`` as a row-by-row scan: (p, q) if exactly the
+    top-left p×q region is filled, (0, 0) if nothing is."""
+    n = grid.order.n
+    cells = grid.rows()
+    p, q = 0, None
+    for r in range(n):
+        filled_cols = [c for c, v in enumerate(cells[r]) if v is not None]
+        if not filled_cols:
+            if any(v is not None for row in cells[r + 1 :] for v in row):
+                return None
+            break
+        if filled_cols != list(range(len(filled_cols))) or q not in (None, len(filled_cols)):
+            return None
+        q = len(filled_cols)
+        p += 1
+    return (p, q) if q is not None else (0, 0)
 
 
 def reference_units(grid) -> tuple[list[set], list[set], list[set], int]:
@@ -466,6 +494,16 @@ def recount_matching(
     return tuple(left) == demand.left_quota and tuple(right) == demand.right_quota
 
 
+def max_degree(g: BipartiteGraph) -> int:
+    """The largest number of edges at one vertex, either side."""
+    left = [0] * g.left_count
+    right = [0] * g.right_count
+    for u, v in g.edges:
+        left[u] += 1
+        right[v] += 1
+    return max(left + right, default=0)
+
+
 def coloring_is_proper(g: BipartiteGraph, colors: Sequence[int]) -> bool:
     if len(colors) != len(g.edges):
         return False
@@ -518,7 +556,7 @@ def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
     stacks on every call, down to degree 1."""
     if not g.edges:
         return ()
-    delta = g.max_degree()
+    delta = max_degree(g)
     side = max(g.left_count, g.right_count)
     left_deg = [0] * side
     right_deg = [0] * side

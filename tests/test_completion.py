@@ -319,6 +319,32 @@ def test_clashing_stage2_coloring_raises_completion_error(monkeypatch, coloring)
     assert not all(proper)
 
 
+def test_pipeline_runs_on_masks_and_whole_rows(monkeypatch):
+    # stage 2 and the widening take stage 1's masks as they are and write
+    # whole rows: no mask -> value list round trip, no per-cell write
+    grids, blocks = [], []
+    for k in range(2, 7):
+        n = k * k
+        square = complete_randomized(SudokuGrid(k), k)
+        cuts = sorted({1, k - 1, k + 1, n // 2 + 1, n - 1})
+        grids += [SudokuGrid(k)] + [truncate_rows(square, m) for m in cuts]
+        for m in cuts + [n]:
+            rows = [row[:k] + (None,) * (n - k) for row in square.rows()[:m]]
+            blocks.append(SudokuGrid.from_rows(k, rows + [(None,) * n] * (n - m)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow path taken")
+
+    monkeypatch.setattr(completion, "_mask_values", refuse)
+    monkeypatch.setattr(SudokuGrid, "set", refuse)
+    for grid in grids:
+        for out in [complete(grid)] + [complete_randomized(grid, seed) for seed in range(3)]:
+            assert out.is_full() and validate(out) is None
+    for block in blocks:
+        wide = extend_column_blocks(block)
+        assert validate(wide) is None and wide.filled_count == block.filled_count * block.order.k
+
+
 def test_randomized_completion_reproducible_and_varied():
     first = complete_randomized(SudokuGrid(3), 11)
     second = complete_randomized(SudokuGrid(3), 11)

@@ -15,6 +15,8 @@ from oracles import (
     can_place,
     in_column,
     reference_parse,
+    reference_pq_rectangle,
+    reference_render,
     reference_units,
     reference_validate,
     row_values,
@@ -26,6 +28,7 @@ from sudorect import (
     ParseError,
     RectShape,
     SudokuGrid,
+    Violation,
     complete,
     complete_randomized,
     construct_lemma2,
@@ -87,6 +90,15 @@ def test_malformed_entry_detected_by_validate():
     assert not g.audit()
 
 
+def test_validate_reports_a_planted_bool_as_malformed():
+    g = SudokuGrid(2)
+    g._cells[0][0] = True  # simulate drift past the API; True == 1 as an int
+    g._filled = 1
+    expected = Violation("malformed", CellRef(1, 1), CellRef(1, 1))
+    assert validate(g) == reference_validate(g) == expected
+    assert not g.audit()
+
+
 def test_validate_is_pure(figure1):
     first = validate(figure1)
     second = validate(figure1)
@@ -109,9 +121,11 @@ def test_writers_and_audit_reject_bools():
     g = SudokuGrid(2)
     with pytest.raises(GridError, match="True"):
         g.set(1, 1, True)
+    g.set(1, 2, 2)
     with pytest.raises(GridError, match="False"):
-        g.set_many([(1, 2, 2), (1, 1, False)])
-    assert g.rows()[0] == (None, 2, None, None) and g.filled_count == 1
+        g.fill_rows(2, [[1, 2, 3, False]])
+    assert g.rows()[0] == (None, 2, None, None) and g.rows()[2] == (None,) * 4
+    assert g.filled_count == 1
     assert g.audit()
     g._cells[0][0] = True  # simulate drift past the API
     g._filled += 1
@@ -161,6 +175,18 @@ def test_pq_rectangle_rejects_ragged_fill():
     g.set(1, 1, 1)
     g.set(2, 2, 1)
     assert is_pq_rectangle(g) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 3), data=st.data())
+def test_pq_rectangle_matches_the_row_scan(k, data):
+    n = k * k
+    p, q = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    filled = {(r, c) for r in range(p) for c in range(q)}
+    flips = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    filled ^= set(data.draw(st.lists(flips, max_size=2)))
+    grid = SudokuGrid.from_rows(k, [[1 if (r, c) in filled else None for c in range(n)] for r in range(n)])
+    assert is_pq_rectangle(grid) == reference_pq_rectangle(grid)
 
 
 # -- truncation --------------------------------------------------------------
@@ -371,40 +397,61 @@ def test_from_rows_raises_as_a_per_cell_set_loop(case):
 
 
 @st.composite
-def placement_runs(draw) -> tuple[int, list, list]:
-    """k, a few cells already filled, and placements that mostly fit but
-    may hit a filled cell, an index outside 1..n or a value ``set`` refuses
-    or accepts unusually (a bool)."""
+def row_fills(draw) -> tuple[int, list, int, list]:
+    """k, a few cells already filled, and whole rows to write below row
+    ``top``: pattern rows that mostly fit, but may land on a filled cell,
+    reach past row n, leave a hole, or hold a value that ``set`` refuses or
+    accepts unusually (a bool)."""
     k = draw(st.integers(2, 3))
     n = k * k
     cell = st.tuples(st.integers(1, n), st.integers(1, n))
-    filled = draw(st.lists(st.tuples(cell, st.integers(1, n)), max_size=4))
-    index = st.one_of(st.integers(1, n), st.sampled_from([0, n + 1]))
-    value = st.one_of(st.integers(1, n), st.sampled_from([0, n + 1, True, 2.0]))
-    placements = draw(st.lists(st.tuples(index, index, value), max_size=12))
-    return k, filled, placements
+    filled = draw(st.lists(st.tuples(cell, st.integers(1, n)), max_size=2))
+    top = draw(st.integers(0, n))
+    rows = [[(r * k + c) % n + 1 for c in range(n)] for r in range(draw(st.integers(0, 3)))]
+    bad = st.sampled_from([None, 0, n + 1, True, 2.0])
+    for r, c, value in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, n - 1), bad), max_size=2)):
+        if r < len(rows):
+            rows[r][c] = value
+    return k, filled, top, rows
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=placement_runs())
-def test_set_many_acts_as_a_per_placement_set_loop(case):
-    k, filled, placements = case
-    expected = SudokuGrid(k)
+@given(case=row_fills())
+def test_fill_rows_acts_as_a_per_cell_set_loop(case):
+    k, filled, top, rows = case
+    grid = SudokuGrid(k)
     for (row, col), value in filled:
-        if expected.get(row, col) is None:
-            expected.set(row, col, value)
-    grid = expected.copy()
+        if grid.get(row, col) is None:
+            grid.set(row, col, value)
+    before = grid.copy()
+    expected = grid.copy()
     try:
-        for placement in placements:
-            expected.set(*placement)
-    except GridError as exc:
+        n = expected.order.n
+        assert top + len(rows) <= n, "past the last row"
+        span = range(top + 1, top + len(rows) + 1)
+        assert all(expected.get(r, c) is None for r in span for c in range(1, n + 1)), "filled"
+        for r, row in enumerate(rows, start=top + 1):
+            for c, value in enumerate(row, start=1):
+                expected.set(r, c, value)  # refuses a hole
+    except (AssertionError, GridError) as exc:
         with pytest.raises(GridError) as got:
-            grid.set_many(placements)
-        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            grid.fill_rows(top, rows)
+        if isinstance(exc, GridError):
+            assert str(got.value) == str(exc)  # the first value set refuses
+        assert grid == before and grid.filled_count == before.filled_count
     else:
-        grid.set_many(placements)
-    assert grid == expected and grid.filled_count == expected.filled_count
+        grid.fill_rows(top, rows)
+        assert grid == expected and grid.filled_count == expected.filled_count
     assert grid.audit()
+
+
+def test_fill_rows_checks_the_row_shape():
+    g = SudokuGrid(2)
+    for top, rows in ((-1, [[1, 2, 3, 4]]), (0, [[1, 2, 3]]), (3, [[1, 2, 3, 4]] * 2)):
+        with pytest.raises(GridError, match="rows of 4 entries"):
+            g.fill_rows(top, rows)
+    assert g == SudokuGrid(2)
+
 
 @st.composite
 def grid_bodies(draw) -> tuple[int, list[str]]:
@@ -495,6 +542,31 @@ def planted_grids(draw) -> SudokuGrid:
     for r, c, value in draw(st.lists(pokes, max_size=2)):
         grid._cells[r][c] = value  # simulate drift past the API
     return grid
+
+
+@st.composite
+def grids_with_holes(draw) -> SudokuGrid:
+    """A relabelled pattern square for k = 1..5 with some cells cleared."""
+    k = draw(st.integers(1, 5))
+    n = k * k
+    labels = draw(st.permutations(range(1, n + 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keep = draw(st.floats(0.0, 1.0))
+    return SudokuGrid.from_rows(k, [
+        [labels[((r % k) * k + r // k + c) % n] if rng.random() < keep else None for c in range(n)]
+        for r in range(n)
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=grids_with_holes())
+def test_render_equals_the_per_cell_render(grid):
+    assert render(grid) == reference_render(grid)
+
+
+def test_render_equals_the_per_cell_render_on_a_full_k16_square():
+    square = complete(SudokuGrid(16))
+    assert square.is_full() and render(square) == reference_render(square)
 
 
 @settings(max_examples=300, deadline=None)
