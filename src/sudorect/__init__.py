@@ -23,8 +23,6 @@ from .completion import (
     NotCompletable,
     complete,
     complete_randomized,
-    complete_row_block_stage1,
-    complete_row_block_stage2,
     decide_guaranteed,
     extend_column_blocks,
     verify_certificate,
@@ -34,7 +32,6 @@ from .constructions import (
     CounterexampleReport,
     canonical_partition,
     construct_counterexample,
-    construct_lemma2,
     figure1_fixture,
 )
 from .counting import (
@@ -86,10 +83,7 @@ __all__ = [
     "canonical_partition",
     "complete",
     "complete_randomized",
-    "complete_row_block_stage1",
-    "complete_row_block_stage2",
     "construct_counterexample",
-    "construct_lemma2",
     "count_completions",
     "decide_guaranteed",
     "degree_matching",

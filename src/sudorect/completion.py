@@ -19,10 +19,8 @@ column block from the grid when stage 1 first reaches it, and then ORs in
 the values stage 1 gives each column, so later row blocks read nothing.
 Stage 2 takes stage 1's masks as they are: it peels their bits into the
 (column, value) edges, colours them, and writes the row block's new rows
-whole through :meth:`SudokuGrid.fill_rows`; the widening builds its
-(row, value) edges from its masks the same way.  The public
-:func:`complete_row_block_stage1` and :func:`complete_row_block_stage2`
-check their inputs and run the same cores.
+whole through :meth:`SudokuGrid.fill_rows`.  The widening colours its rows'
+assigned masks through the same ``_stage2``, so each stage has one copy.
 """
 
 from __future__ import annotations
@@ -133,43 +131,6 @@ def _relabel(mask: int, to: list[int]) -> int:
     return out
 
 
-def complete_row_block_stage1(
-    grid: SudokuGrid,
-    shape: RectShape,
-    block: BlockIndex,
-    rng: random.Random | None = None,
-) -> Union[dict[int, list[int]], NotCompletable]:
-    """Assign k−r fresh values to every column of one block.
-
-    Returns {absolute column -> sorted values} on success, or the
-    deficient-set witness.  ``shape`` describes the filled rows of the
-    row block being extended (r = 0 for a fully empty row block): each
-    column of the block must be filled in rows 1..m and empty in the rest
-    of the block.  Rows below the block are taken to be empty, as in an
-    m-rectangle, and are not read.  The matching runs on value masks; with
-    ``rng`` it runs under a random order of the value bits, drawn once per
-    call.
-    """
-    k, n = grid.order.k, grid.order.n
-    if not (1 <= block.block_row <= k and 1 <= block.block_col <= k):
-        raise CompletionError(f"block {tuple(block)} outside 1..{k}")
-    if block.block_row != shape.l + 1:
-        raise CompletionError(
-            f"block row {block.block_row} is not the open row block {shape.l + 1}"
-        )
-    columns = grid.block_columns(block.block_col, block.block_row * k)
-    m = shape.m
-    if any(None in column[:m] or any(column[m:]) for column in columns):  # values are >= 1
-        raise CompletionError(f"block {tuple(block)} is not filled in exactly rows 1..{m}")
-    present, masks = _block_masks(columns, n)
-    offered = ((1 << n) - 1) & ~present
-    outcome = _stage1(block, k - shape.r, offered, masks, rng)
-    if isinstance(outcome, NotCompletable):
-        return outcome
-    left = (block.block_col - 1) * k
-    return {left + j: _mask_values(mask) for j, mask in enumerate(outcome, start=1)}
-
-
 def _stage1(
     block: BlockIndex,
     quota: int,
@@ -213,50 +174,18 @@ def _stage1(
     )
 
 
-def complete_row_block_stage2(
-    order_k: int,
-    shape: RectShape,
-    assignments: dict[int, list[int]],
-    rng: random.Random | None = None,
-) -> list[tuple[int, int, int]]:
-    """Place every assigned value into a specific empty row of the row block.
-
-    ``assignments`` must cover all n columns with exactly k−r values each
-    and use every value exactly k−r times (a (k−r)-regular bipartite
-    graph); its edge coloring with k−r colors names the rows.  Returns
-    (row, column, value) placements for rows l·k+r+1 .. (l+1)·k, row-major.
-    """
-    k = order_k
-    n = k * k
-    quota = k - shape.r
-    if sorted(assignments) != list(range(1, n + 1)):
-        raise CompletionError("assignments must cover every column once")
-    in_range = set(range(1, n + 1))
-    masks = []
-    for col in range(1, n + 1):
-        values = assignments[col]
-        if len(values) != quota:
-            raise CompletionError(f"column {col} got {len(values)} values, expected {quota}")
-        if not in_range.issuperset(values):
-            raise CompletionError(f"column {col} got a value outside 1..{n}")
-        if len(set(values)) != quota:
-            raise CompletionError(f"column {col} got a value twice")
-        masks.append(sum(1 << (v - 1) for v in values))
-    base_row = shape.l * k + shape.r
-    rows = _stage2(k, quota, masks, rng)  # refuses assignments that are not value-regular
-    return [(base_row + i, col, v) for i, row in enumerate(rows, 1) for col, v in enumerate(row, 1)]
-
-
 def _stage2(k: int, quota: int, masks: list[int], rng: random.Random | None) -> list[list[int]]:
-    """Stage 2 on the n columns' stage-1 value masks: the ``quota`` new rows.
+    """Stage 2 on one value mask per left vertex: ``quota`` lists of
+    ``len(masks)`` entries, one per colour.
 
-    The (column, value) edges, in column order and increasing value order,
-    are coloured with ``quota`` colours, and each colour names a new row.
-    With ``rng`` the edge list is shuffled before colouring.  A value used
-    more than ``quota`` times needs a colour past ``quota``; a colouring
-    that clashes leaves a hole in some row, which the writer refuses.
+    The (left vertex, value) edges, in mask order and increasing value
+    order, are coloured with ``quota`` colours.  In the pipeline the masks
+    are the n columns' stage-1 values and each colour names a new row; in
+    the widening they are the rows' assigned values and each colour names a
+    new column.  With ``rng`` the edge list is shuffled before colouring.  A
+    value used more than ``quota`` times needs a colour past ``quota``; a
+    colouring that clashes leaves a hole (None), which the callers refuse.
     """
-    n = k * k
     edges = []
     for c, mask in enumerate(masks):
         if mask.bit_count() != quota:
@@ -267,10 +196,10 @@ def _stage2(k: int, quota: int, masks: list[int], rng: random.Random | None) -> 
             mask ^= low
     if rng is not None:
         rng.shuffle(edges)
-    colors = edge_color(BipartiteGraph._trusted(n, n, tuple(edges)))
+    colors = edge_color(BipartiteGraph._trusted(len(masks), k * k, tuple(edges)))
     if max(colors, default=0) > quota:
         raise CompletionError("assignments are not value-regular; stage-1 bug")
-    rows: list[list] = [[None] * n for _ in range(quota)]
+    rows: list[list] = [[None] * len(masks) for _ in range(quota)]
     for (c, vi), color in zip(edges, colors):
         rows[color - 1][c] = vi + 1
     return rows
@@ -404,8 +333,9 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
     every block of the scratch column is full (the padding may break column
     uniqueness, which is why this works on a raw matrix).  Each further
     column block is then produced by a k-to-1 row/value matching per row
-    block followed by a k-color edge coloring that names the new column for
-    every (row, value) pair.  The padding rows are dropped at the end.
+    block followed by :func:`_stage2` on the rows' assigned masks, whose k
+    colours name the new column for every (row, value) pair.  The padding
+    rows are dropped at the end.
     """
     violation = validate(grid)
     if violation is not None:
@@ -435,31 +365,23 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
     block_count = height // k
     for t in range(1, k):
         # stage 1: per row block, give each row k values it does not contain
-        edges = []
+        assigned: list[int] = []
         for b in range(block_count):
-            rows = range(b * k, (b + 1) * k)
-            assigned, reached = _assign_on_masks(
-                [full & ~row_masks[row] for row in rows], k, full
+            outcome, reached = _assign_on_masks(
+                [full & ~mask for mask in row_masks[b * k : (b + 1) * k]], k, full
             )
             if reached:
                 raise CompletionError(
                     f"column block {t + 1}, row block {b + 1}: matching infeasible; bug"
                 )
-            for row, mask in zip(rows, assigned):
-                row_masks[row] |= mask
-                while mask:
-                    low = mask & -mask
-                    edges.append((row, low.bit_length() - 1))
-                    mask ^= low
-        # stage 2: color (row, value) pairs with k colors = the k new columns
-        graph = BipartiteGraph._trusted(height, n, tuple(edges))
-        colors = edge_color(graph)
-        for row in range(height):
-            matrix[row].extend([0] * k)
-        for (row, vi), color in zip(graph.edges, colors):
-            matrix[row][t * k + color - 1] = vi + 1
-        if any(0 in row[t * k :] for row in matrix):
+            assigned += outcome
+        # stage 2: colour the (row, value) pairs with k colours = the k new columns
+        columns = _stage2(k, k, assigned, None)
+        if any(None in column for column in columns):
             raise CompletionError(f"column block {t + 1} left a hole; coloring bug")
+        for row, values in zip(matrix, zip(*columns)):
+            row.extend(values)
+        row_masks = [old | new for old, new in zip(row_masks, assigned)]
 
     out = SudokuGrid.from_rows(k, matrix[:m] + [[None] * n] * (n - m))
     violation = validate(out)

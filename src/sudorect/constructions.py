@@ -7,7 +7,9 @@ cells demand.  The column block is then widened to the full m×n rectangle
 (which preserves non-completability, since the obstruction lives entirely
 in the first column block).
 
-There are three structural recipes, selected by the shape:
+Every recipe works on raw matrices stacked from Lemma 2 building blocks
+(:func:`_lemma2_matrix`, a rotation of disjoint value parts).  There are
+three structural recipes, selected by the shape:
 
 * case "a" (l < k/2): two stacked building-block rectangles over disjoint
   value halves, with the trailing rows of the right part recycled into
@@ -37,7 +39,7 @@ from .completion import (
     extend_column_blocks,
     verify_certificate,
 )
-from .grid import SudokuGrid, validate
+from .grid import SudokuGrid
 
 
 class ConstructionError(Exception):
@@ -59,47 +61,18 @@ def canonical_partition(k: int, count: int, start: int = 1) -> list[list[int]]:
     return [list(range(start + i * k, start + (i + 1) * k)) for i in range(count)]
 
 
-def construct_lemma2(
-    a: int, b: int, k: int, parts: Sequence[Sequence[int]] | None = None
-) -> SudokuGrid:
-    """Rectangle on a·k rows × b columns from an ordered value partition.
-
-    Column j+1 of block row i+1 holds part (i+j) mod c in increasing order,
-    where c = max(a, b).  The columns of one block row then carry pairwise
-    disjoint parts (block and row conditions), and so do the block rows of
-    one column (column condition).
-    """
-    if k < 2:
-        raise ConstructionError("constructions need k >= 2")
-    if not (1 <= a <= k and 1 <= b <= k):
-        raise ConstructionError(f"need 1 <= a,b <= {k}, got a={a}, b={b}")
-    c = max(a, b)
-    if parts is None:
-        parts = canonical_partition(k, c)
-    parts = [sorted(p) for p in parts]
-    if len(parts) != c:
-        raise ConstructionError(f"expected {c} parts, got {len(parts)}")
-    seen: set[int] = set()
-    n = k * k
-    for part in parts:
-        if len(part) != k or len(set(part)) != k:
-            raise ConstructionError("every part must hold k distinct values")
-        if seen & set(part):
-            raise ConstructionError("parts must be pairwise disjoint")
-        if any(not (1 <= v <= n) for v in part):
-            raise ConstructionError(f"part values must lie in 1..{n}")
-        seen |= set(part)
-    grid = _matrix_to_grid(_lemma2_matrix(a, b, k, parts), k)
-    violation = validate(grid)
-    if violation is not None:
-        raise ConstructionError(f"building block invalid: {violation.describe()}")
-    return grid
-
-
 def _lemma2_matrix(
     a: int, b: int, k: int, parts: Sequence[Sequence[int]]
 ) -> list[list[int]]:
-    """Raw a·k × b matrix of the rotation pattern (parts already ordered)."""
+    """The paper's Lemma 2 building block: a raw a·k × b matrix from c =
+    max(a, b) ordered parts of k values each.
+
+    Column j+1 of block row i+1 holds part (i+j) mod c in the given order.
+    The columns of one block row then carry pairwise disjoint parts (block
+    and row conditions), and so do the block rows of one column (column
+    condition).  The recipes pass well-formed parts; the widening validates
+    what they build.
+    """
     c = max(a, b)
     rows = [[0] * b for _ in range(a * k)]
     for i in range(a):

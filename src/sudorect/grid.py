@@ -53,7 +53,7 @@ class Order:
     __slots__ = ("k", "n")
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise GridError(f"block side must be a positive integer, got {k!r}")
         self.k = k
         self.n = k * k

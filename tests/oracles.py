@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch against the raw
 definitions, without touching the package's algorithms, so the main code
-paths can be cross-checked against a second opinion.
+paths can be cross-checked against a second opinion.  The one exception is
+:func:`core_stage1`, a driver that runs the pipeline's own stage 1 on one
+block of a grid, so that tests can hold it against the oracles.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from sudorect import (
     Violation,
     degree_matching,
 )
+from sudorect import completion
 
 
 def sud4_brute_force() -> set[tuple[tuple[int, ...], ...]]:
@@ -547,6 +550,23 @@ def reference_stage1(grid, shape, block: BlockIndex):
         ci, vi = graph.edges[e]
         assigned[cols[ci]].append(values[vi])
     return {col: sorted(vals) for col, vals in assigned.items()}
+
+
+def core_stage1(grid, shape, block: BlockIndex, rng=None):
+    """``completion._stage1`` on one block of ``grid``, read through
+    ``_block_masks`` as the pipeline reads it; ``shape`` describes the
+    filled rows of the open row block.  {column -> sorted values} or the
+    deficient-set witness."""
+    k, n = grid.order.k, grid.order.n
+    present, masks = completion._block_masks(
+        grid.block_columns(block.block_col, block.block_row * k), n
+    )
+    offered = ((1 << n) - 1) & ~present
+    outcome = completion._stage1(block, k - shape.r, offered, masks, rng)
+    if isinstance(outcome, NotCompletable):
+        return outcome
+    left = (block.block_col - 1) * k
+    return {left + j: completion._mask_values(mask) for j, mask in enumerate(outcome, 1)}
 
 
 def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coloring_is_proper, count_extensions_4x4, sud4_brute_force
+from oracles import coloring_is_proper, core_stage1, count_extensions_4x4, sud4_brute_force
 from sudorect import completion
 from sudorect import (
     BlockIndex,
@@ -19,10 +19,7 @@ from sudorect import (
     SudokuGrid,
     complete,
     complete_randomized,
-    complete_row_block_stage1,
-    complete_row_block_stage2,
     construct_counterexample,
-    construct_lemma2,
     decide_guaranteed,
     extend_column_blocks,
     figure1_fixture,
@@ -32,6 +29,7 @@ from sudorect import (
     validate,
     verify_certificate,
 )
+from sudorect.constructions import _lemma2_matrix, _matrix_to_grid, canonical_partition
 
 
 # -- decide_guaranteed ---------------------------------------------------------
@@ -74,7 +72,7 @@ def test_decide_range_errors():
 
 def test_stage1_figure1_block1_infeasible(figure1):
     shape = is_m_rectangle(figure1)
-    outcome = complete_row_block_stage1(figure1, shape, BlockIndex(2, 1))
+    outcome = core_stage1(figure1, shape, BlockIndex(2, 1))
     assert isinstance(outcome, NotCompletable)
     assert 1 in outcome.columns
     assert verify_certificate(figure1, outcome)
@@ -84,7 +82,7 @@ def test_stage1_figure1_prefix_partitions_all_values(figure1):
     prefix = truncate_rows(figure1, 3)
     shape = is_m_rectangle(prefix)
     assert shape.r == 0
-    outcome = complete_row_block_stage1(prefix, shape, BlockIndex(2, 1))
+    outcome = core_stage1(prefix, shape, BlockIndex(2, 1))
     assert isinstance(outcome, dict)
     sets = [outcome[col] for col in (1, 2, 3)]
     assert all(len(s) == 3 for s in sets)
@@ -102,7 +100,7 @@ def test_stage1_forced_split_matches_exhaustive_assignments():
     for c, v in enumerate((3, 4, 1, 2), start=1):
         grid.set(2, c, v)
     shape = is_m_rectangle(grid)
-    outcome = complete_row_block_stage1(grid, shape, BlockIndex(2, 1))
+    outcome = core_stage1(grid, shape, BlockIndex(2, 1))
     # brute force: every way to give each column two fresh values with the
     # block's values pairwise distinct
     valid = []
@@ -117,26 +115,6 @@ def test_stage1_forced_split_matches_exhaustive_assignments():
             valid.append({1: sorted(c1), 2: sorted(c2)})
     assert valid == [{1: [2, 4], 2: [1, 3]}]
     assert outcome == valid[0]
-
-
-def test_stage1_wrong_block_row_is_contract_error(figure1):
-    shape = is_m_rectangle(figure1)
-    with pytest.raises(CompletionError):
-        complete_row_block_stage1(figure1, shape, BlockIndex(3, 1))
-
-
-@pytest.mark.parametrize("block", [BlockIndex(1, 0), BlockIndex(1, 3), BlockIndex(0, 1)])
-def test_stage1_block_outside_the_grid_is_contract_error(block):
-    with pytest.raises(CompletionError, match="outside 1..2"):
-        complete_row_block_stage1(SudokuGrid(2), RectShape.of(0, 2), block)
-
-
-@pytest.mark.parametrize("m, block", [(0, BlockIndex(1, 1)), (2, BlockIndex(2, 1))])
-def test_stage1_shape_that_misdescribes_the_block_is_contract_error(m, block):
-    # row 1 is filled, but m = 0 says it is empty and m = 2 that row 2 is filled
-    grid = truncate_rows(complete(SudokuGrid(2)), 1)
-    with pytest.raises(CompletionError, match=f"not filled in exactly rows 1..{m}"):
-        complete_row_block_stage1(grid, RectShape.of(m, 2), block)
 
 
 def test_completion_reads_each_column_block_once_and_only_when_reached(monkeypatch, figure1):
@@ -162,6 +140,11 @@ def test_completion_reads_each_column_block_once_and_only_when_reached(monkeypat
 # -- stage 2 -------------------------------------------------------------------
 
 
+def _column_masks(assignments: dict[int, list[int]]) -> list[int]:
+    """Stage 1's {column -> values} as the value masks ``_stage2`` takes."""
+    return [sum(1 << (v - 1) for v in assignments[col]) for col in sorted(assignments)]
+
+
 def test_stage2_two_cycles_pick_one_of_the_valid_fillings():
     grid = SudokuGrid(2)
     for c, v in enumerate((1, 2, 3, 4), start=1):
@@ -171,10 +154,11 @@ def test_stage2_two_cycles_pick_one_of_the_valid_fillings():
     shape = is_m_rectangle(grid)
     assignments = {}
     for d in (1, 2):
-        part = complete_row_block_stage1(grid, shape, BlockIndex(2, d))
+        part = core_stage1(grid, shape, BlockIndex(2, d))
         assert isinstance(part, dict)
         assignments.update(part)
-    placements = complete_row_block_stage2(2, shape, assignments)
+    masks = _column_masks(assignments)
+    rows = completion._stage2(2, 2 - shape.r, masks, None)
     # oracle: enumerate every row-3/row-4 split of each column's pair that
     # keeps both rows duplicate-free
     valid_fillings = []
@@ -185,12 +169,8 @@ def test_stage2_two_cycles_pick_one_of_the_valid_fillings():
         if len(set(row3)) == 4 and len(set(row4)) == 4:
             valid_fillings.append((tuple(row3), tuple(row4)))
     assert len(valid_fillings) == 4  # two independent 4-cycles, 2 choices each
-    got_row3 = [None] * 4
-    got_row4 = [None] * 4
-    for row, col, value in placements:
-        (got_row3 if row == 3 else got_row4)[col - 1] = value
-    assert (tuple(got_row3), tuple(got_row4)) in valid_fillings
-    assert placements == complete_row_block_stage2(2, shape, assignments)
+    assert tuple(map(tuple, rows)) in valid_fillings
+    assert rows == completion._stage2(2, 2 - shape.r, masks, None)
 
 
 def test_stage2_one_empty_row_is_forced():
@@ -200,31 +180,23 @@ def test_stage2_one_empty_row_is_forced():
     assert shape.r == 1
     assignments = {}
     for d in (1, 2):
-        part = complete_row_block_stage1(grid, shape, BlockIndex(2, d))
+        part = core_stage1(grid, shape, BlockIndex(2, d))
         assert isinstance(part, dict)
         assignments.update(part)
-    placements = complete_row_block_stage2(2, shape, assignments)
-    assert sorted(placements) == sorted(
-        (4, col, assignments[col][0]) for col in range(1, 5)
-    )
+    rows = completion._stage2(2, 2 - shape.r, _column_masks(assignments), None)
+    assert rows == [[assignments[col][0] for col in range(1, 5)]]
 
 
 def test_stage2_rejects_irregular_assignments():
-    lopsided = {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [1, 4]}
-    repeated = {1: [1, 1], 2: [2, 2], 3: [3, 3], 4: [4, 4]}  # value-regular
-    for shape, assignments in ((RectShape.of(2, 2), lopsided), (RectShape.of(0, 2), repeated)):
-        with pytest.raises(CompletionError):
-            complete_row_block_stage2(2, shape, assignments)
+    # two values per column, but value 4 three times: a third colour is needed
+    lopsided = _column_masks({1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [1, 4]})
+    with pytest.raises(CompletionError, match="not value-regular"):
+        completion._stage2(2, 2, lopsided, None)
+    # value-regular, but one value per column where the quota is two
+    short = _column_masks({1: [1], 2: [2], 3: [3], 4: [4]})
+    with pytest.raises(CompletionError, match="column 1 got 1 values, expected 2"):
+        completion._stage2(2, 2, short, None)
 
-
-
-@pytest.mark.parametrize("bad", [0, -1, 5])
-def test_stage2_rejects_values_outside_the_range(bad):
-    shape = RectShape.of(2, 2)
-    assignments = {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [1, 3]}
-    assignments[4] = [1, bad]
-    with pytest.raises(CompletionError, match="outside 1..4"):
-        complete_row_block_stage2(2, shape, assignments)
 
 def test_stage2_completes_figure1_prefix_to_full_square(figure1):
     prefix = truncate_rows(figure1, 3)
@@ -319,6 +291,15 @@ def test_clashing_stage2_coloring_raises_completion_error(monkeypatch, coloring)
     assert not all(proper)
 
 
+def test_widening_refuses_a_coloring_that_leaves_a_hole(monkeypatch):
+    square = complete(SudokuGrid(3))
+    rows = [row[:3] + (None,) * 6 for row in square.rows()[:5]]
+    block = SudokuGrid.from_rows(3, rows + [(None,) * 9] * 4)
+    monkeypatch.setattr(completion, "edge_color", _all_color_one)
+    with pytest.raises(CompletionError, match="column block 2 left a hole"):
+        extend_column_blocks(block)
+
+
 def test_pipeline_runs_on_masks_and_whole_rows(monkeypatch):
     # stage 2 and the widening take stage 1's masks as they are and write
     # whole rows: no mask -> value list round trip, no per-cell write
@@ -358,12 +339,45 @@ def test_randomized_completion_reproducible_and_varied():
 
 
 def test_extend_keeps_first_column_block():
-    grid = construct_lemma2(a=1, b=3, k=3)
+    grid = _matrix_to_grid(_lemma2_matrix(1, 3, 3, canonical_partition(3, 3)), 3)
     wide = extend_column_blocks(grid)
     assert is_m_rectangle(wide) == RectShape(m=3, l=1, r=0)
     for r in range(1, 4):
         for c in range(1, 4):
             assert wide.get(r, c) == grid.get(r, c)
+
+
+def test_widening_colours_each_new_column_block_through_stage2(monkeypatch):
+    # one copy of stage 2: the widening calls _stage2 once per new column
+    # block on the padded height, and never colours on its own
+    stage2, edge_color = completion._stage2, completion.edge_color
+    calls, inside = [], []
+
+    def counted_stage2(k, quota, masks, rng):
+        calls.append((quota, len(masks)))
+        inside.append(True)
+        try:
+            return stage2(k, quota, masks, rng)
+        finally:
+            inside.pop()
+
+    def guarded_edge_color(graph):
+        assert inside, "edge_color called outside _stage2"
+        return edge_color(graph)
+
+    monkeypatch.setattr(completion, "_stage2", counted_stage2)
+    monkeypatch.setattr(completion, "edge_color", guarded_edge_color)
+    for k in range(2, 6):
+        n = k * k
+        square = complete_randomized(SudokuGrid(k), k)
+        for m in sorted({1, k - 1, k, k + 1, n - 1, n}):
+            rows = [row[:k] + (None,) * (n - k) for row in square.rows()[:m]]
+            block = SudokuGrid.from_rows(k, rows + [(None,) * n] * (n - m))
+            calls.clear()
+            wide = extend_column_blocks(block)
+            assert wide.filled_count == m * n
+            height = -(-m // k) * k
+            assert calls == [(k, height)] * (k - 1), (k, m)
 
 
 def test_extend_full_column_block_gives_full_square():
@@ -552,7 +566,7 @@ def test_seeded_stage1_assigns_eligible_values_and_keeps_the_givens(k, seed, cut
     rng = random.Random(seed)
     for d in range(1, k + 1):
         block = BlockIndex(shape.l + 1, d)
-        got = complete_row_block_stage1(grid, shape, block, rng)
+        got = core_stage1(grid, shape, block, rng)
         offered = set(range(1, n + 1)) - grid.block_values(block)
         assert sorted(got) == [(d - 1) * k + j for j in range(1, k + 1)]
         for col, values in got.items():

@@ -8,7 +8,6 @@ from sudorect import (
     canonical_partition,
     complete,
     construct_counterexample,
-    construct_lemma2,
     count_completions,
     decide_guaranteed,
     is_m_rectangle,
@@ -16,6 +15,7 @@ from sudorect import (
     validate,
     verify_certificate,
 )
+from sudorect.constructions import _lemma2_matrix, _matrix_to_grid
 
 FIGURE1_ROWS = [
     [1, 2, 3, 4, 5, 6, 7, 8, 9],
@@ -53,27 +53,35 @@ def test_fixture_has_zero_completions(figure1):
 # -- building blocks -----------------------------------------------------------
 
 
+def lemma2_grid(a, b, k, parts=None):
+    """The Lemma 2 building block, by default over the canonical partition,
+    as the top-left corner of an otherwise empty grid."""
+    if parts is None:
+        parts = canonical_partition(k, max(a, b))
+    return _matrix_to_grid(_lemma2_matrix(a, b, k, parts), k)
+
+
 def test_lemma2_single_part_column():
-    grid = construct_lemma2(a=1, b=1, k=3, parts=[[1, 2, 3]])
+    grid = lemma2_grid(a=1, b=1, k=3, parts=[[1, 2, 3]])
     assert [grid.get(r, 1) for r in (1, 2, 3)] == [1, 2, 3]
     assert is_pq_rectangle(grid) == (3, 1)
 
 
 def test_lemma2_rotation_k2():
-    grid = construct_lemma2(a=2, b=2, k=2, parts=[[1, 2], [3, 4]])
+    grid = lemma2_grid(a=2, b=2, k=2, parts=[[1, 2], [3, 4]])
     rows = [[grid.get(r, c) for c in (1, 2)] for r in (1, 2, 3, 4)]
     assert rows == [[1, 3], [2, 4], [3, 1], [4, 2]]
     assert validate(grid) is None
 
 
 def test_lemma2_full_row_block_holds_all_values():
-    grid = construct_lemma2(a=1, b=3, k=3, parts=[[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    grid = lemma2_grid(a=1, b=3, k=3, parts=[[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     block = {grid.get(r, c) for r in (1, 2, 3) for c in (1, 2, 3)}
     assert block == set(range(1, 10))
 
 
 def test_lemma2_canonical_partition_default():
-    grid = construct_lemma2(a=2, b=3, k=3)
+    grid = lemma2_grid(a=2, b=3, k=3)
     assert is_pq_rectangle(grid) == (6, 3)
     assert validate(grid) is None
 
@@ -82,7 +90,7 @@ def test_lemma2_canonical_partition_default():
 def test_lemma2_sweep_all_shapes(k):
     for a in range(1, k + 1):
         for b in range(1, k + 1):
-            grid = construct_lemma2(a, b, k)
+            grid = lemma2_grid(a, b, k)
             assert validate(grid) is None, (k, a, b)
             assert is_pq_rectangle(grid) == (a * k, b)
             used = [grid.get(r, c) for r in range(1, a * k + 1) for c in range(1, b + 1)]
@@ -95,19 +103,6 @@ def test_lemma2_sweep_all_shapes(k):
                     for c in range(1, b + 1)
                 ]
                 assert all(x <= 1 for x in per_col)
-
-
-def test_lemma2_errors():
-    with pytest.raises(ConstructionError):
-        construct_lemma2(a=4, b=1, k=3)
-    with pytest.raises(ConstructionError):
-        construct_lemma2(a=1, b=1, k=1)
-    with pytest.raises(ConstructionError):
-        construct_lemma2(a=1, b=2, k=3, parts=[[1, 2, 3]])  # needs 2 parts
-    with pytest.raises(ConstructionError):
-        construct_lemma2(a=1, b=2, k=3, parts=[[1, 2, 3], [3, 4, 5]])  # overlap
-    with pytest.raises(ConstructionError):
-        construct_lemma2(a=1, b=2, k=3, parts=[[1, 2], [3, 4]])  # wrong size
 
 
 def test_canonical_partition_layout():

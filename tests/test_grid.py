@@ -25,13 +25,13 @@ from sudorect import (
     BlockIndex,
     CellRef,
     GridError,
+    Order,
     ParseError,
     RectShape,
     SudokuGrid,
     Violation,
     complete,
     complete_randomized,
-    construct_lemma2,
     is_m_rectangle,
     is_pq_rectangle,
     parse,
@@ -39,6 +39,7 @@ from sudorect import (
     truncate_rows,
     validate,
 )
+from sudorect.constructions import _lemma2_matrix, _matrix_to_grid
 
 
 def test_figure1_is_valid(figure1):
@@ -116,6 +117,15 @@ def test_set_rejects_bad_values_and_occupied_cells():
         g.set(1, 1, 2)
 
 
+def test_order_rejects_bools():
+    # bool is an int subclass; SudokuGrid(True) would render as "k=True"
+    for k in (True, False):
+        with pytest.raises(GridError, match=repr(k)):
+            Order(k)
+        with pytest.raises(GridError, match=repr(k)):
+            SudokuGrid(k)
+
+
 def test_writers_and_audit_reject_bools():
     # bool is an int subclass; True would render as "True", which parse rejects
     g = SudokuGrid(2)
@@ -155,7 +165,7 @@ def test_m_rectangle_rejects_other_patterns():
 
 
 def test_pq_rectangle_of_lemma2_output():
-    grid = construct_lemma2(a=1, b=2, k=3, parts=[[1, 2, 3], [4, 5, 6]])
+    grid = _matrix_to_grid(_lemma2_matrix(1, 2, 3, [[1, 2, 3], [4, 5, 6]]), 3)
     assert is_pq_rectangle(grid) == (3, 2)
 
 
@@ -495,6 +505,28 @@ def test_only_the_grid_module_touches_cells():
         if path.name != "grid.py" and re.search(r"\._cells\b", path.read_text())
     ]
     assert touching == []
+
+
+PUBLIC_NAMES = [
+    "BipartiteGraph", "BlockIndex", "BoundsReport", "CellRef", "Completability",
+    "CompletionError", "ConstructionError", "CountResult", "CounterexampleReport",
+    "CountingError", "DegreeDemand", "GridError", "HallCertificate", "KernelError",
+    "NotCompletable", "Order", "ParseError", "RectShape", "SudokuGrid", "Violation",
+    "canonical_partition", "complete", "complete_randomized", "construct_counterexample",
+    "count_completions", "decide_guaranteed", "degree_matching", "edge_color",
+    "extend_column_blocks", "figure1_fixture", "is_m_rectangle", "is_pq_rectangle",
+    "matching_bounds", "parse", "render", "sudoku_bounds", "truncate_rows", "validate",
+    "verify_certificate",
+]
+
+
+def test_public_names_are_pinned():
+    # the stage cores and the Lemma 2 matrix are private; a new public
+    # name is a decision, not a side effect
+    assert len(PUBLIC_NAMES) == 39
+    assert sudorect.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(sudorect, name).__module__.startswith("sudorect."), name
 
 
 @st.composite

