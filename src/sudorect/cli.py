@@ -42,6 +42,8 @@ def _read_grid(path: str) -> SudokuGrid:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
     return parse(text)
 
 

@@ -11,16 +11,18 @@ first, partial row block is the one and only source of "not completable",
 and it comes with a deficient-column-set certificate that can be replayed
 against the input grid.
 
-Stage 1 and the column-block widening match on value bitmasks with
-``bipartite._assign_on_masks``.  The seeded stage 1 of
+Both stages run in one step, ``_row_block``: stage 1 on each block it is
+handed, on value bitmasks with ``bipartite._assign_on_masks``, then stage 2
+on the union of the assigned masks.  The seeded stage 1 of
 :func:`complete_randomized` runs the same matcher under a random order of
-the value bits.  The pipeline keeps one value mask per column: it reads a
-column block from the grid when stage 1 first reaches it, and then ORs in
-the values stage 1 gives each column, so later row blocks read nothing.
-Stage 2 takes stage 1's masks as they are: it peels their bits into the
-(column, value) edges, colours them, and writes the row block's new rows
-whole through :meth:`SudokuGrid.fill_rows`.  The widening colours its rows'
-assigned masks through the same ``_stage2``, so each stage has one copy.
+the value bits.  The pipeline calls the step once per row block and keeps
+one value mask per column: it reads a column block from the grid when
+stage 1 first reaches it, and the step ORs in the values stage 1 gives each
+column, so later row blocks read nothing.  Stage 2 peels the masks' bits
+into the (column, value) edges, colours them, and the pipeline writes the
+row block's new rows whole through :meth:`SudokuGrid.fill_rows`.  The
+column-block widening is the same step on rows: one call per new column
+block, whose colours name the new columns.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .bipartite import BipartiteGraph, KernelError, _assign_on_masks, edge_color
 from .grid import (
     BlockIndex,
     GridError,
-    RectShape,
     SudokuGrid,
     is_m_rectangle,
     is_pq_rectangle,
@@ -205,45 +206,28 @@ def _stage2(k: int, quota: int, masks: list[int], rng: random.Random | None) -> 
     return rows
 
 
-def _fill_row_block(
-    work: SudokuGrid,
-    shape: RectShape,
-    masks: list[Optional[list[int]]],
+def _row_block(
+    k: int,
+    quota: int,
+    blocks: Iterator[tuple[BlockIndex, int, list[int]]],
     rng: random.Random | None,
-) -> Optional[NotCompletable]:
-    """Run both stages for the row block l+1 of ``work``; None on success.
+) -> Union[list[list[int]], NotCompletable]:
+    """Both stages for one row block: stage 2's rows, or the first witness.
 
-    ``masks`` holds, per column block, the value mask of each of its
-    columns down to the rows filled so far, or None for a column block not
-    read yet.  Stage 1 reads such a block from ``work`` when it reaches
-    it, and ORs the values it gives each column into the column's mask.
-    Stage 2 takes stage 1's masks in column order and writes its rows whole.
+    ``blocks`` yields, per block, its index, its offered values and the
+    value mask of each of its left vertices; stage 1 runs on each in turn
+    and ORs the values it assigns into those masks.  Stage 2 then colours
+    the assigned masks, in the order the blocks came.
     """
-    k, n = work.order.k, work.order.n
-    full = (1 << n) - 1
-    quota = k - shape.r
     assigned: list[int] = []
-    for d in range(1, k + 1):
-        block = BlockIndex(shape.l + 1, d)
-        column_masks = masks[d - 1]
-        if column_masks is None:
-            present, column_masks = _block_masks(work.block_columns(d, block.block_row * k), n)
-            masks[d - 1] = column_masks
-            offered = full & ~present
-        else:
-            offered = full  # a row block after the first is empty
-        outcome = _stage1(block, quota, offered, column_masks, rng)
+    for block, offered, masks in blocks:
+        outcome = _stage1(block, quota, offered, masks, rng)
         if isinstance(outcome, NotCompletable):
             return outcome
         for j, mask in enumerate(outcome):
-            column_masks[j] |= mask
+            masks[j] |= mask
         assigned += outcome
-    # a clash within a new row is caught by the final validate in _complete
-    try:
-        work.fill_rows(shape.m, _stage2(k, quota, assigned, rng))
-    except GridError as exc:
-        raise CompletionError(f"stage 2 produced a bad row block: {exc}") from None
-    return None
+    return _stage2(k, quota, assigned, rng)
 
 
 def _complete(grid: SudokuGrid, rng: random.Random | None) -> CompletionOutcome:
@@ -262,19 +246,31 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
     if shape.m == n:
         return grid.copy()
     work = grid.copy()
+    full = (1 << n) - 1
     masks: list[Optional[list[int]]] = [None] * k
-    if shape.r > 0:
-        failure = _fill_row_block(work, shape, masks, rng)
-        if failure is not None:
-            return failure
-    # every remaining row block is empty; feasibility is guaranteed there
-    start = shape.l + (2 if shape.r > 0 else 1)
-    for b in range(start, k + 1):
-        failure = _fill_row_block(work, RectShape.of((b - 1) * k, k), masks, rng)
-        if failure is not None:
-            raise CompletionError(
-                f"full row block {b} unexpectedly infeasible; pipeline bug"
-            )
+
+    def blocks(b: int) -> Iterator[tuple[BlockIndex, int, list[int]]]:
+        # a column block is read when stage 1 first reaches it; a row block
+        # after the first is empty, so every value is offered there
+        for d in range(1, k + 1):
+            if masks[d - 1] is None:
+                present, masks[d - 1] = _block_masks(work.block_columns(d, b * k), n)
+                yield BlockIndex(b, d), full & ~present, masks[d - 1]
+            else:
+                yield BlockIndex(b, d), full, masks[d - 1]
+
+    for b in range(shape.l + 1, k + 1):
+        top = max(shape.m, (b - 1) * k)
+        outcome = _row_block(k, b * k - top, blocks(b), rng)
+        if isinstance(outcome, NotCompletable):
+            if top % k:
+                return outcome
+            raise CompletionError(f"full row block {b} unexpectedly infeasible; pipeline bug")
+        # a clash within a new row is caught by the final validate below
+        try:
+            work.fill_rows(top, outcome)
+        except GridError as exc:
+            raise CompletionError(f"stage 2 produced a bad row block: {exc}") from None
     if not work.is_full() or validate(work) is not None:
         raise CompletionError("completed grid failed its own validity check")
     return work
@@ -332,8 +328,8 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
     increasing order, the values missing from its bottom partial block, so
     every block of the scratch column is full (the padding may break column
     uniqueness, which is why this works on a raw matrix).  Each further
-    column block is then produced by a k-to-1 row/value matching per row
-    block followed by :func:`_stage2` on the rows' assigned masks, whose k
+    column block is then one ``_row_block`` step over the row blocks: a
+    k-to-1 row/value matching per row block, then a colouring whose k
     colours name the new column for every (row, value) pair.  The padding
     rows are dropped at the end.
     """
@@ -359,29 +355,25 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
         for chunk in range(k - r):
             matrix.append(missing[chunk * k : (chunk + 1) * k])
     bits = _value_bits(n)
-    row_masks = [sum(map(bits.__getitem__, set(row))) for row in matrix]
+    row_masks = [
+        [sum(map(bits.__getitem__, set(row))) for row in matrix[top : top + k]]
+        for top in range(0, height, k)
+    ]
     full = (1 << n) - 1
-
-    block_count = height // k
-    for t in range(1, k):
-        # stage 1: per row block, give each row k values it does not contain
-        assigned: list[int] = []
-        for b in range(block_count):
-            outcome, reached = _assign_on_masks(
-                [full & ~mask for mask in row_masks[b * k : (b + 1) * k]], k, full
+    for t in range(2, k + 1):
+        # per row block, give each row k values it lacks; the k colours of
+        # the (row, value) pairs name the k new columns
+        outcome = _row_block(
+            k, k, ((BlockIndex(b, t), full, masks) for b, masks in enumerate(row_masks, 1)), None
+        )
+        if isinstance(outcome, NotCompletable):
+            raise CompletionError(
+                f"column block {t}, row block {outcome.block.block_row}: matching infeasible; bug"
             )
-            if reached:
-                raise CompletionError(
-                    f"column block {t + 1}, row block {b + 1}: matching infeasible; bug"
-                )
-            assigned += outcome
-        # stage 2: colour the (row, value) pairs with k colours = the k new columns
-        columns = _stage2(k, k, assigned, None)
-        if any(None in column for column in columns):
-            raise CompletionError(f"column block {t + 1} left a hole; coloring bug")
-        for row, values in zip(matrix, zip(*columns)):
+        if any(None in column for column in outcome):
+            raise CompletionError(f"column block {t} left a hole; coloring bug")
+        for row, values in zip(matrix, zip(*outcome)):
             row.extend(values)
-        row_masks = [old | new for old, new in zip(row_masks, assigned)]
 
     out = SudokuGrid.from_rows(k, matrix[:m] + [[None] * n] * (n - m))
     violation = validate(out)

@@ -248,9 +248,14 @@ def _case_b_matrix(k: int, l: int, r: int) -> tuple[list[list[int]], tuple[int, 
 
 
 def _case_b_matrix_k4(l: int, r: int) -> tuple[list[list[int]], tuple[int, int, int]]:
-    """k = 4 needs its own layout: the high half has only two parts, so the
-    stated swap targets collapse onto one value.  Reordering a few columns
-    frees two distinct high values (12 and 9) for the bottom block."""
+    """k = 4 needs its own layout: the general recipe reads ``high[2]``,
+    and at k = 4 (c = 2) the high half has only two parts.
+
+    Rows 1-8 are the general top half, except column 4, rows 5-8, which
+    hold 9..12 rotated by one; the bottom-right 4×2 is
+    ``_lemma2_matrix(1, 2, 4, [low[1], low[0]])``.  Only the bottom-left
+    4×2 is bespoke.  Together they free two distinct high values (12 and
+    9) for the bottom block."""
     _require(l == 2, f"k=4 jammed shapes all have l=2, got l={l}")
     columns = [
         [1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 14, 12],

@@ -3,12 +3,13 @@
 A grid cell holds either a value in [1, n] or the empty marker ``None``.
 Grids are plain mutable containers: placing a conflicting value is allowed
 and later reported by :func:`validate`, so files with broken content can be
-loaded and diagnosed instead of rejected at parse time.  The cells are a
-grid's only state: row, column and block contents are read from them when
-asked for, :meth:`SudokuGrid.from_rows`, :meth:`SudokuGrid.fill_rows` and
+loaded and diagnosed instead of rejected at parse time.  A grid holds its
+cells and a cached count of the filled ones: row, column and block
+contents are read from the cells when asked for,
+:meth:`SudokuGrid.from_rows`, :meth:`SudokuGrid.fill_rows` and
 :func:`parse` check every entry and then fill the cells in bulk, and
-:meth:`SudokuGrid.audit` recounts the filled cells and detects a write past
-the API.
+:meth:`SudokuGrid.audit` recounts the filled cells against the cached
+count and detects a write past the API.
 
 All public row/column indices are 1-based.
 """
@@ -104,12 +105,13 @@ class Violation:
 
 
 class SudokuGrid:
-    """An n×n partial Sudoku square; the cells are its only state.
+    """An n×n partial Sudoku square: its cells and a cached filled count.
 
     Every write goes through :meth:`set`, :meth:`fill_rows`, :meth:`clear`,
-    :meth:`from_rows` or :func:`parse`, which check indices and values, so
-    a cell holds either ``None`` or an int in [1, n].  Row, column and
-    block contents are read from the cells when asked for.
+    :meth:`from_rows` or :func:`parse`, which check indices and values and
+    keep the count in step, so a cell holds either ``None`` or an int in
+    [1, n].  Row, column and block contents are read from the cells when
+    asked for; :meth:`audit` checks the count against them.
     """
 
     __slots__ = ("order", "_cells", "_filled")
@@ -240,19 +242,28 @@ class SudokuGrid:
         A bad entry raises the :class:`GridError` that :meth:`set` raises
         for the first one in row-major order.
         """
-        grid = cls(k)
-        n = grid.order.n
+        order = Order(k)
+        n = order.n
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GridError(f"expected {n}×{n} entries")
         cells = [list(row) for row in rows]
         if not _well_formed(cells, n):
+            grid = cls(order)
             for r, row in enumerate(cells, start=1):  # raises at the first bad entry
                 for c, v in enumerate(row, start=1):
                     if v is not None:
                         grid.set(r, c, v)
             return grid
+        return cls._adopt(order, cells)
+
+    @classmethod
+    def _adopt(cls, order: Order, cells: list[list[Optional[int]]]) -> "SudokuGrid":
+        """A grid that owns ``cells``: n fresh lists of n entries, each
+        already known to be None or an int in [1, n]."""
+        grid = cls.__new__(cls)
+        grid.order = order
         grid._cells = cells
-        grid._filled = n * n - sum(row.count(None) for row in cells)
+        grid._filled = order.n * order.n - sum(row.count(None) for row in cells)
         return grid
 
 
@@ -414,7 +425,8 @@ def parse(text: str) -> SudokuGrid:
         if 0 in values:  # a token outside the canonical spellings
             values = [_parse_token(token, n, lineno, c) for c, token in enumerate(tokens, 1)]
         cells.append(values)
-    return SudokuGrid.from_rows(k, cells)
+    # every entry came from the token table or _parse_token: no second proof
+    return SudokuGrid._adopt(Order(k), cells)
 
 
 def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:

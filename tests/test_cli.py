@@ -1,11 +1,25 @@
 """Subcommand behavior, exit codes, and output discipline."""
 
 import io
+import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from sudorect import SudokuGrid, figure1_fixture, is_m_rectangle, parse, render, validate
+from sudorect import (
+    SudokuGrid,
+    complete_randomized,
+    figure1_fixture,
+    is_m_rectangle,
+    parse,
+    render,
+    truncate_rows,
+    validate,
+)
 from sudorect import cli
 from sudorect.cli import main
 
@@ -54,6 +68,16 @@ def test_check_missing_file():
     code, out, err = run_cli("check", "/nonexistent/grid.txt")
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("command", [["check"], ["complete"], ["count", "--max-nodes", "50"]])
+def test_undecodable_file_is_a_one_line_parse_error(tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"k=\xff2\n")
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("parse error: cannot read") and str(path) in err
 
 
 def test_check_malformed_file(tmp_path):
@@ -299,3 +323,78 @@ def test_fatal_conditions_exit_2_with_one_line(monkeypatch, empty4_file, exc, me
     assert code == 2
     assert out == ""
     assert err == message + "\n"
+
+
+# -- fuzzing ------------------------------------------------------------------------
+# Each example renders a valid k ≤ 4 grid (a full square, a truncation of one,
+# or a rectangle with holes), mutates its text or bytes, and runs check,
+# complete or a capped count on it.  construct and bounds are left out: their
+# work is unbounded in the size they are given.
+
+COMMANDS = [["check"], ["complete"], ["complete", "--seed", "3"], ["count", "--max-nodes", "50"]]
+ODD_TOKENS = ["0", "00", "03", "+2", "-1", "x", "1.0", "٣", "17", "99999999999999999999"]
+HEADERS = [
+    "k = {k}", "K={k}", "k=", "k=abc", "k=-1", "k=0", "k=1", "k={k} extra", "# note\nk={k}",
+    "k=100000", "k=" + "9" * 5000,
+]
+BAD_BYTES = [b"\xff", b"\x00", b"\xc3", b"\r", b"\x0b", b"\xe2\x80\xa8"]
+
+
+def base_text(k: int, seed: int, cut: int, holes: int) -> str:
+    square = complete_randomized(SudokuGrid(k), seed)
+    grid = truncate_rows(square, cut % (k * k + 1))
+    rng = random.Random(seed)
+    for _ in range(holes):
+        grid.clear(rng.randint(1, k * k), rng.randint(1, k * k))
+    return render(grid)
+
+
+@st.composite
+def mutated_files(draw) -> bytes:
+    k = draw(st.integers(2, 4))
+    text = base_text(k, draw(st.integers(0, 50)), draw(st.integers(0, 16)), draw(st.integers(0, 3)))
+    header, *rows = text.splitlines()
+    tokens = [row.split() for row in rows]
+    n = k * k
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for kind in draw(st.lists(st.sampled_from(["swap", "delete", "odd", "header", "blank"]), max_size=4)):
+        if kind == "swap":
+            (r1, c1), (r2, c2) = draw(cell), draw(cell)
+            if c1 < len(tokens[r1]) and c2 < len(tokens[r2]):
+                tokens[r1][c1], tokens[r2][c2] = tokens[r2][c2], tokens[r1][c1]
+        elif kind == "delete":
+            r, c = draw(cell)
+            del tokens[r][c : c + 1]
+        elif kind == "odd":
+            r, c = draw(cell)
+            if c < len(tokens[r]):
+                tokens[r][c] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "header":
+            header = draw(st.sampled_from(HEADERS)).format(k=k)
+        else:
+            tokens.insert(draw(st.integers(0, n)), [])
+    data = "\n".join([header] + [" ".join(row) for row in tokens]).encode() + b"\n"
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_files(), command=st.sampled_from(COMMANDS))
+def test_cli_ends_every_mutated_file_in_a_documented_exit(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(command[0], str(path), *command[1:])
+    event(f"{command[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    if command[0] == "complete" and code == 0:
+        given_grid, done = parse(data.decode("utf-8")), parse(out)
+        assert done.order == given_grid.order and done.is_full() and validate(done) is None
+        for before, after in zip(given_grid.rows(), done.rows()):
+            assert all(v is None or v == w for v, w in zip(before, after))

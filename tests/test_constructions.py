@@ -1,10 +1,16 @@
 """Building-block rectangles, the jammed-rectangle recipes, and the fixture."""
 
+import random
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sudorect import (
     ConstructionError,
     NotCompletable,
+    SudokuGrid,
     canonical_partition,
     complete,
     construct_counterexample,
@@ -15,7 +21,13 @@ from sudorect import (
     validate,
     verify_certificate,
 )
-from sudorect.constructions import _lemma2_matrix, _matrix_to_grid
+from sudorect.constructions import (
+    _beside,
+    _case_b_matrix_k4,
+    _lemma2_matrix,
+    _matrix_to_grid,
+    _swap_cells,
+)
 
 FIGURE1_ROWS = [
     [1, 2, 3, 4, 5, 6, 7, 8, 9],
@@ -183,3 +195,63 @@ def test_counterexample_k3_m5_has_zero_completions():
     report = construct_counterexample(3, 5)
     result = count_completions(report.rectangle, max_nodes=200_000)
     assert result.exhausted and result.count == 0
+
+
+def test_case_b_k4_departs_from_the_general_recipe_only_where_its_docstring_says():
+    low, high = canonical_partition(4, 2), canonical_partition(4, 2, start=9)
+    assert len(high) == 2  # the general recipe reads high[2]
+    top = _beside(_lemma2_matrix(2, 2, 4, low), _lemma2_matrix(2, 2, 4, high))
+    for row, v in zip(top[4:], (10, 11, 12, 9)):  # 9..12 rotated by one
+        row[3] = v
+    bottom_right = _lemma2_matrix(1, 2, 4, [low[1], low[0]])
+    matrix, special = _case_b_matrix_k4(2, 3)
+    assert special == (4, 12, 9)
+    _swap_cells(matrix, 4, 1, 4, 3)  # undo the recipe's two swaps ...
+    _swap_cells(matrix, 8, 2, 8, 4)
+    assert matrix[:8] == top
+    assert matrix[8][2:] == [12, 9]  # ... and its overwrite of row 9
+    assert [row[2:] for row in matrix[9:]] == bottom_right[1:3]
+
+
+# -- symmetry images ---------------------------------------------------------------
+
+NON_GUARANTEED = [
+    (k, m) for k in range(2, 7) for m in range(k * k + 1) if not decide_guaranteed(k, m).guaranteed
+]
+
+
+@lru_cache(maxsize=None)
+def _construction(k: int, m: int) -> SudokuGrid:
+    return construct_counterexample(k, m).rectangle
+
+
+def symmetry_image(grid: SudokuGrid, rng: random.Random) -> SudokuGrid:
+    """``grid`` with its values, column blocks, the columns within each
+    block, its full row blocks and the filled rows within each row block
+    permuted; an m-rectangle stays one with the same m."""
+    k, n = grid.order.k, grid.order.n
+    shape = is_m_rectangle(grid)
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    values = [None] + shuffled(range(1, n + 1))
+    columns = [b * k + c for b in shuffled(range(k)) for c in shuffled(range(k))]
+    rows = [b * k + i for b in shuffled(range(shape.l)) for i in shuffled(range(k))]
+    rows += [shape.l * k + i for i in shuffled(range(shape.r))]
+    cells = grid.rows()
+    image = [[values[cells[r][c]] for c in columns] for r in rows]
+    return SudokuGrid.from_rows(k, image + [[None] * n] * (n - shape.m))
+
+
+@pytest.mark.parametrize("k,m", NON_GUARANTEED)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_symmetry_images_of_constructions_are_rejected_with_a_replayable_witness(k, m, seed):
+    image = symmetry_image(_construction(k, m), random.Random(seed))
+    assert validate(image) is None and is_m_rectangle(image).m == m
+    outcome = complete(image)
+    assert isinstance(outcome, NotCompletable)
+    assert verify_certificate(image, outcome)

@@ -291,6 +291,29 @@ def test_parse_error_carries_line_number():
     assert exc.value.column == 4
 
 
+def test_parse_adopts_its_rows_without_a_second_proof(monkeypatch):
+    # every entry parse builds is None or in 1..n already, so the bulk
+    # proof of from_rows is not run again on its rows
+    grids = []
+    for k in range(2, 5):
+        square = complete_randomized(SudokuGrid(k), k)
+        grids += [square, truncate_rows(square, k + 1), SudokuGrid(k)]
+    texts = [render(grid) for grid in grids]
+    texts[1] = texts[1].replace(" .", " 0").replace(" 1 ", " 01 ")  # odd spellings
+
+    def refuse(cells, n):
+        raise AssertionError("parse proved its rows twice")
+
+    monkeypatch.setattr(sudorect.grid, "_well_formed", refuse)
+    for grid, text in zip(grids, texts):
+        got = parse(text)
+        assert got == grid and got.filled_count == grid.filled_count and got.audit()
+    with pytest.raises(ParseError, match="bad token 'z'"):
+        parse("k=2\n1 2 3 z\n3 4 1 2\n. . . .\n. . . .\n")
+    with pytest.raises(ParseError, match="value 9 outside 1..4"):
+        parse("k=2\n1 2 3 9\n3 4 1 2\n. . . .\n. . . .\n")
+
+
 # -- properties ---------------------------------------------------------------
 
 
