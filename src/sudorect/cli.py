@@ -138,11 +138,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        report = construct_counterexample(args.k, args.m)
-    except ConstructionError as exc:
-        _warn(str(exc))
-        return EXIT_ERROR
+    report = construct_counterexample(args.k, args.m)
     shape = is_m_rectangle(report.rectangle)
     header = [
         f"# non-completable {shape.m}×{report.rectangle.order.n} rectangle",
@@ -255,10 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         _warn(f"parse error: {exc}")
         return EXIT_ERROR
-    except (GridError, CompletionError, ConstructionError, CountingError) as exc:
-        _warn(str(exc))
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (GridError, CompletionError, ConstructionError, CountingError, ValueError) as exc:
         _warn(str(exc))
         return EXIT_ERROR
     except KeyboardInterrupt:

@@ -19,8 +19,9 @@ the value bits.  The pipeline calls the step once per row block and keeps
 one value mask per column: it reads a column block from the grid when
 stage 1 first reaches it, and the step ORs in the values stage 1 gives each
 column, so later row blocks read nothing.  Stage 2 peels the masks' bits
-into the (column, value) edges, colours them, and the pipeline writes the
-row block's new rows whole through :meth:`SudokuGrid.fill_rows`.  The
+into the (column, value) edges and colours them into the row block's new
+rows.  The pipeline collects the given rows and the new ones, builds the
+square from them once and proves it once with :func:`validate`.  The
 column-block widening is the same step on rows: one call per new column
 block, whose colours name the new columns.
 """
@@ -36,7 +37,6 @@ from typing import Iterator, Optional, Union
 from .bipartite import BipartiteGraph, KernelError, _assign_on_masks, edge_color
 from .grid import (
     BlockIndex,
-    GridError,
     SudokuGrid,
     is_m_rectangle,
     is_pq_rectangle,
@@ -245,7 +245,6 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
     n, k = grid.order.n, grid.order.k
     if shape.m == n:
         return grid.copy()
-    work = grid.copy()
     full = (1 << n) - 1
     masks: list[Optional[list[int]]] = [None] * k
 
@@ -254,11 +253,12 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
         # after the first is empty, so every value is offered there
         for d in range(1, k + 1):
             if masks[d - 1] is None:
-                present, masks[d - 1] = _block_masks(work.block_columns(d, b * k), n)
+                present, masks[d - 1] = _block_masks(grid.block_columns(d, b * k), n)
                 yield BlockIndex(b, d), full & ~present, masks[d - 1]
             else:
                 yield BlockIndex(b, d), full, masks[d - 1]
 
+    rows = [list(row) for row in grid.rows()[: shape.m]]
     for b in range(shape.l + 1, k + 1):
         top = max(shape.m, (b - 1) * k)
         outcome = _row_block(k, b * k - top, blocks(b), rng)
@@ -266,11 +266,9 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
             if top % k:
                 return outcome
             raise CompletionError(f"full row block {b} unexpectedly infeasible; pipeline bug")
-        # a clash within a new row is caught by the final validate below
-        try:
-            work.fill_rows(top, outcome)
-        except GridError as exc:
-            raise CompletionError(f"stage 2 produced a bad row block: {exc}") from None
+        rows += outcome  # b·k − top new rows of n entries
+    # a hole or a clash in the new rows is caught here
+    work = SudokuGrid._adopt(grid.order, rows)
     if not work.is_full() or validate(work) is not None:
         raise CompletionError("completed grid failed its own validity check")
     return work
@@ -375,7 +373,8 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
         for row, values in zip(matrix, zip(*outcome)):
             row.extend(values)
 
-    out = SudokuGrid.from_rows(k, matrix[:m] + [[None] * n] * (n - m))
+    # each kept row now holds k + (k − 1)·k = n entries
+    out = SudokuGrid._adopt(grid.order, matrix[:m] + [[None] * n for _ in range(m, n)])
     violation = validate(out)
     if violation is not None:
         raise CompletionError(f"extension failed validity: {violation.describe()}")

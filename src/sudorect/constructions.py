@@ -221,30 +221,8 @@ def _case_b_matrix(k: int, l: int, r: int) -> tuple[list[list[int]], tuple[int, 
     )
     matrix = _stack(top, bottom)[:m]
 
-    x = low[0][-1]
-    x1 = high[0][-1]
-    x2 = high[2][-1]
-    _require(matrix[k - 1][0] == x, "x not at the foot of column 1")
-    _require(matrix[2 * k - 1][c - 1] == x, "x not at the foot of column k/2")
-    _require(matrix[k - 1][c] == x1, "x1 not at the foot of column k/2+1")
-    _require(matrix[2 * k - 1][c + 1] == x2, "x2 not at the foot of column k/2+2")
-    _require(x not in _column(matrix, c + 1), "x already in column k/2+1")
-    _require(x not in _column(matrix, c + 2), "x already in column k/2+2")
-    _require(x1 not in _column(matrix, 1), "x1 already in column 1")
-    _require(x2 not in _column(matrix, c), "x2 already in column k/2")
-    last_block = [v for row in matrix[l * k :] for v in row]
-    _require(x1 not in last_block, "x1 sits in the bottom block")
-    _require(x2 not in last_block, "x2 sits in the bottom block")
-
-    _swap_cells(matrix, k, 1, k, c + 1)
-    _swap_cells(matrix, 2 * k, c, 2 * k, c + 2)
-    _require(x1 not in _column(matrix, c + 1), "x1 still in column k/2+1")
-    _require(x2 not in _column(matrix, c + 2), "x2 still in column k/2+2")
-    _require(x1 not in matrix[l * k], "x1 already in the overwrite row")
-    _require(x2 not in matrix[l * k], "x2 already in the overwrite row")
-    matrix[l * k][c] = x1
-    matrix[l * k][c + 1] = x2
-    return matrix, (x, x1, x2)
+    special = (low[0][-1], high[0][-1], high[2][-1])
+    return _jam(matrix, k, l, special, (1, c + 1), (c, c + 2))
 
 
 def _case_b_matrix_k4(l: int, r: int) -> tuple[list[list[int]], tuple[int, int, int]]:
@@ -263,18 +241,8 @@ def _case_b_matrix_k4(l: int, r: int) -> tuple[list[list[int]], tuple[int, int, 
         [9, 10, 11, 12, 13, 14, 15, 16, 5, 6, 7, 8],
         [13, 14, 15, 16, 10, 11, 12, 9, 1, 2, 3, 4],
     ]
-    m = 8 + r
-    matrix = [[columns[j][i] for j in range(4)] for i in range(m)]
-    x, x1, x2 = 4, 12, 9
-    _require(matrix[3][0] == x and matrix[7][1] == x, "x anchors moved")
-    _require(matrix[3][2] == x1 and matrix[7][3] == x2, "swap targets moved")
-    _swap_cells(matrix, 4, 1, 4, 3)
-    _swap_cells(matrix, 8, 2, 8, 4)
-    for col, value in ((3, x1), (4, x2)):
-        _require(value not in _column(matrix, col), f"{value} still in column {col}")
-        _require(value not in matrix[8], "overwrite row already holds the value")
-        matrix[8][col - 1] = value
-    return matrix, (x, x1, x2)
+    matrix = [[columns[j][i] for j in range(4)] for i in range(8 + r)]
+    return _jam(matrix, 4, l, (4, 12, 9), (1, 3), (2, 4))  # case b's columns at c = 2
 
 
 # -- case c: l >= k/2, k odd -------------------------------------------------
@@ -310,30 +278,55 @@ def _case_c_matrix(k: int, l: int, r: int) -> tuple[list[list[int]], tuple[int, 
         _beside(left_top, right_top), _beside(left_bottom, right_bottom)
     )[:m]
 
-    x = low[1][-1]
-    x1 = high[c - 2][-1]
-    x2 = high[0][-1]
-    _require(matrix[k - 1][1] == x, "x not at the foot of column 2")
-    _require(matrix[2 * k - 1][0] == x, "x not at the foot of column 1")
-    _require(matrix[k - 1][k - 1] == x1, "x1 not at the foot of the last column")
-    _require(matrix[2 * k - 1][c - 1] == x2, "x2 not at the foot of column ceil(k/2)")
-    _require(x not in _column(matrix, k), "x already in the last column")
-    _require(x not in _column(matrix, c), "x already in column ceil(k/2)")
-    _require(x1 not in _column(matrix, 2), "x1 already in column 2")
-    _require(x2 not in _column(matrix, 1), "x2 already in column 1")
-    last_block = [v for row in matrix[l * k :] for v in row]
-    _require(x1 not in last_block, "x1 sits in the bottom block")
-    _require(x2 not in last_block, "x2 sits in the bottom block")
+    special = (low[1][-1], high[c - 2][-1], high[0][-1])
+    return _jam(matrix, k, l, special, (2, k), (1, c))
 
-    _swap_cells(matrix, k, 2, k, k)
-    _swap_cells(matrix, 2 * k, 1, 2 * k, c)
-    _require(x1 not in _column(matrix, k), "x1 still in the last column")
-    _require(x2 not in _column(matrix, c), "x2 still in column ceil(k/2)")
-    _require(x1 not in matrix[l * k], "x1 already in the overwrite row")
-    _require(x2 not in matrix[l * k], "x2 already in the overwrite row")
-    matrix[l * k][k - 1] = x1
-    matrix[l * k][c - 1] = x2
-    return matrix, (x, x1, x2)
+
+# -- the jam step shared by cases b and c ------------------------------------
+
+
+def _jam(
+    matrix: list[list[int]],
+    k: int,
+    l: int,
+    special: tuple[int, int, int],
+    first: tuple[int, int],
+    second: tuple[int, int],
+) -> tuple[list[list[int]], tuple[int, int, int]]:
+    """The last step of cases b and c, in place: the two swaps and the two
+    overwrites that move x1 and x2 into the bottom block.
+
+    With ``first`` = (a1, b1) and ``second`` = (a2, b2), x sits in row k at
+    column a1 and in row 2k at column a2, with x1 in row k at column b1 and
+    x2 in row 2k at column b2.  Each pair is swapped, and x1 and x2 then
+    overwrite columns b1 and b2 of row l·k + 1, the bottom block's first
+    row.  Every placement is checked against the columns and rows first.
+    """
+    x, x1, x2 = special
+    (a1, b1), (a2, b2) = first, second
+    _require(
+        matrix[k - 1][a1 - 1] == x == matrix[2 * k - 1][a2 - 1]
+        and matrix[k - 1][b1 - 1] == x1
+        and matrix[2 * k - 1][b2 - 1] == x2,
+        "special elements are not at their anchors",
+    )
+    _require(
+        x not in _column(matrix, b1) + _column(matrix, b2)
+        and x1 not in _column(matrix, a1)
+        and x2 not in _column(matrix, a2),
+        "a swap would repeat a value in a column",
+    )
+    bottom = [v for row in matrix[l * k :] for v in row]
+    _require(x1 not in bottom and x2 not in bottom, "x1 or x2 sits in the bottom block")
+    _swap_cells(matrix, k, a1, k, b1)
+    _swap_cells(matrix, 2 * k, a2, 2 * k, b2)
+    row = matrix[l * k]
+    _require(
+        x1 not in _column(matrix, b1) + row and x2 not in _column(matrix, b2) + row,
+        "the overwrite would repeat x1 or x2",
+    )
+    row[b1 - 1], row[b2 - 1] = x1, x2
+    return matrix, special
 
 
 # -- the public construction -------------------------------------------------

@@ -3,13 +3,11 @@
 A grid cell holds either a value in [1, n] or the empty marker ``None``.
 Grids are plain mutable containers: placing a conflicting value is allowed
 and later reported by :func:`validate`, so files with broken content can be
-loaded and diagnosed instead of rejected at parse time.  A grid holds its
-cells and a cached count of the filled ones: row, column and block
-contents are read from the cells when asked for,
-:meth:`SudokuGrid.from_rows`, :meth:`SudokuGrid.fill_rows` and
+loaded and diagnosed instead of rejected at parse time.  A grid holds
+only its cells: row, column and block contents and the filled count are
+read from them when asked for, :meth:`SudokuGrid.from_rows` and
 :func:`parse` check every entry and then fill the cells in bulk, and
-:meth:`SudokuGrid.audit` recounts the filled cells against the cached
-count and detects a write past the API.
+:meth:`SudokuGrid.audit` detects an entry written past the API.
 
 All public row/column indices are 1-based.
 """
@@ -105,22 +103,21 @@ class Violation:
 
 
 class SudokuGrid:
-    """An n×n partial Sudoku square: its cells and a cached filled count.
+    """An n×n partial Sudoku square; its cells are its only state.
 
-    Every write goes through :meth:`set`, :meth:`fill_rows`, :meth:`clear`,
-    :meth:`from_rows` or :func:`parse`, which check indices and values and
-    keep the count in step, so a cell holds either ``None`` or an int in
-    [1, n].  Row, column and block contents are read from the cells when
-    asked for; :meth:`audit` checks the count against them.
+    Every write goes through :meth:`set`, :meth:`clear`, :meth:`from_rows`
+    or :func:`parse`, which check indices and values, so a cell holds
+    either ``None`` or an int in [1, n].  Row, column and block contents
+    and the filled count are read from the cells when asked for;
+    :meth:`audit` checks the entries.
     """
 
-    __slots__ = ("order", "_cells", "_filled")
+    __slots__ = ("order", "_cells")
 
     def __init__(self, order: Order | int):
         self.order = order if isinstance(order, Order) else Order(order)
         n = self.order.n
         self._cells: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        self._filled = 0
 
     # -- geometry helpers
 
@@ -148,33 +145,10 @@ class SudokuGrid:
         if self._cells[row - 1][col - 1] is not None:
             raise GridError(f"cell ({row},{col}) already filled; clear it first")
         self._cells[row - 1][col - 1] = value
-        self._filled += 1
-
-    def fill_rows(self, top: int, rows: Sequence[Sequence[int]]) -> None:
-        """Write whole rows into the empty rows top+1, top+2, ...
-
-        Every entry must be one that :meth:`set` accepts, so no cell is left
-        empty; as with :meth:`set`, conflicts are stored, not rejected.  The
-        grid is unchanged when a check fails.
-        """
-        n = self.order.n
-        new = [list(row) for row in rows]
-        if not (0 <= top <= n - len(new)) or any(len(row) != n for row in new):
-            raise GridError(f"expected at most {n - top} rows of {n} entries below row {top}")
-        if any(row.count(None) != n for row in self._cells[top : top + len(new)]):
-            raise GridError(f"rows {top + 1}..{top + len(new)} are not all empty")
-        if not _well_formed(new, n) or any(None in row for row in new):
-            for v in chain.from_iterable(new):  # raises at the first bad entry, a hole too
-                if type(v) is not int or not (1 <= v <= n):
-                    raise GridError(f"value {v!r} outside 1..{n}")
-        self._cells[top : top + len(new)] = new
-        self._filled += n * len(new)
 
     def clear(self, row: int, col: int) -> None:
         self._check_index(row, col)
-        if self._cells[row - 1][col - 1] is not None:
-            self._cells[row - 1][col - 1] = None
-            self._filled -= 1
+        self._cells[row - 1][col - 1] = None
 
     # -- queries used by the completion pipeline
 
@@ -195,10 +169,10 @@ class SudokuGrid:
 
     @property
     def filled_count(self) -> int:
-        return self._filled
+        return self.order.n * self.order.n - sum(row.count(None) for row in self._cells)
 
     def is_full(self) -> bool:
-        return self._filled == self.order.n * self.order.n
+        return not any(None in row for row in self._cells)
 
     def rows(self) -> list[tuple[Optional[int], ...]]:
         return [tuple(row) for row in self._cells]
@@ -209,7 +183,6 @@ class SudokuGrid:
         dup = SudokuGrid.__new__(SudokuGrid)
         dup.order = self.order
         dup._cells = [row[:] for row in self._cells]
-        dup._filled = self._filled
         return dup
 
     def __eq__(self, other) -> bool:
@@ -222,17 +195,16 @@ class SudokuGrid:
     __hash__ = None  # mutable container
 
     def __repr__(self) -> str:
-        return f"SudokuGrid(k={self.order.k}, filled={self._filled})"
+        return f"SudokuGrid(k={self.order.k}, filled={self.filled_count})"
 
     # -- consistency
 
     def audit(self) -> bool:
-        """True iff the filled count matches the cells and every entry is one
-        that :meth:`set` accepts; a write past the API shows here."""
+        """True iff every entry is one that :meth:`set` accepts; a write past
+        the API shows here."""
         n = self.order.n
-        entries = [v for row in self._cells for v in row if v is not None]
-        return len(entries) == self._filled and all(
-            type(v) is int and 1 <= v <= n for v in entries
+        return all(
+            type(v) is int and 1 <= v <= n for row in self._cells for v in row if v is not None
         )
 
     @classmethod
@@ -258,12 +230,13 @@ class SudokuGrid:
 
     @classmethod
     def _adopt(cls, order: Order, cells: list[list[Optional[int]]]) -> "SudokuGrid":
-        """A grid that owns ``cells``: n fresh lists of n entries, each
-        already known to be None or an int in [1, n]."""
+        """A grid that owns ``cells``: n fresh lists of n entries.  Nothing
+        is checked here: :func:`parse` builds its entries in range, and the
+        completion pipeline and the widening prove theirs with a final
+        :func:`validate`."""
         grid = cls.__new__(cls)
         grid.order = order
         grid._cells = cells
-        grid._filled = order.n * order.n - sum(row.count(None) for row in cells)
         return grid
 
 
@@ -407,14 +380,17 @@ def parse(text: str) -> SudokuGrid:
     try:
         k = int(body[1:].strip())
     except ValueError:
-        raise ParseError(f"bad block side {body[1:].strip()!r}", header_line) from None
+        raise ParseError(f"bad block side {_clip(body[1:].strip())!r}", header_line) from None
+    side = _clip(str(k))  # int() took these digits, so str() gives them back
     if k < 1:
-        raise ParseError(f"block side must be >= 1, got {k}", header_line)
+        raise ParseError(f"block side must be >= 1, got {side}", header_line)
     n = k * k
     rows = data_lines[1:]
     if len(rows) != n:
         lineno = rows[-1][0] if rows else header_line
-        raise ParseError(f"expected {n} rows for k={k}, got {len(rows)}", lineno)
+        # n of a clipped k may have too many digits for str()
+        needed = "k²" if side.endswith("…") else str(n)
+        raise ParseError(f"expected {needed} rows for k={side}, got {len(rows)}", lineno)
     table = _text_tables(n)[0]
     cells = []
     for lineno, line in rows:
@@ -427,6 +403,11 @@ def parse(text: str) -> SudokuGrid:
         cells.append(values)
     # every entry came from the token table or _parse_token: no second proof
     return SudokuGrid._adopt(Order(k), cells)
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to 20 characters, so a diagnostic stays one short line."""
+    return text if len(text) <= 20 else text[:20] + "…"
 
 
 def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:

@@ -325,6 +325,20 @@ def test_fatal_conditions_exit_2_with_one_line(monkeypatch, empty4_file, exc, me
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "side",
+    ["7" * 5000, "9" * 2200, "-" + "9" * 2200, "100000"],
+    ids=["5000-digits", "2200-digits", "minus-2200-digits", "100000"],
+)
+def test_huge_header_is_a_short_parse_error(tmp_path, side):
+    # a side too long for int() or whose square is too long for str()
+    path = tmp_path / "grid.txt"
+    path.write_text(f"k={side}\n1 2\n")
+    code, out, err = run_cli("check", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parse error:") and len(err) <= 200, err
+
+
 # -- fuzzing ------------------------------------------------------------------------
 # Each example renders a valid k ≤ 4 grid (a full square, a truncation of one,
 # or a rectangle with holes), mutates its text or bytes, and runs check,
@@ -335,7 +349,7 @@ COMMANDS = [["check"], ["complete"], ["complete", "--seed", "3"], ["count", "--m
 ODD_TOKENS = ["0", "00", "03", "+2", "-1", "x", "1.0", "٣", "17", "99999999999999999999"]
 HEADERS = [
     "k = {k}", "K={k}", "k=", "k=abc", "k=-1", "k=0", "k=1", "k={k} extra", "# note\nk={k}",
-    "k=100000", "k=" + "9" * 5000,
+    "k=100000", "k=" + "9" * 5000, "k=" + "9" * 2200,
 ]
 BAD_BYTES = [b"\xff", b"\x00", b"\xc3", b"\r", b"\x0b", b"\xe2\x80\xa8"]
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import coloring_is_proper, core_stage1, count_extensions_4x4, sud4_brute_force
 from sudorect import completion
+from sudorect import grid as grid_module
 from sudorect import (
     BlockIndex,
     CompletionError,
@@ -324,6 +325,34 @@ def test_pipeline_runs_on_masks_and_whole_rows(monkeypatch):
     for block in blocks:
         wide = extend_column_blocks(block)
         assert validate(wide) is None and wide.filled_count == block.filled_count * block.order.k
+
+
+def test_each_pipeline_proves_well_formedness_at_its_gates_only(monkeypatch):
+    # once when the input is validated and once when the output is: the
+    # rows in between are collected and the square is built once
+    inputs, blocks = [], []
+    for k in range(2, 5):
+        n = k * k
+        square = complete_randomized(SudokuGrid(k), k)
+        inputs += [SudokuGrid(k)] + [truncate_rows(square, m) for m in range(1, n) if m % k]
+        rows = [row[:k] + (None,) * (n - k) for row in square.rows()[: k + 1]]
+        blocks.append(SudokuGrid.from_rows(k, rows + [(None,) * n] * (n - k - 1)))
+    calls = []
+    proof = grid_module._well_formed
+
+    def counted(cells, n):
+        calls.append(n)
+        return proof(cells, n)
+
+    monkeypatch.setattr(grid_module, "_well_formed", counted)
+    for run, grids in ((complete, inputs), (extend_column_blocks, blocks)):
+        for grid in grids:
+            calls.clear()
+            assert isinstance(run(grid), SudokuGrid)
+            assert len(calls) == 2, (run.__name__, render(grid))
+    calls.clear()
+    construct_counterexample(3, 5)  # the column block, then the widening's two
+    assert len(calls) == 3
 
 
 def test_randomized_completion_reproducible_and_varied():

@@ -94,7 +94,6 @@ def test_malformed_entry_detected_by_validate():
 def test_validate_reports_a_planted_bool_as_malformed():
     g = SudokuGrid(2)
     g._cells[0][0] = True  # simulate drift past the API; True == 1 as an int
-    g._filled = 1
     expected = Violation("malformed", CellRef(1, 1), CellRef(1, 1))
     assert validate(g) == reference_validate(g) == expected
     assert not g.audit()
@@ -132,14 +131,18 @@ def test_writers_and_audit_reject_bools():
     with pytest.raises(GridError, match="True"):
         g.set(1, 1, True)
     g.set(1, 2, 2)
-    with pytest.raises(GridError, match="False"):
-        g.fill_rows(2, [[1, 2, 3, False]])
     assert g.rows()[0] == (None, 2, None, None) and g.rows()[2] == (None,) * 4
     assert g.filled_count == 1
     assert g.audit()
     g._cells[0][0] = True  # simulate drift past the API
-    g._filled += 1
     assert not g.audit()
+
+
+def test_occupancy_is_read_from_the_cells():
+    # a valid value planted past the API shows in the count and in is_full
+    g = SudokuGrid(2)
+    g._cells[0][0] = 1
+    assert g.filled_count == 1 and not g.is_full() and g.audit()
 
 
 # -- shapes ------------------------------------------------------------------
@@ -426,64 +429,6 @@ def test_from_rows_raises_as_a_per_cell_set_loop(case):
     grid = SudokuGrid.from_rows(k, rows)
     assert grid == expected and grid.filled_count == expected.filled_count
     assert grid.audit()
-
-
-
-@st.composite
-def row_fills(draw) -> tuple[int, list, int, list]:
-    """k, a few cells already filled, and whole rows to write below row
-    ``top``: pattern rows that mostly fit, but may land on a filled cell,
-    reach past row n, leave a hole, or hold a value that ``set`` refuses or
-    accepts unusually (a bool)."""
-    k = draw(st.integers(2, 3))
-    n = k * k
-    cell = st.tuples(st.integers(1, n), st.integers(1, n))
-    filled = draw(st.lists(st.tuples(cell, st.integers(1, n)), max_size=2))
-    top = draw(st.integers(0, n))
-    rows = [[(r * k + c) % n + 1 for c in range(n)] for r in range(draw(st.integers(0, 3)))]
-    bad = st.sampled_from([None, 0, n + 1, True, 2.0])
-    for r, c, value in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, n - 1), bad), max_size=2)):
-        if r < len(rows):
-            rows[r][c] = value
-    return k, filled, top, rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=row_fills())
-def test_fill_rows_acts_as_a_per_cell_set_loop(case):
-    k, filled, top, rows = case
-    grid = SudokuGrid(k)
-    for (row, col), value in filled:
-        if grid.get(row, col) is None:
-            grid.set(row, col, value)
-    before = grid.copy()
-    expected = grid.copy()
-    try:
-        n = expected.order.n
-        assert top + len(rows) <= n, "past the last row"
-        span = range(top + 1, top + len(rows) + 1)
-        assert all(expected.get(r, c) is None for r in span for c in range(1, n + 1)), "filled"
-        for r, row in enumerate(rows, start=top + 1):
-            for c, value in enumerate(row, start=1):
-                expected.set(r, c, value)  # refuses a hole
-    except (AssertionError, GridError) as exc:
-        with pytest.raises(GridError) as got:
-            grid.fill_rows(top, rows)
-        if isinstance(exc, GridError):
-            assert str(got.value) == str(exc)  # the first value set refuses
-        assert grid == before and grid.filled_count == before.filled_count
-    else:
-        grid.fill_rows(top, rows)
-        assert grid == expected and grid.filled_count == expected.filled_count
-    assert grid.audit()
-
-
-def test_fill_rows_checks_the_row_shape():
-    g = SudokuGrid(2)
-    for top, rows in ((-1, [[1, 2, 3, 4]]), (0, [[1, 2, 3]]), (3, [[1, 2, 3, 4]] * 2)):
-        with pytest.raises(GridError, match="rows of 4 entries"):
-            g.fill_rows(top, rows)
-    assert g == SudokuGrid(2)
 
 
 @st.composite
