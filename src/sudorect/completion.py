@@ -258,7 +258,7 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
             else:
                 yield BlockIndex(b, d), full, masks[d - 1]
 
-    rows = [list(row) for row in grid.rows()[: shape.m]]
+    rows = [list(row) for row in grid.rows(shape.m)]
     for b in range(shape.l + 1, k + 1):
         top = max(shape.m, (b - 1) * k)
         outcome = _row_block(k, b * k - top, blocks(b), rng)
@@ -344,7 +344,7 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
         return grid.copy()
     l, r = divmod(m, k)
     height = (l + 1) * k if r > 0 else m
-    matrix: list[list[int]] = [list(row[:k]) for row in grid.rows()[:m]]
+    matrix: list[list[int]] = [list(row[:k]) for row in grid.rows(m)]
     if r > 0:
         present = set(chain.from_iterable(matrix[l * k :]))
         missing = [v for v in range(1, n + 1) if v not in present]

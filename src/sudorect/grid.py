@@ -7,7 +7,11 @@ loaded and diagnosed instead of rejected at parse time.  A grid holds
 only its cells: row, column and block contents and the filled count are
 read from them when asked for, :meth:`SudokuGrid.from_rows` and
 :func:`parse` check every entry and then fill the cells in bulk, and
-:meth:`SudokuGrid.audit` detects an entry written past the API.
+:meth:`SudokuGrid.audit` detects an entry written past the API.  The gates
+follow the filled rows: the bulk proof behind :func:`validate` and
+:meth:`SudokuGrid.from_rows` passes over a row whose entries are all None,
+and :func:`parse` maps a canonical blank line straight to an empty row, so
+checking an m-rectangle reads m rows, not n.
 
 All public row/column indices are 1-based.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
+from operator import is_not
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -174,8 +179,9 @@ class SudokuGrid:
     def is_full(self) -> bool:
         return not any(None in row for row in self._cells)
 
-    def rows(self) -> list[tuple[Optional[int], ...]]:
-        return [tuple(row) for row in self._cells]
+    def rows(self, stop: Optional[int] = None) -> list[tuple[Optional[int], ...]]:
+        """The first ``stop`` rows (all n by default), as tuples."""
+        return [tuple(row) for row in self._cells[:stop]]
 
     # -- value semantics
 
@@ -219,7 +225,7 @@ class SudokuGrid:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GridError(f"expected {n}×{n} entries")
         cells = [list(row) for row in rows]
-        if not _well_formed(cells, n):
+        if not _well_formed(_filled_rows(cells), n):
             grid = cls(order)
             for r, row in enumerate(cells, start=1):  # raises at the first bad entry
                 for c, v in enumerate(row, start=1):
@@ -243,7 +249,9 @@ class SudokuGrid:
 def validate(grid: SudokuGrid) -> Optional[Violation]:
     """Check the row, column and block conditions; None means valid.
 
-    Validity is proved in bulk first.  Only a grid that fails that proof is
+    Validity is proved in bulk first, over the rows that hold a value: an
+    empty row adds nothing to any row, column or block, so the proof of an
+    m-rectangle reads m rows, not n.  Only a grid that fails that proof is
     scanned row-major, which reports the first offending cell, paired with
     its earliest (row-major) conflicting partner.  When the pair sits in one
     block, the conflict is reported as a block violation even if the cells
@@ -256,18 +264,29 @@ def validate(grid: SudokuGrid) -> Optional[Violation]:
 
 def _valid_in_bulk(grid: SudokuGrid) -> bool:
     """True iff every entry is an int in [1, n] and no row, column or block
-    repeats a value: one set per row, column and block.  False is no
-    verdict; the scan then finds the violation."""
+    repeats a value: one set per filled row, column and block, built from
+    the filled rows alone.  False is no verdict; the scan then finds the
+    violation."""
     n, k = grid.order.n, grid.order.k
     cells = grid._cells
-    if not _well_formed(cells, n):
+    bands = [_filled_rows(cells[top : top + k]) for top in range(0, n, k)]
+    filled = list(chain.from_iterable(bands))
+    if not _well_formed(filled, n):
         return False
     blocks = (
-        [v for row in cells[top : top + k] for v in row[left : left + k]]
-        for top in range(0, n, k)
+        [v for row in band for v in row[left : left + k]]
+        for band in bands
+        if band
         for left in range(0, n, k)
     )
-    return all(map(_distinct, chain(cells, zip(*cells), blocks)))
+    return all(map(_distinct, chain(filled, zip(*filled), blocks)))
+
+
+def _filled_rows(rows: Sequence[list[Optional[int]]]) -> list[list[Optional[int]]]:
+    """The rows that hold an entry other than None, tested by identity: an
+    object written past the API may compare equal to None (or refuse to
+    compare), and its row must still reach the type check."""
+    return [row for row in rows if any(map(is_not, row, repeat(None)))]
 
 
 def _well_formed(cells: list[list[Optional[int]]], n: int) -> bool:
@@ -353,7 +372,7 @@ def truncate_rows(grid: SudokuGrid, m: int) -> SudokuGrid:
     n = grid.order.n
     if not (0 <= m <= n):
         raise GridError(f"row count {m} outside 0..{n}")
-    return SudokuGrid.from_rows(grid.order.k, grid.rows()[:m] + [(None,) * n] * (n - m))
+    return SudokuGrid.from_rows(grid.order.k, grid.rows(m) + [(None,) * n] * (n - m))
 
 
 def parse(text: str) -> SudokuGrid:
@@ -392,8 +411,12 @@ def parse(text: str) -> SudokuGrid:
         needed = "k²" if side.endswith("…") else str(n)
         raise ParseError(f"expected {needed} rows for k={side}, got {len(rows)}", lineno)
     table = _text_tables(n)[0]
+    blank = " ".join(repeat(".", n))
     cells = []
     for lineno, line in rows:
+        if line == blank:  # the canonical empty row: no tokens to map
+            cells.append([None] * n)
+            continue
         tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} tokens, got {len(tokens)}", lineno)
@@ -416,9 +439,9 @@ def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(f"bad token {token!r}", lineno, column) from None
+        raise ParseError(f"bad token {_clip(token)!r}", lineno, column) from None
     if not (1 <= value <= n):
-        raise ParseError(f"value {value} outside 1..{n}", lineno, column)
+        raise ParseError(f"value {_clip(str(value))} outside 1..{n}", lineno, column)
     return value
 
 

@@ -339,6 +339,16 @@ def test_huge_header_is_a_short_parse_error(tmp_path, side):
     assert len(err.splitlines()) == 1 and err.startswith("parse error:") and len(err) <= 200, err
 
 
+@pytest.mark.parametrize("token", ["x" * 5000, "9" * 2200], ids=["5000-x", "2200-digits"])
+def test_huge_token_is_a_short_parse_error(tmp_path, token):
+    # the echoed token is clipped, as a long header is
+    path = tmp_path / "grid.txt"
+    path.write_text(f"k=2\n1 2 3 {token}\n. . . .\n. . . .\n. . . .\n")
+    code, out, err = run_cli("check", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parse error:") and len(err) <= 200, err
+
+
 # -- fuzzing ------------------------------------------------------------------------
 # Each example renders a valid k ≤ 4 grid (a full square, a truncation of one,
 # or a rectangle with holes), mutates its text or bytes, and runs check,

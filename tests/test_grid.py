@@ -294,6 +294,19 @@ def test_parse_error_carries_line_number():
     assert exc.value.column == 4
 
 
+def test_parse_clips_long_tokens_in_its_messages():
+    body = "\n. . . .\n. . . .\n. . . .\n"
+    for token, message in [
+        ("x" * 20, f"bad token {'x' * 20!r}"),
+        ("x" * 21, f"bad token {'x' * 20 + '…'!r}"),
+        ("9" * 20, f"value {'9' * 20} outside 1..4"),
+        ("9" * 21, f"value {'9' * 20}… outside 1..4"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(f"k=2\n1 2 3 {token}" + body)
+        assert str(exc.value) == message + " (line 2, token 4)"
+
+
 def test_parse_adopts_its_rows_without_a_second_proof(monkeypatch):
     # every entry parse builds is None or in 1..n already, so the bulk
     # proof of from_rows is not run again on its rows
@@ -433,19 +446,29 @@ def test_from_rows_raises_as_a_per_cell_set_loop(case):
 
 @st.composite
 def grid_bodies(draw) -> tuple[int, list[str]]:
-    """k and the n row lines of a grid file: canonical tokens, plus up to
-    three odd tokens (bad, out of range, or valid but unusual spellings)
-    and sometimes a row with a token missing."""
+    """k and the n row lines of a grid file: canonical tokens, some rows
+    all "." (canonical blank lines, or near-blank ones: a "0", a token
+    short, tab or double-space separated), plus up to three odd tokens
+    (bad, out of range, or valid but unusual spellings) and sometimes a
+    row with a token missing."""
     k = draw(st.integers(2, 3))
     n = k * k
     token = st.sampled_from([".", "0", *map(str, range(1, n + 1))])
     rows = draw(st.lists(st.lists(token, min_size=n, max_size=n), min_size=n, max_size=n))
+    separators = [" "] * n
+    blank = st.sampled_from(["blank", "zero", "short", "tab", "double"])
+    for r, kind in draw(st.lists(st.tuples(st.integers(0, n - 1), blank), max_size=n)):
+        rows[r] = ["."] * (n - 1 if kind == "short" else n)
+        if kind == "zero":
+            rows[r][draw(st.integers(0, n - 1))] = "0"
+        separators[r] = {"tab": "\t", "double": "  "}.get(kind, " ")
     odd = st.sampled_from(["x", "-1", "00", str(n + 1), "1.0", "03", "+2", "\u0663"])
     for r, c, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), odd), max_size=3)):
-        rows[r][c] = value
+        if c < len(rows[r]):
+            rows[r][c] = value
     if draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))].pop()
-    return k, [" ".join(row) for row in rows]
+    return k, [sep.join(row) for sep, row in zip(separators, rows)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,6 +596,140 @@ def test_render_equals_the_per_cell_render_on_a_full_k16_square():
 @given(grid=planted_grids())
 def test_validate_matches_reference_scan(grid):
     assert validate(grid) == reference_validate(grid)
+
+
+@st.composite
+def grids_with_cleared_rows(draw) -> SudokuGrid:
+    """A relabelled pattern square with cells cleared and one row, column or
+    block conflict planted as planted_grids plants it, then whole rows
+    cleared: rows anywhere, rows inside one band, and the rows strictly
+    between the conflict's two cells.  Sometimes the conflict's own rows
+    are cleared too, and sometimes a malformed entry is poked in first."""
+    k = draw(st.integers(2, 3))
+    n = k * k
+    label = draw(st.permutations(range(1, n + 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keep = draw(st.floats(0.0, 1.0))
+    grid = SudokuGrid.from_rows(k, [
+        [label[((r % k) * k + r // k + c) % n] if rng.random() < keep else None for c in range(n)]
+        for r in range(n)
+    ])
+    kind = draw(st.sampled_from(["row", "column", "block"]))
+    r, c, j = draw(st.integers(1, n)), draw(st.integers(1, n)), draw(st.integers(0, n - 1))
+    if kind == "row":
+        source = (r, j + 1)
+    elif kind == "column":
+        source = (j + 1, c)
+    else:
+        source = ((r - 1) // k * k + j // k + 1, (c - 1) // k * k + j % k + 1)
+    value = grid.get(*source)
+    if value is not None and source != (r, c):
+        peers = [(r, col) for col in range(1, n + 1)] + [(row, c) for row in range(1, n + 1)]
+        peers += block_cells(grid.order, block_of(grid.order, r, c))
+        for peer in peers:
+            if tuple(peer) != source and grid.get(*peer) == value:
+                grid.clear(*peer)
+        grid.clear(r, c)
+        grid.set(r, c, value)
+    if draw(st.booleans()):
+        pr, pc = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        grid._cells[pr][pc] = draw(st.sampled_from([99, 1.0, True]))  # drift past the API
+    low, high = sorted((r, source[0]))
+    cleared = set(range(low + 1, high))
+    cleared |= set(draw(st.lists(st.integers(1, n), max_size=n)))
+    band = draw(st.integers(0, k - 1))
+    cleared |= set(draw(st.lists(st.integers(band * k + 1, band * k + k), max_size=k - 1)))
+    if draw(st.booleans()):
+        cleared -= {low, high}
+    for row in cleared:
+        for col in range(1, n + 1):
+            grid.clear(row, col)
+    return grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grids_with_cleared_rows())
+def test_validate_with_cleared_rows_matches_reference_scan(grid):
+    expected = reference_validate(grid)
+    assert validate(grid) == expected
+    # the bulk proof is exact: a spurious failure would only cost the scan
+    assert sudorect.grid._valid_in_bulk(grid) == (expected is None)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_blocks_are_read_band_by_band_past_cleared_rows(k):
+    # k − 1 filled rows in the first band, then a block conflict lower down:
+    # grouping the filled rows k at a time, not by band, would split it
+    n = k * k
+    for top in range(k, n, k):
+        for i in range(top, top + k):
+            for j in range(i + 1, top + k):
+                grid = SudokuGrid(k)
+                for t in range(1, k):
+                    grid.set(t, t, t)
+                grid.set(i + 1, 1, n)
+                grid.set(j + 1, 2, n)
+                expected = Violation("block", CellRef(i + 1, 1), CellRef(j + 1, 2))
+                assert validate(grid) == reference_validate(grid) == expected
+
+
+class _LooksLikeNone:
+    """An entry written past the API that compares equal to None."""
+
+    def __eq__(self, other):
+        return other is None
+
+    __hash__ = None
+
+
+class _Incomparable:
+    """An entry written past the API that refuses to be compared."""
+
+    def __eq__(self, other):
+        raise TypeError("not comparable")
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("entry", [_LooksLikeNone, _Incomparable])
+def test_a_look_alike_none_in_an_empty_row_is_malformed(k, entry):
+    # the gates test an empty row by identity and never call an entry's __eq__
+    n = k * k
+    rectangle = truncate_rows(complete_randomized(SudokuGrid(k), k), k + 1)
+    for r in (k + 1, n - 1):
+        for c in (0, n - 1):
+            grid = rectangle.copy()
+            grid._cells[r][c] = entry()  # simulate drift past the API
+            if entry is _LooksLikeNone:
+                assert grid._cells[r] == [None] * n  # equality alone cannot see it
+            expected = Violation("malformed", CellRef(r + 1, c + 1), CellRef(r + 1, c + 1))
+            assert validate(grid) == reference_validate(grid) == expected
+            assert not grid.audit()
+            with pytest.raises(GridError, match="outside"):
+                SudokuGrid.from_rows(k, grid._cells)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_the_bulk_proof_reads_only_the_filled_rows(k, monkeypatch):
+    # an empty row adds nothing to a row, column or block check, so the
+    # proof of an m-rectangle type-checks m·n cells, not n²
+    n = k * k
+    seen = []
+    well_formed = sudorect.grid._well_formed
+
+    def counting(cells, n):
+        seen.append(sum(map(len, cells)))
+        return well_formed(cells, n)
+
+    monkeypatch.setattr(sudorect.grid, "_well_formed", counting)
+    monkeypatch.setattr(sudorect.grid, "_first_violation", None)  # the bulk proof decides
+    square = complete_randomized(SudokuGrid(k), k)
+    for m in sorted({0, 1, k - 1, k + 1, n // 2, n - 1, n}):
+        rectangle = truncate_rows(square, m)
+        seen.clear()
+        assert validate(rectangle) is None
+        assert seen == [m * n], (m, seen)
 
 
 def test_completed_square_value_counts(squares_k3):
