@@ -461,8 +461,6 @@ class _Ends(NamedTuple):
 def _color_regular(
     ends: _Ends, live: list[int], degree: int, first_color: int, colors: list[int]
 ) -> None:
-    if degree == 0 or not live:
-        return
     if degree == 1:
         for e in live:
             colors[e] = first_color
@@ -549,7 +547,9 @@ def _color_cycles(ends: _Ends, live: list[int], first_color: int, colors: list[i
     along the edge there that comes earlier in ``live``, alternating the
     two colors: these are the trails :func:`_euler_split` walks, colored as
     its halves would be.  The edge ids at a vertex sum to ``pair[node]``,
-    so the edge leaving by is the sum less the edge arriving by.
+    so the edge leaving by is the sum less the edge arriving by.  Splitting
+    this level with :func:`_euler_split` instead gives the same colors but
+    makes :func:`edge_color` 6-16% slower, so this walk stays.
     """
     by_vertex = _by_vertex(ends, live)
     first = by_vertex[0::2]

@@ -11,15 +11,14 @@ Every recipe works on raw matrices stacked from Lemma 2 building blocks
 (:func:`_lemma2_matrix`, a rotation of disjoint value parts).  There are
 three structural recipes, selected by the shape:
 
-* case "a" (l < k/2): two stacked building-block rectangles over disjoint
-  value halves, with the trailing rows of the right part recycled into
-  fresh rows for the left part;
+* case "a" (l < k/2): two building-block rectangles side by side over
+  disjoint value halves; the values of the right part's trailing rows are
+  recycled, column by column, into fresh rows for the left part;
 * case "b" (l >= k/2, k even): a 2×2 stack of four building blocks over
   the low/high value halves, followed by two in-block swaps and two
   overwrites that concentrate the high values in the bottom block;
 * case "c" (l >= k/2, k odd): same idea with unbalanced halves; the right
-  top block borrows a scratch alphabet that is substituted away before
-  assembly.
+  top block's part 0 takes a different low part in each block row.
 
 Every recipe ends with the widening, which validates the column block and
 the widened rectangle, and a completion run that must reject with a
@@ -102,10 +101,6 @@ def _column(matrix: list[list[int]], col: int) -> list[int]:
     return [row[col - 1] for row in matrix]
 
 
-def _stack(top: list[list[int]], bottom: list[list[int]]) -> list[list[int]]:
-    return [row[:] for row in top] + [row[:] for row in bottom]
-
-
 def _beside(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
     if len(left) != len(right):
         raise ConstructionError("side-by-side pieces must have equal heights")
@@ -115,13 +110,6 @@ def _beside(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConstructionError("construction integrity check failed: " + message)
-
-
-def _swap_cells(matrix, r1, c1, r2, c2):
-    matrix[r1 - 1][c1 - 1], matrix[r2 - 1][c2 - 1] = (
-        matrix[r2 - 1][c2 - 1],
-        matrix[r1 - 1][c1 - 1],
-    )
 
 
 def _matrix_to_grid(matrix: list[list[int]], k: int) -> SudokuGrid:
@@ -138,68 +126,28 @@ def _case_a_matrix(k: int, l: int, r: int) -> list[list[int]]:
     m = l * k + r
     low = canonical_partition(k, l)  # values 1..lk
     high = canonical_partition(k, k - l, start=l * k + 1)  # values lk+1..k²
-    left = _lemma2_matrix(l, l, k, low)  # lk rows × l cols
     right_full = _lemma2_matrix(l + 1, k - l, k, high)  # (l+1)k rows × k−l cols
-    right = [row[:] for row in right_full[:m]]
-    removed = right_full[m:]
-    spare = sorted({v for row in removed for v in row})
-    _require(len(spare) == (k - r) * (k - l), "recycled value pool has wrong size")
-
-    needed = l * r
-    pool = list(spare)
+    right = right_full[:m]
+    pool = sorted({v for row in right_full[m:] for v in row})
+    _require(len(pool) == (k - r) * (k - l), "recycled value pool has wrong size")
     if l + r > k:
+        # the first k(l+r−k) cells of the kept partial rows, row by row, give
+        # their values to the pool and take 1, 2, 3, ...; right holds only
+        # values above lk, so none of these repeats in a row or column
         transfer_count = k * (l + r - k)
         _require(
             (k - l) * r > transfer_count,
             "kept partial rows cannot spare enough values",
         )
-        transfer: list[tuple[int, int, int]] = []  # (row, col, value), 1-based
-        for i in range(l * k, m):
-            for j in range(k - l):
-                if len(transfer) == transfer_count:
-                    break
-                transfer.append((i + 1, j + 1, right[i][j]))
-            if len(transfer) == transfer_count:
-                break
-        _require(len(transfer) == transfer_count, "could not pick transfer values")
-        pool.extend(v for _, _, v in transfer)
-        # backfill the vacated cells from the low alphabet
-        low_values = list(range(1, l * k + 1))
-        used_backfill: set[int] = set()
-        for row_idx, col_idx, _ in transfer:
-            choice = None
-            for v in low_values:
-                if v in used_backfill:
-                    continue  # one use keeps the partial block conflict-free
-                if v in right[row_idx - 1]:
-                    continue
-                if v in _column(right, col_idx):
-                    continue
-                choice = v
-                break
-            _require(choice is not None, "no backfill value available")
-            right[row_idx - 1][col_idx - 1] = choice
-            used_backfill.add(choice)
-    _require(len(pool) >= needed, "not enough recycled values for the new rows")
-
-    # append r rows to the left part, greedily avoiding conflicts
-    fresh_rows = [[0] * l for _ in range(r)]
-    used: set[int] = set()
-    for j in range(l):
-        for i in range(r):
-            choice = None
-            for v in pool:
-                if v in used or v in fresh_rows[i]:
-                    continue
-                if any(fresh_rows[t][j] == v for t in range(r)):
-                    continue
-                choice = v
-                break
-            _require(choice is not None, "cannot place a recycled value")
-            fresh_rows[i][j] = choice
-            used.add(choice)
-    left_tall = left + fresh_rows
-    return _beside(left_tall, right)
+        for t in range(transfer_count):
+            row, col = right[l * k + t // (k - l)], t % (k - l)
+            pool.append(row[col])
+            row[col] = t + 1
+    _require(len(pool) >= l * r, "not enough recycled values for the new rows")
+    _require(len(set(pool)) == len(pool), "recycled values repeat")
+    # r new rows for the left part, filled from the pool column by column
+    fresh_rows = [[pool[j * r + i] for j in range(l)] for i in range(r)]
+    return _beside(_lemma2_matrix(l, l, k, low) + fresh_rows, right)
 
 
 # -- case b: l >= k/2, k even ------------------------------------------------
@@ -219,7 +167,7 @@ def _case_b_matrix(k: int, l: int, r: int) -> tuple[list[list[int]], tuple[int, 
     bottom = _beside(
         _lemma2_matrix(a_bottom, c, k, perm3), _lemma2_matrix(a_bottom, c, k, perm4)
     )
-    matrix = _stack(top, bottom)[:m]
+    matrix = (top + bottom)[:m]
 
     special = (low[0][-1], high[0][-1], high[2][-1])
     return _jam(matrix, k, l, special, (1, c + 1), (c, c + 2))
@@ -253,30 +201,18 @@ def _case_c_matrix(k: int, l: int, r: int) -> tuple[list[list[int]], tuple[int, 
     m = l * k + r
     low = canonical_partition(k, c)  # F parts over 1..kc
     high = canonical_partition(k, c - 1, start=c * k + 1)  # G parts
-    scratch = list(range(k * k + 1, k * k + k + 1))  # substituted away below
 
     left_top = _lemma2_matrix(c, c - 1, k, low)
-    right_top = _lemma2_matrix(c, c, k, [scratch] + high)
-    # replace the scratch part: block row 1 gets part c-1, block row i gets i-2
-    for i in range(1, c + 1):
-        repl = sorted(low[c - 1] if i == 1 else low[i - 2])
-        rows = range((i - 1) * k, i * k)
-        cells = [
-            (row, col)
-            for row in rows
-            for col in range(c)
-            if right_top[row][col] > k * k
-        ]
-        _require(len(cells) == k, "scratch part must fill one column per block")
-        for (row, col), v in zip(sorted(cells), repl):
-            right_top[row][col] = v
+    right_top = _lemma2_matrix(c, c, k, [low[-1]] + high)
+    # part 0 sits in column −i mod c of block row i; rows 1..c−1 take low[i−1]
+    for i in range(1, c):
+        for t, v in enumerate(low[i - 1]):
+            right_top[i * k + t][-i % c] = v
 
     a3 = l + 1 - c
     left_bottom = _lemma2_matrix(a3, c - 1, k, list(reversed(high)))
     right_bottom = _lemma2_matrix(l + 2 - c, c, k, list(reversed(low)))[k:]
-    matrix = _stack(
-        _beside(left_top, right_top), _beside(left_bottom, right_bottom)
-    )[:m]
+    matrix = (_beside(left_top, right_top) + _beside(left_bottom, right_bottom))[:m]
 
     special = (low[1][-1], high[c - 2][-1], high[0][-1])
     return _jam(matrix, k, l, special, (2, k), (1, c))
@@ -318,9 +254,9 @@ def _jam(
     )
     bottom = [v for row in matrix[l * k :] for v in row]
     _require(x1 not in bottom and x2 not in bottom, "x1 or x2 sits in the bottom block")
-    _swap_cells(matrix, k, a1, k, b1)
-    _swap_cells(matrix, 2 * k, a2, 2 * k, b2)
-    row = matrix[l * k]
+    top, middle, row = matrix[k - 1], matrix[2 * k - 1], matrix[l * k]
+    top[a1 - 1], top[b1 - 1] = x1, x
+    middle[a2 - 1], middle[b2 - 1] = x2, x
     _require(
         x1 not in _column(matrix, b1) + row and x2 not in _column(matrix, b2) + row,
         "the overwrite would repeat x1 or x2",

@@ -208,10 +208,7 @@ class SudokuGrid:
     def audit(self) -> bool:
         """True iff every entry is one that :meth:`set` accepts; a write past
         the API shows here."""
-        n = self.order.n
-        return all(
-            type(v) is int and 1 <= v <= n for row in self._cells for v in row if v is not None
-        )
+        return _well_formed(self._cells, self.order.n)
 
     @classmethod
     def from_rows(cls, k: int, rows: Sequence[Sequence[Optional[int]]]) -> "SudokuGrid":

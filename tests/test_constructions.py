@@ -1,5 +1,6 @@
 """Building-block rectangles, the jammed-rectangle recipes, and the fixture."""
 
+import hashlib
 import random
 from functools import lru_cache
 
@@ -23,10 +24,12 @@ from sudorect import (
 )
 from sudorect.constructions import (
     _beside,
+    _case_a_matrix,
+    _case_b_matrix,
     _case_b_matrix_k4,
+    _case_c_matrix,
     _lemma2_matrix,
     _matrix_to_grid,
-    _swap_cells,
 )
 
 FIGURE1_ROWS = [
@@ -206,12 +209,36 @@ def test_case_b_k4_departs_from_the_general_recipe_only_where_its_docstring_says
     bottom_right = _lemma2_matrix(1, 2, 4, [low[1], low[0]])
     matrix, special = _case_b_matrix_k4(2, 3)
     assert special == (4, 12, 9)
-    _swap_cells(matrix, 4, 1, 4, 3)  # undo the recipe's two swaps ...
-    _swap_cells(matrix, 8, 2, 8, 4)
+    for row, a, b in ((matrix[3], 0, 2), (matrix[7], 1, 3)):
+        row[a], row[b] = row[b], row[a]  # undo the recipe's two swaps ...
     assert matrix[:8] == top
     assert matrix[8][2:] == [12, 9]  # ... and its overwrite of row 9
     assert [row[2:] for row in matrix[9:]] == bottom_right[1:3]
 
+
+
+# sha256 of every recipe's raw column block for k = 2..16, recorded while
+# case a still searched for its placements and case c for its part-0 column.
+RECIPE_DIGEST = "427b8cb9ce8eeb892d31bedf47cedb18f36dcae787375c22b453d0e906e129ae"
+
+
+def test_every_recipe_matrix_up_to_k16_is_pinned():
+    digest, cases = hashlib.sha256(), {"a": 0, "b": 0, "c": 0}
+    for k in range(2, 17):
+        for m in range(k * k + 1):
+            if decide_guaranteed(k, m).guaranteed:
+                continue
+            l, r = divmod(m, k)
+            if 2 * l < k:
+                case, matrix, special = "a", _case_a_matrix(k, l, r), None
+            elif k % 2 == 0:
+                case, (matrix, special) = "b", _case_b_matrix(k, l, r)
+            else:
+                case, (matrix, special) = "c", _case_c_matrix(k, l, r)
+            cases[case] += 1
+            digest.update(repr((k, m, matrix, special)).encode())
+    assert cases == {"a": 229, "b": 308, "c": 224}
+    assert digest.hexdigest() == RECIPE_DIGEST
 
 # -- symmetry images ---------------------------------------------------------------
 

@@ -320,14 +320,15 @@ def test_parse_adopts_its_rows_without_a_second_proof(monkeypatch):
     def refuse(cells, n):
         raise AssertionError("parse proved its rows twice")
 
-    monkeypatch.setattr(sudorect.grid, "_well_formed", refuse)
-    for grid, text in zip(grids, texts):
-        got = parse(text)
+    with monkeypatch.context() as patched:
+        patched.setattr(sudorect.grid, "_well_formed", refuse)
+        parsed = [parse(text) for text in texts]
+        with pytest.raises(ParseError, match="bad token 'z'"):
+            parse("k=2\n1 2 3 z\n3 4 1 2\n. . . .\n. . . .\n")
+        with pytest.raises(ParseError, match="value 9 outside 1..4"):
+            parse("k=2\n1 2 3 9\n3 4 1 2\n. . . .\n. . . .\n")
+    for grid, got in zip(grids, parsed):  # audit runs the proof, so only now
         assert got == grid and got.filled_count == grid.filled_count and got.audit()
-    with pytest.raises(ParseError, match="bad token 'z'"):
-        parse("k=2\n1 2 3 z\n3 4 1 2\n. . . .\n. . . .\n")
-    with pytest.raises(ParseError, match="value 9 outside 1..4"):
-        parse("k=2\n1 2 3 9\n3 4 1 2\n. . . .\n. . . .\n")
 
 
 # -- properties ---------------------------------------------------------------
