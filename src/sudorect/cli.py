@@ -7,12 +7,20 @@ and also an interrupt, exhausted memory or an exceeded recursion limit,
 each reported in one line and never as a traceback.  All
 diagnostics go to stderr; stdout carries only grid/table payloads, so the
 commands compose in pipes.  ``--format kv`` switches the reports to
-machine-readable key=value lines.
+machine-readable key=value lines.  ``bounds --k-max`` above
+``BOUNDS_K_MAX_LIMIT`` is a usage error: the table's work grows as k_max².
+
+The argparse parser is built once per process, on the first ``main`` call
+and not at import, because building it takes about a millisecond, more
+than many in-process commands take; ``main`` looks each handler up by name,
+as ``_cmd_<command>``, when it runs, so a handler replaced after the parser
+was built is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -34,6 +42,7 @@ from .grid import GridError, ParseError, SudokuGrid, is_m_rectangle, parse, rend
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+BOUNDS_K_MAX_LIMIT = 1000
 
 
 def _read_grid(path: str) -> SudokuGrid:
@@ -179,6 +188,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.k_max > BOUNDS_K_MAX_LIMIT:
+        _warn(f"need k_max <= {BOUNDS_K_MAX_LIMIT}, got {args.k_max}")
+        return EXIT_ERROR
     reports = bounds_table(args.k_max)
     if args.format == "kv":
         for report in reports:
@@ -195,6 +207,7 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sudorect",
@@ -205,37 +218,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a grid file")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "kv"), default="text")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decide", help="is every m-row rectangle completable?")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("text", "kv"), default="text")
-    p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("complete", help="complete a rectangle or reject it")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle candidate orders (deterministic per seed)")
-    p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("construct", help="emit a non-completable rectangle")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("count", help="count completions by backtracking")
     p.add_argument("file")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--max-solutions", type=int, default=None)
     p.add_argument("--format", choices=("text", "kv"), default="text")
-    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("bounds", help="counting-bound ratio table")
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--format", choices=("text", "kv"), default="text")
-    p.set_defaults(func=_cmd_bounds)
 
     return parser
 
@@ -247,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ParseError as exc:
         _warn(f"parse error: {exc}")
         return EXIT_ERROR

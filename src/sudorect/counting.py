@@ -155,23 +155,27 @@ def matching_bounds(n: int, r: int) -> tuple[float, float]:
     return log_lower, log_upper
 
 
-def _log_product(k: int, upper: bool) -> float:
+def _log_products(k: int) -> tuple[float, float]:
     """The two-stage product formula, evaluated structurally as written:
 
         prod_{l=1..k} [ PM(n, n-k(l-1)) / (k!)^k ]^k  ·  ( prod_{r=1..k} PM(n, r) )^k
 
-    with PM replaced by its lower or upper matching bound.
+    with PM replaced by its lower and by its upper matching bound, both in
+    one pass.  Each side adds the terms of ``matching_bounds`` in the same
+    order as evaluating the products one at a time would.
     """
     n = k * k
-    side = 1 if upper else 0
-    log_kfact = lgamma(k + 1)
-    total = 0.0
+    log_nfact = lgamma(n + 1)
+    log_n = log(n)
+    k_log_kfact = k * lgamma(k + 1)
+    lower = upper = lower_tail = upper_tail = 0.0
     for l in range(1, k + 1):
-        total += k * (matching_bounds(n, n - k * (l - 1))[side] - k * log_kfact)
-    tail = 0.0
-    for r in range(1, k + 1):
-        tail += matching_bounds(n, r)[side]
-    return total + k * tail
+        r = n - k * (l - 1)
+        lower += k * (log_nfact + n * (log(r) - log_n) - k_log_kfact)
+        upper += k * ((n / r) * lgamma(r + 1) - k_log_kfact)
+        lower_tail += log_nfact + n * (log(l) - log_n)
+        upper_tail += (n / l) * lgamma(l + 1)
+    return lower + k * lower_tail, upper + k * upper_tail
 
 
 def _ratio(log_bound: float, n: int) -> float:
@@ -184,8 +188,7 @@ def sudoku_bounds(k: int) -> BoundsReport:
     if k < 1:
         raise CountingError(f"block side must be >= 1, got {k}")
     n = k * k
-    log_lower = _log_product(k, upper=False)
-    log_upper = _log_product(k, upper=True)
+    log_lower, log_upper = _log_products(k)
     closed = (
         2 * n * lgamma(n + 1) + k * n * lgamma(k + 1) - float(n) * n * (log(k) + log(n))
     )

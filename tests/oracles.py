@@ -10,12 +10,13 @@ block of a grid, so that tests can hold it against the oracles.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import exp, factorial, fsum, log, pi
+from math import exp, factorial, fsum, lgamma, log, pi
 from typing import Sequence
 
 from sudorect import (
     BipartiteGraph,
     BlockIndex,
+    BoundsReport,
     CellRef,
     CountResult,
     DegreeDemand,
@@ -26,6 +27,7 @@ from sudorect import (
     SudokuGrid,
     Violation,
     degree_matching,
+    matching_bounds,
 )
 from sudorect import completion
 
@@ -349,6 +351,41 @@ def exact_log_bound_products(k: int) -> tuple[float, float]:
         lower.append(k * (log_n_fact + n * log(r / n)))
         upper.append(k * (n / r) * log(factorial(r)))
     return fsum(lower), fsum(upper)
+
+
+def reference_sudoku_bounds(k: int) -> BoundsReport:
+    """``sudoku_bounds`` as it stood when each bound product was its own pass
+    over ``matching_bounds``, the lower and the upper one after the other."""
+
+    def log_product(upper: bool) -> float:
+        side = 1 if upper else 0
+        log_kfact = lgamma(k + 1)
+        total = 0.0
+        for l in range(1, k + 1):
+            total += k * (matching_bounds(n, n - k * (l - 1))[side] - k * log_kfact)
+        tail = 0.0
+        for r in range(1, k + 1):
+            tail += matching_bounds(n, r)[side]
+        return total + k * tail
+
+    def ratio(log_bound: float) -> float:
+        return exp(log_bound / (n * n) + 3.0 - log(n))
+
+    n = k * k
+    log_lower = log_product(upper=False)
+    log_upper = log_product(upper=True)
+    closed = (
+        2 * n * lgamma(n + 1) + k * n * lgamma(k + 1) - float(n) * n * (log(k) + log(n))
+    )
+    return BoundsReport(
+        k=k,
+        n=n,
+        log_lower=log_lower,
+        log_upper=log_upper,
+        log_closed_form_lower=closed,
+        ratio_lower=ratio(log_lower),
+        ratio_upper=ratio(log_upper),
+    )
 
 
 def upper_ratio_stirling_envelope(k: int) -> tuple[float, float]:

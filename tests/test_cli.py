@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and output discipline."""
 
+import argparse
 import io
 import random
 import tempfile
@@ -293,6 +294,23 @@ def test_bounds_rejects_bad_k_max():
     assert code == 2
 
 
+class TableReached(Exception):
+    pass
+
+
+def test_bounds_k_max_above_the_limit_exits_2_before_any_evaluation(monkeypatch):
+    def table(k_max):
+        raise TableReached(k_max)
+
+    monkeypatch.setattr(cli, "bounds_table", table)
+    for k_max in (1001, 10**6):
+        code, out, err = run_cli("bounds", "--k-max", str(k_max))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and str(k_max) in err
+    with pytest.raises(TableReached):
+        run_cli("bounds", "--k-max", "1000")
+
+
 # -- usage ------------------------------------------------------------------------
 
 
@@ -304,6 +322,56 @@ def test_missing_subcommand_is_usage_error():
 def test_unknown_subcommand_is_usage_error():
     code, out, err = run_cli("frobnicate")
     assert code == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    per_call = []
+    for _ in range(10):
+        before = len(built)
+        run_cli("decide", "--k", "3", "--m", "5")
+        per_call.append(len(built) - before)
+    assert per_call[0] > 0 and per_call[1:] == [0] * 9
+
+
+def test_reused_parser_gives_the_same_answers(figure1_file, empty4_file):
+    argvs = [
+        ["check", figure1_file],
+        ["check", figure1_file, "--format", "kv"],
+        ["decide", "--k", "3", "--m", "5"],
+        ["decide", "--k", "3", "--m", "5", "--format", "kv"],
+        ["complete", figure1_file],
+        ["complete", empty4_file, "--seed", "3"],
+        ["construct", "--k", "3", "--m", "5"],
+        ["count", empty4_file],
+        ["count", empty4_file, "--format", "kv"],
+        ["bounds", "--k-max", "5"],
+        ["bounds", "--k-max", "5", "--format", "kv"],
+        ["--help"],
+        ["count", "--help"],
+        [],
+        ["frobnicate"],
+        ["decide", "--k", "x", "--m", "5"],
+        ["decide", "--k", "3"],
+        ["check", figure1_file, "--format", "xml"],
+        ["count", empty4_file, "--max-nodes", "-1"],
+    ]
+    first = [run_cli(*argv) for argv in argvs]
+    second = [run_cli(*argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    assert first == second == fresh
+    assert {code for code, _, _ in first} == {0, 1, 2}
 
 
 @pytest.mark.parametrize(

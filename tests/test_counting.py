@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from dataclasses import fields
 from functools import lru_cache
 
 import pytest
@@ -15,10 +16,12 @@ from oracles import (
     log_factorial_stirling_upper,
     permanent,
     reference_count,
+    reference_sudoku_bounds,
     regular_bipartite_graphs,
     sud4_brute_force,
 )
 from sudorect import (
+    BoundsReport,
     CountingError,
     CountResult,
     SudokuGrid,
@@ -257,6 +260,13 @@ def test_bound_products_match_exact_factorial_oracle(k):
     report = sudoku_bounds(k)
     assert report.log_lower == pytest.approx(log_lower, rel=1e-12)
     assert report.log_upper == pytest.approx(log_upper, rel=1e-12)
+
+
+def test_one_pass_bounds_equal_the_two_pass_reference_bit_for_bit():
+    for k in range(1, 301):
+        got, want = sudoku_bounds(k), reference_sudoku_bounds(k)
+        for field in fields(BoundsReport):
+            assert getattr(got, field.name) == getattr(want, field.name), (k, field.name)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 9, 10, 50, 100])
