@@ -14,8 +14,9 @@ deterministic for a fixed edge order.
 The completion pipeline's own matchings (stage 1 and the column-block
 widening) have unit right quotas and edges in increasing value order, so
 they run on value bitmasks in ``_assign_on_masks``, which replays
-:func:`degree_matching` step for step.  :func:`degree_matching` itself
-serves the perfect-matching peel and public callers.
+:func:`degree_matching` step for step.  With every quota 1, as in the
+colouring's perfect-matching peel, :func:`degree_matching` replays its
+steps with one mate per vertex (``_perfect_matching``).
 """
 
 from __future__ import annotations
@@ -96,26 +97,42 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     that alternating search reaches from the deficient ones: the source
     side of the minimal minimum cut, the same for every maximum matching.
     Their quota mass exceeds what their combined neighborhood can absorb.
+    With every quota 1 the matching is perfect, and :func:`_perfect_matching`
+    takes the same steps with one mate per vertex, so the result is the same.
     """
-    if len(demand.left_quota) != g.left_count or len(demand.right_quota) != g.right_count:
+    left, right = demand.left_quota, demand.right_quota
+    if len(left) != g.left_count or len(right) != g.right_count:
         raise KernelError("quota vectors do not match vertex counts")
-    if any(q < 0 for q in demand.left_quota + demand.right_quota):
-        raise KernelError("negative quota")
-    total = sum(demand.left_quota)
-    if total != sum(demand.right_quota):
-        raise KernelError(
-            f"quota sums differ: left {total}, right {sum(demand.right_quota)}"
-        )
+    if left.count(1) == len(left) == len(right) == right.count(1):
+        found = _perfect_matching(g)
+    else:
+        if any(q < 0 for q in left + right):
+            raise KernelError("negative quota")
+        total = sum(left)
+        if total != sum(right):
+            raise KernelError(f"quota sums differ: left {total}, right {sum(right)}")
+        found = _b_matching(g, demand, total)
+    if isinstance(found, list):
+        return _certificate(g, demand, found)
+    return found
 
+
+def _b_matching(
+    g: BipartiteGraph, demand: DegreeDemand, total: int
+) -> Union[tuple[int, ...], list[int]]:
+    """The matched edge positions, or the left vertices that alternating
+    search reaches when the matching stays short of ``total``."""
     net = _Matching(g, demand)
     missing = total - net.seed_greedily()
     if missing:
         net.index_edges()
     while missing:
         if not net.label_levels():
-            reached = [u for u, depth in enumerate(net.level) if depth >= 0]
-            return _certificate(g, demand, reached)
-        missing -= net.augment_phase()
+            return [u for u, depth in enumerate(net.level) if depth >= 0]
+        gained = net.augment_phase()
+        if not gained:
+            raise KernelError("an augmenting phase found no path")
+        missing -= gained
     return tuple(compress(range(len(g.edges)), net.matched))
 
 
@@ -248,6 +265,100 @@ class _Matching:
                     gained += 1
                     break
         return gained
+
+
+def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
+    """:func:`_b_matching` with every quota 1 on ``left_count`` vertices a
+    side, replayed step for step: the greedy seed in edge order, then the
+    level labelling and augmenting phases of :class:`_Matching`.
+
+    ``mate[u]`` is the edge matched at left vertex u and ``partner[v]`` the
+    left vertex matched to right vertex v (-1: free), in place of quotas,
+    ``matched`` flags and ``mates`` lists.  A scan skips no matched edge:
+    one out of u leads back to u, which is labelled already and is never
+    the level sought.
+    """
+    edges = g.edges
+    count = g.left_count
+    mate = [-1] * count
+    partner = [-1] * count
+    missing = count
+    for e, (u, v) in enumerate(edges):
+        if mate[u] < 0 and partner[v] < 0:
+            mate[u] = e
+            partner[v] = u
+            missing -= 1
+    if missing:
+        out: list[list[int]] = [[] for _ in range(count)]  # edge ids, in edge order
+        heads: list[list[int]] = [[] for _ in range(count)]  # their right ends
+        for e, (u, v) in enumerate(edges):
+            out[u].append(e)
+            heads[u].append(v)
+    while missing:
+        # label_levels, stopping at the first edge into a free vertex
+        free = frontier = [u for u in range(count) if mate[u] < 0]
+        level = [-1] * count
+        for u in free:
+            level[u] = 0
+        depth = 0
+        spare_seen = False
+        while frontier and not spare_seen:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for v in heads[u]:
+                    w = partner[v]
+                    if w < 0:
+                        spare_seen = True
+                        break
+                    if level[w] < 0:
+                        level[w] = depth
+                        reached.append(w)
+                if spare_seen:
+                    break
+            frontier = reached
+        if not spare_seen:
+            return [u for u, depth in enumerate(level) if depth >= 0]
+        # augment_phase: each cursor moves forward only, staying on the edge
+        # taken.  Only a path's source leaves ``free``, and a free vertex is
+        # no path's inner vertex, so each one is still free at level 0 when
+        # its turn comes.
+        short = missing
+        cursor = [0] * count
+        for source in free:
+            stack = [source]
+            path: list[int] = []  # the position in heads[u] of each step out
+            while stack:
+                u = stack[-1]
+                row = heads[u]
+                target = level[u] + 1
+                i = cursor[u]
+                step = -2  # none yet; -1: a free right vertex
+                while i < len(row):
+                    w = partner[row[i]]
+                    if w < 0 or level[w] == target:
+                        step = w
+                        break
+                    i += 1
+                cursor[u] = i
+                if step == -2:
+                    level[u] = -1
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(i)
+                if step >= 0:
+                    stack.append(step)
+                    continue
+                for u, i in zip(stack, path):
+                    mate[u] = out[u][i]
+                    partner[heads[u][i]] = u
+                missing -= 1
+                break
+        if missing == short:
+            raise KernelError("an augmenting phase found no path")
+    return tuple(sorted(mate))
 
 
 def _assign_on_masks(
@@ -461,6 +572,11 @@ class _Ends(NamedTuple):
 def _color_regular(
     ends: _Ends, live: list[int], degree: int, first_color: int, colors: list[int]
 ) -> None:
+    """Color the ``degree``-regular multigraph ``live`` with ``degree``
+    colors from ``first_color`` on.  An odd degree peels the perfect
+    matching that :func:`degree_matching` finds on the edges in ``live``
+    order, which takes ``first_color``, and keeps the other edges in that
+    order; an even one splits in halves."""
     if degree == 1:
         for e in live:
             colors[e] = first_color
@@ -469,26 +585,23 @@ def _color_regular(
         _color_cycles(ends, live, first_color, colors)
         return
     if degree % 2 == 1:
-        matched = _peel_perfect_matching(ends.side, ends.edges, live)
-        for e in matched:
-            colors[e] = first_color
-        rest = [e for e in live if e not in matched]
+        edges = ends.edges
+        sub = BipartiteGraph._trusted(ends.side, ends.side, tuple(map(edges.__getitem__, live)))
+        matched = degree_matching(sub, DegreeDemand.uniform(sub, 1, 1))
+        if isinstance(matched, HallCertificate):
+            raise KernelError("regular bipartite multigraph lost its perfect matching")
+        rest: list[int] = []
+        start = 0
+        for i in matched:  # positions in increasing order
+            colors[live[i]] = first_color
+            rest += live[start:i]
+            start = i + 1
+        rest += live[start:]
         _color_regular(ends, rest, degree - 1, first_color + 1, colors)
         return
     half_a, half_b = _euler_split(ends, live, degree)
     _color_regular(ends, half_a, degree // 2, first_color, colors)
     _color_regular(ends, half_b, degree // 2, first_color + degree // 2, colors)
-
-
-def _peel_perfect_matching(
-    side: int, edges: list[tuple[int, int]], live: list[int]
-) -> set[int]:
-    sub = BipartiteGraph._trusted(side, side, tuple([edges[e] for e in live]))
-    demand = DegreeDemand.uniform(sub, 1, 1)
-    result = degree_matching(sub, demand)
-    if isinstance(result, HallCertificate):
-        raise KernelError("regular bipartite multigraph lost its perfect matching")
-    return {live[i] for i in result}
 
 
 def _by_vertex(ends: _Ends, live: list[int]) -> list[int]:

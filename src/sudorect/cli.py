@@ -9,6 +9,9 @@ diagnostics go to stderr; stdout carries only grid/table payloads, so the
 commands compose in pipes.  ``--format kv`` switches the reports to
 machine-readable key=value lines.  ``bounds --k-max`` above
 ``BOUNDS_K_MAX_LIMIT`` is a usage error: the table's work grows as k_max².
+So is ``construct --k`` above ``CONSTRUCT_K_LIMIT``: a construction's work
+grows faster than k⁴.  Integers echoed in diagnostics are clipped, so each
+stays one short line.
 
 The argparse parser is built once per process, on the first ``main`` call
 and not at import, because building it takes about a millisecond, more
@@ -37,12 +40,13 @@ from .counting import (
     bounds_table,
     count_completions,
 )
-from .grid import GridError, ParseError, SudokuGrid, is_m_rectangle, parse, render, validate
+from .grid import GridError, ParseError, SudokuGrid, _clip, is_m_rectangle, parse, render, validate
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 BOUNDS_K_MAX_LIMIT = 1000
+CONSTRUCT_K_LIMIT = 20
 
 
 def _read_grid(path: str) -> SudokuGrid:
@@ -147,6 +151,9 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.k > CONSTRUCT_K_LIMIT:
+        _warn(f"need k <= {CONSTRUCT_K_LIMIT}, got {_clip(str(args.k))}")
+        return EXIT_ERROR
     report = construct_counterexample(args.k, args.m)
     shape = is_m_rectangle(report.rectangle)
     header = [
@@ -189,7 +196,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.k_max > BOUNDS_K_MAX_LIMIT:
-        _warn(f"need k_max <= {BOUNDS_K_MAX_LIMIT}, got {args.k_max}")
+        _warn(f"need k_max <= {BOUNDS_K_MAX_LIMIT}, got {_clip(str(args.k_max))}")
         return EXIT_ERROR
     reports = bounds_table(args.k_max)
     if args.format == "kv":

@@ -38,6 +38,7 @@ from .bipartite import BipartiteGraph, KernelError, _assign_on_masks, edge_color
 from .grid import (
     BlockIndex,
     SudokuGrid,
+    _clip,
     is_m_rectangle,
     is_pq_rectangle,
     validate,
@@ -79,9 +80,11 @@ CompletionOutcome = Union[SudokuGrid, NotCompletable]
 def decide_guaranteed(k: int, m: int) -> Completability:
     """Evaluate the three shape conditions on m = l·k + r."""
     if k < 1:
-        raise CompletionError(f"block side must be >= 1, got {k}")
+        raise CompletionError(f"block side must be >= 1, got {_clip(str(k))}")
     if not (0 <= m <= k * k):
-        raise CompletionError(f"row count {m} outside 0..{k * k}")
+        # k² is written out only while it is short: str() refuses huge ints
+        top = k * k if k < 10**10 else "k²"
+        raise CompletionError(f"row count {_clip(str(m))} outside 0..{top}")
     l, r = divmod(m, k)
     if r == 0:
         return Completability(k, m, True, "r=0")

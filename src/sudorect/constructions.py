@@ -38,7 +38,7 @@ from .completion import (
     extend_column_blocks,
     verify_certificate,
 )
-from .grid import SudokuGrid
+from .grid import SudokuGrid, _clip
 
 
 class ConstructionError(Exception):
@@ -281,7 +281,8 @@ def construct_counterexample(k: int, m: int) -> CounterexampleReport:
     verdict = decide_guaranteed(k, m)
     if verdict.guaranteed:
         raise ConstructionError(
-            f"every valid rectangle with k={k}, m={m} is completable ({verdict.reason})"
+            f"every valid rectangle with k={_clip(str(k))}, m={_clip(str(m))}"
+            f" is completable ({verdict.reason})"
         )
     l, r = divmod(m, k)
     special: Optional[tuple[int, int, int]] = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import exp, lgamma, log
 from typing import Optional
 
-from .grid import SudokuGrid, validate
+from .grid import SudokuGrid, _clip, validate
 
 
 class CountingError(Exception):
@@ -206,5 +206,5 @@ def sudoku_bounds(k: int) -> BoundsReport:
 def bounds_table(k_max: int) -> list[BoundsReport]:
     """The bounds report of every k = 2..k_max."""
     if k_max < 2:
-        raise CountingError(f"need k_max >= 2, got {k_max}")
+        raise CountingError(f"need k_max >= 2, got {_clip(str(k_max))}")
     return [sudoku_bounds(k) for k in range(2, k_max + 1)]

@@ -22,7 +22,9 @@ from sudorect import (
     HallCertificate,
     KernelError,
     SudokuGrid,
+    bipartite,
     complete,
+    complete_randomized,
     completion,
     construct_counterexample,
     decide_guaranteed,
@@ -358,3 +360,104 @@ def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
     assert degrees == set(range(2, 7)) and len(graphs) == 129
     for g in graphs:
         assert edge_color(g) == reference_edge_color(g)
+
+
+# -- the unit-quota replay against _Matching ----------------------------------
+
+
+def permutation_union(rng: random.Random) -> BipartiteGraph:
+    """A union of d random permutations (d odd, 2-40 vertices a side, so
+    parallel edges occur) with its edges in a random order: the shape of
+    a perfect-matching peel."""
+    side = rng.randint(2, 40)
+    degree = rng.choice([1, 3, 5, 7, 9])
+    edges = []
+    for _ in range(degree):
+        edges += enumerate(rng.sample(range(side), side))
+    rng.shuffle(edges)
+    return BipartiteGraph.build(side, side, edges)
+
+
+def sparse_graph(rng: random.Random) -> BipartiteGraph:
+    """1-12 vertices a side and up to three edges per vertex, drawn at
+    random: often without a perfect matching."""
+    side = rng.randint(1, 12)
+    edges = [(rng.randrange(side), rng.randrange(side)) for _ in range(rng.randint(0, 3 * side))]
+    return BipartiteGraph.build(side, side, edges)
+
+
+def replays_b_matching(g: BipartiteGraph) -> bool:
+    """The unit-quota path gives what _Matching gives, matching or reached
+    set, and degree_matching takes it; True iff the greedy seed fell
+    short, so the augmenting phases ran."""
+    unit = DegreeDemand.uniform(g, 1, 1)
+    want = bipartite._b_matching(g, unit, g.left_count)
+    assert bipartite._perfect_matching(g) == want
+    if isinstance(want, list):
+        assert degree_matching(g, unit) == bipartite._certificate(g, unit, want)
+    else:
+        assert degree_matching(g, unit) == want
+    taken: set[tuple[str, int]] = set()
+    for u, v in g.edges:
+        if ("l", u) not in taken and ("r", v) not in taken:
+            taken |= {("l", u), ("r", v)}
+    return len(taken) < 2 * g.left_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_unit_quotas_replay_b_matching_on_permutation_unions(rng):
+    replays_b_matching(permutation_union(rng))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_unit_quotas_replay_b_matching_on_sparse_graphs(rng):
+    replays_b_matching(sparse_graph(rng))
+
+
+def test_sparse_graphs_reach_both_outcomes():
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(100):
+        g = sparse_graph(rng)
+        outcomes.add(isinstance(degree_matching(g, DegreeDemand.uniform(g, 1, 1)), tuple))
+    assert outcomes == {True, False}
+
+
+def test_unit_quotas_replay_b_matching_on_pipeline_peels(monkeypatch):
+    # every perfect-matching peel of the pipelines, captured where
+    # degree_matching hands it to the unit-quota path
+    graphs = []
+    kernel = bipartite._perfect_matching
+
+    def recording(g):
+        graphs.append(g)
+        return kernel(g)
+
+    monkeypatch.setattr(bipartite, "_perfect_matching", recording)
+    for k in range(3, 10):
+        square = complete(SudokuGrid(k))
+        for grid in [SudokuGrid(k)] + [truncate_rows(square, m) for m in (1, k + 1, k * k - 1)]:
+            complete(grid)
+            for seed in range(3):
+                complete_randomized(grid, seed)
+    for k in (5, 7):
+        for m in range(k * k):
+            if not decide_guaranteed(k, m).guaranteed:
+                construct_counterexample(k, m)
+    monkeypatch.undo()
+    assert {len(g.edges) // g.left_count for g in graphs} == {3, 5, 7, 9}
+    short = sum(replays_b_matching(g) for g in graphs)
+    # a replay that stops after its greedy seed fails most of these
+    assert short >= len(graphs) // 2
+
+
+def test_a_phase_without_an_augmenting_path_is_a_kernel_error(monkeypatch):
+    # the greedy seed gives left vertex 0 both units of right vertex 0
+    g = BipartiteGraph.build(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)])
+    demand = DegreeDemand((2, 1), (2, 1))
+    assert len(degree_matching(g, demand)) == 3
+    monkeypatch.setattr(bipartite._Matching, "augment_phase", lambda net: 0)
+    with pytest.raises(KernelError, match="no path"):
+        degree_matching(g, demand)

@@ -21,7 +21,7 @@ from sudorect import (
     truncate_rows,
     validate,
 )
-from sudorect import cli
+from sudorect import cli, constructions, decide_guaranteed
 from sudorect.cli import main
 
 
@@ -309,6 +309,44 @@ def test_bounds_k_max_above_the_limit_exits_2_before_any_evaluation(monkeypatch)
         assert len(err.splitlines()) == 1 and str(k_max) in err
     with pytest.raises(TableReached):
         run_cli("bounds", "--k-max", "1000")
+
+
+def test_construct_k_above_the_limit_exits_2_before_any_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(constructions, "_lemma2_matrix", refuse)
+    monkeypatch.setattr(SudokuGrid, "from_rows", refuse)
+    limit = cli.CONSTRUCT_K_LIMIT
+    for k in (limit + 1, limit):
+        m = next(m for m in range(k * k) if not decide_guaranteed(k, m).guaranteed)
+        if k > limit:
+            code, out, err = run_cli("construct", "--k", str(k), "--m", str(m))
+            assert code == 2 and out == ""
+            assert err == f"need k <= {limit}, got {k}\n"
+        else:
+            with pytest.raises(AssertionError, match="a matrix was built"):
+                run_cli("construct", "--k", str(k), "--m", str(m))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k-max", "9" * 4000],
+        ["bounds", "--k-max", "-" + "9" * 4000],
+        ["construct", "--k", "9" * 4000, "--m", "3"],
+        ["construct", "--k", "5", "--m", "9" * 4000],
+        ["decide", "--k", "-" + "9" * 4000, "--m", "3"],
+        ["decide", "--k", "9" * 2200, "--m", "-1"],
+    ],
+    ids=["bounds-huge", "bounds-minus-huge", "construct-huge-k", "construct-huge-m",
+         "decide-minus-huge-k", "decide-huge-k-negative-m"],
+)
+def test_huge_integers_are_clipped_in_one_short_line(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200, err
+    assert "…" in err or "0..k²" in err, err  # the integer is clipped, not dropped
 
 
 # -- usage ------------------------------------------------------------------------

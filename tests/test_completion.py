@@ -68,6 +68,17 @@ def test_decide_range_errors():
         decide_guaranteed(0, 0)
 
 
+def test_decide_takes_a_k_too_long_for_str():
+    # 5,001 digits: past the int-to-str limit, so only a failing call may print k
+    k = 10**5000
+    assert decide_guaranteed(k, 3).k == k
+    with pytest.raises(CompletionError) as caught:
+        decide_guaranteed(k, -1)
+    assert str(caught.value) == "row count -1 outside 0..k²"
+    with pytest.raises(CompletionError, match=r"outside 0\.\.9$"):
+        decide_guaranteed(3, 10)
+
+
 # -- stage 1 -------------------------------------------------------------------
 
 
@@ -519,6 +530,14 @@ def test_certificate_replay_rejects_forged_witnesses():
     ]
     for grid, witness in forged:
         assert not verify_certificate(grid, witness), witness
+
+
+def test_certificate_replay_accepts_a_witness_in_block_row_1():
+    # complete never issues one (every shape with l = 0 is guaranteed), but
+    # cell (2, 1) here has no placeable value: 3 and 4 are in its column
+    rows = [[1, 2, None, None], [None] * 4, [3, None, None, None], [4, None, None, None]]
+    grid = SudokuGrid.from_rows(2, rows)
+    assert verify_certificate(grid, NotCompletable(BlockIndex(1, 1), 1, (1,), ()))
 
 
 def test_certificate_replay_requires_the_witnessed_candidates(figure1):
