@@ -2,21 +2,29 @@
 certificates, and max-degree edge coloring.
 
 Vertices are 0-based; parallel edges are allowed and matter (a matching is
-a subset of edge *positions*).  Matchings are found on the graph itself:
-a greedy pass in edge order, then Hopcroft–Karp phases of augmenting
-paths that alternate between unmatched and matched edges.  Colorings come
-from alternating Euler splits, with a perfect-matching peel for odd
-degree; the last, 2-regular level is colored directly as alternating even
-cycles.  Each edge's ends are numbered once per coloring, and a split walks
-its trails with one edge iterator per vertex.  Everything here is
-deterministic for a fixed edge order.
+a subset of edge *positions*).  Colorings come from alternating Euler
+splits, with a perfect-matching peel for odd degree; the last, 2-regular
+level is colored directly as alternating even cycles.  Each edge's ends
+are numbered once per coloring, and a split walks its trails with one edge
+iterator per vertex.  Everything here is deterministic for a fixed edge
+order.
 
-The completion pipeline's own matchings (stage 1 and the column-block
-widening) have unit right quotas and edges in increasing value order, so
-they run on value bitmasks in ``_assign_on_masks``, which replays
-:func:`degree_matching` step for step.  With every quota 1, as in the
-colouring's perfect-matching peel, :func:`degree_matching` replays its
-steps with one mate per vertex (``_perfect_matching``).
+Matchings are found on the graph itself by ``_b_matching``, for general
+quotas, and by two replays of it that swap only the representation:
+``_perfect_matching`` keeps one mate per vertex for all-ones quotas (the
+colouring's peel), and ``_assign_on_masks`` keeps value bitmasks for unit
+right quotas with edges in increasing value order (stage 1 and the
+column-block widening).  All three run one skeleton, with the same local
+names:
+
+* a greedy seed in edge order;
+* only if it falls short, the adjacency the search needs;
+* then ``while missing:`` Hopcroft–Karp phases.  Each labels breadth-first
+  alternating levels from the deficient left vertices and stops at the
+  first edge into a right vertex with room.  With no such edge it returns
+  the reached left vertices; otherwise it augments along level-increasing
+  paths with forward-only edge cursors, and a phase that gains nothing
+  is a :class:`KernelError`.
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     that alternating search reaches from the deficient ones: the source
     side of the minimal minimum cut, the same for every maximum matching.
     Their quota mass exceeds what their combined neighborhood can absorb.
-    With every quota 1 the matching is perfect, and :func:`_perfect_matching`
+    With every quota 1 the matching is perfect, and ``_perfect_matching``
     takes the same steps with one mate per vertex, so the result is the same.
     """
     left, right = demand.left_quota, demand.right_quota
@@ -121,114 +129,77 @@ def _b_matching(
     g: BipartiteGraph, demand: DegreeDemand, total: int
 ) -> Union[tuple[int, ...], list[int]]:
     """The matched edge positions, or the left vertices that alternating
-    search reaches when the matching stays short of ``total``."""
-    net = _Matching(g, demand)
-    missing = total - net.seed_greedily()
-    if missing:
-        net.index_edges()
-    while missing:
-        if not net.label_levels():
-            return [u for u, depth in enumerate(net.level) if depth >= 0]
-        gained = net.augment_phase()
-        if not gained:
-            raise KernelError("an augmenting phase found no path")
-        missing -= gained
-    return tuple(compress(range(len(g.edges)), net.matched))
-
-
-class _Matching:
-    """Partial b-matching on the graph itself, plus its alternating search.
+    search reaches when the matching stays short of ``total``.
 
     An augmenting path leaves a left vertex along an unmatched edge and
     returns from a right vertex along a matched edge, until it reaches a
-    right vertex with spare quota.  Flipping its edges keeps every inner
-    vertex's degree and adds one unit at both ends.
+    right vertex with room.  Flipping its edges keeps every inner vertex's
+    degree and adds one unit at both ends.
     """
-
-    def __init__(self, g: BipartiteGraph, demand: DegreeDemand):
-        self.edges = g.edges
-        self.right_count = g.right_count
-        self.need = list(demand.left_quota)  # units each left vertex still lacks
-        self.room = list(demand.right_quota)  # units each right vertex can still take
-        self.matched = bytearray(len(g.edges))
-        self.level = [-1] * g.left_count
-
-    def seed_greedily(self) -> int:
-        need, room, matched = self.need, self.room, self.matched
-        taken = 0
-        for e, (u, v) in enumerate(self.edges):
-            if need[u] and room[v]:
-                need[u] -= 1
-                room[v] -= 1
-                matched[e] = 1
-                taken += 1
-        return taken
-
-    def index_edges(self) -> None:
-        """Adjacency for the search, which the greedy seed alone does not need:
-        every edge out of each left vertex, the matched edges into each right
-        vertex."""
-        edges = self.edges
-        self.tail = [u for u, _ in edges]
-        self.out_edges: list[list[int]] = [[] for _ in self.need]
-        for e, u in enumerate(self.tail):
-            self.out_edges[u].append(e)
-        self.mates: list[list[int]] = [[] for _ in range(self.right_count)]
-        for e in compress(range(len(edges)), self.matched):
-            self.mates[edges[e][1]].append(e)
-
-    def label_levels(self) -> bool:
-        """Label left vertices with their breadth-first alternating level
-        from the deficient ones (-1: unreached).  True as soon as a level
-        sees a right vertex with spare quota; False, with every reachable
-        vertex labelled, when none is reachable."""
-        edges, tail, out_edges, mates, matched, room = (
-            self.edges, self.tail, self.out_edges, self.mates, self.matched, self.room
-        )
-        level = self.level = [-1] * len(self.need)
-        frontier = [u for u, lack in enumerate(self.need) if lack]
+    edges = g.edges
+    need = list(demand.left_quota)  # units each left vertex still lacks
+    room = list(demand.right_quota)  # units each right vertex can still take
+    matched = bytearray(len(edges))
+    missing = total
+    for e, (u, v) in enumerate(edges):
+        if need[u] and room[v]:
+            need[u] -= 1
+            room[v] -= 1
+            matched[e] = 1
+            missing -= 1
+    if missing:  # every edge out of a left vertex, matched edges into a right one
+        tail = [u for u, _ in edges]
+        out: list[list[int]] = [[] for _ in need]
+        for e, u in enumerate(tail):
+            out[u].append(e)
+        mates: list[list[int]] = [[] for _ in room]
+        for e in compress(range(len(edges)), matched):
+            mates[edges[e][1]].append(e)
+    while missing:
+        # label levels (-1: unreached)
+        frontier = [u for u, lack in enumerate(need) if lack]
+        level = [-1] * len(need)
         for u in frontier:
             level[u] = 0
         depth = 0
-        while frontier:
+        spare_seen = False
+        while frontier and not spare_seen:
             depth += 1
             reached = []
             for u in frontier:
-                for e in out_edges[u]:
+                for e in out[u]:
                     if matched[e]:
                         continue
                     v = edges[e][1]
                     if room[v]:
-                        return True
+                        spare_seen = True
+                        break
                     for f in mates[v]:
                         w = tail[f]
                         if level[w] < 0:
                             level[w] = depth
                             reached.append(w)
+                if spare_seen:
+                    break
             frontier = reached
-        return False
-
-    def augment_phase(self) -> int:
-        """Augment along level-increasing paths until none is left; the
-        count of units added.  A vertex whose search fails is dropped for
-        the rest of the phase, and each vertex's edge cursor only moves
-        forward: it passes each edge at most once per phase."""
-        edges, tail, out_edges, mates = self.edges, self.tail, self.out_edges, self.mates
-        matched, need, room, level = self.matched, self.need, self.room, self.level
+        if not spare_seen:
+            return [u for u, depth in enumerate(level) if depth >= 0]
+        # augment: a vertex whose search fails is dropped for the rest of the
+        # phase, and each cursor stays on the edge taken
+        short = missing
         cursor = [0] * len(need)
-        gained = 0
         for source in range(len(need)):
             while need[source] and level[source] == 0:
                 stack = [source]
                 path: list[tuple[int, int]] = []  # (unmatched edge out, matched edge back)
                 while stack:
                     u = stack[-1]
-                    out = out_edges[u]
+                    row = out[u]
                     target = level[u] + 1
                     i = cursor[u]
                     step = None
-                    while i < len(out):
-                        e = out[i]
+                    while i < len(row):
+                        e = row[i]
                         if not matched[e]:
                             v = edges[e][1]
                             if room[v]:
@@ -262,15 +233,17 @@ class _Matching:
                             into.append(e)
                     need[source] -= 1
                     room[edges[step[0]][1]] -= 1
-                    gained += 1
+                    missing -= 1
                     break
-        return gained
+        if missing == short:
+            raise KernelError("an augmenting phase found no path")
+    return tuple(compress(range(len(edges)), matched))
 
 
 def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
-    """:func:`_b_matching` with every quota 1 on ``left_count`` vertices a
-    side, replayed step for step: the greedy seed in edge order, then the
-    level labelling and augmenting phases of :class:`_Matching`.
+    """``_b_matching`` with every quota 1 on ``left_count`` vertices a side,
+    replayed step for step: its greedy seed, level labelling and augmenting
+    phases.
 
     ``mate[u]`` is the edge matched at left vertex u and ``partner[v]`` the
     left vertex matched to right vertex v (-1: free), in place of quotas,
@@ -295,7 +268,7 @@ def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
             out[u].append(e)
             heads[u].append(v)
     while missing:
-        # label_levels, stopping at the first edge into a free vertex
+        # label levels, stopping at the first edge into a free vertex
         free = frontier = [u for u in range(count) if mate[u] < 0]
         level = [-1] * count
         for u in free:
@@ -319,10 +292,9 @@ def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
             frontier = reached
         if not spare_seen:
             return [u for u, depth in enumerate(level) if depth >= 0]
-        # augment_phase: each cursor moves forward only, staying on the edge
-        # taken.  Only a path's source leaves ``free``, and a free vertex is
-        # no path's inner vertex, so each one is still free at level 0 when
-        # its turn comes.
+        # augment: each cursor stays on the edge taken.  Only a path's source
+        # leaves ``free``, and a free vertex is no path's inner vertex, so
+        # each one is still free at level 0 when its turn comes.
         short = missing
         cursor = [0] * count
         for source in free:
@@ -364,14 +336,14 @@ def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
 def _assign_on_masks(
     eligible: list[int], quota: int, free: int
 ) -> tuple[list[int], list[int]]:
-    """:func:`degree_matching` with left quota ``quota`` and unit right
-    quotas, replayed on int bitmasks.
+    """``_b_matching`` with left quota ``quota`` and unit right quotas,
+    replayed on int bitmasks.
 
     Left vertex u may take the values whose bits are set in
     ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
     taken once.  The graph this stands for lists each left vertex's edges
     in increasing bit order.  The greedy seed, the level labelling and
-    the augmenting phases run step for step as in :class:`_Matching`:
+    the augmenting phases run step for step as in ``_b_matching``:
     matched edges become the bits each left vertex holds, the mates of a
     right vertex its one owner, and an edge cursor the lowest bit still
     to scan (0 once every edge is passed).  So the assignment and the
@@ -402,17 +374,16 @@ def _assign_on_masks(
             missing += quota - take.bit_count()
         free ^= take
         assigned.append(take)
-    if not missing:
-        return assigned, []
-    need = [quota - mask.bit_count() for mask in assigned]
-    owner = {}  # bit -> the left vertex holding it
-    for u, mask in enumerate(assigned):
-        while mask:
-            low = mask & -mask
-            owner[low] = u
-            mask ^= low
-    while True:
-        # label_levels: breadth-first alternating levels from the deficient
+    if missing:
+        need = [quota - mask.bit_count() for mask in assigned]
+        owner = {}  # bit -> the left vertex holding it
+        for u, mask in enumerate(assigned):
+            while mask:
+                low = mask & -mask
+                owner[low] = u
+                mask ^= low
+    while missing:
+        # label levels: breadth-first alternating levels from the deficient
         # vertices; ``unlabelled`` holds the bits whose owner has none yet
         level = [-1] * left
         frontier = [u for u in range(left) if need[u]]
@@ -445,9 +416,10 @@ def _assign_on_masks(
             frontier = reached
         if not spare_seen:
             return assigned, [u for u in range(left) if level[u] >= 0]
-        # augment_phase: level-increasing paths, each cursor moving forward.
+        # augment: level-increasing paths, each cursor moving forward.
         # The cursors bound the work only: an edge a cursor has passed cannot
         # become usable later in the same phase.
+        short = missing
         cursor = [1] * left
         for source in range(left):
             while need[source] and level[source] == 0:
@@ -489,8 +461,9 @@ def _assign_on_masks(
                     need[source] -= 1
                     missing -= 1
                     break
-        if not missing:
-            return assigned, []
+        if missing == short:
+            raise KernelError("an augmenting phase found no path")
+    return assigned, []
 
 
 def _certificate(

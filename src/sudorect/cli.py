@@ -10,8 +10,8 @@ commands compose in pipes.  ``--format kv`` switches the reports to
 machine-readable key=value lines.  ``bounds --k-max`` above
 ``BOUNDS_K_MAX_LIMIT`` is a usage error: the table's work grows as k_max².
 So is ``construct --k`` above ``CONSTRUCT_K_LIMIT``: a construction's work
-grows faster than k⁴.  Integers echoed in diagnostics are clipped, so each
-stays one short line.
+grows faster than k⁴.  Integers echoed in diagnostics are clipped, those
+argparse cannot parse included, so each stays one short line.
 
 The argparse parser is built once per process, on the first ``main`` call
 and not at import, because building it takes about a millisecond, more
@@ -40,13 +40,23 @@ from .counting import (
     bounds_table,
     count_completions,
 )
-from .grid import GridError, ParseError, SudokuGrid, _clip, is_m_rectangle, parse, render, validate
+from .grid import (
+    GridError, ParseError, SudokuGrid, _clip, _squared, is_m_rectangle, parse, render, validate
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 BOUNDS_K_MAX_LIMIT = 1000
 CONSTRUCT_K_LIMIT = 20
+
+
+def _integer(token: str) -> int:
+    """argparse's ``int``, with the token clipped in its error message."""
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_clip(token)!r}") from None
 
 
 def _read_grid(path: str) -> SudokuGrid:
@@ -116,12 +126,12 @@ def _cmd_decide(args) -> int:
         )
     elif verdict.guaranteed:
         _emit(
-            f"guaranteed: every valid {verdict.m}×{verdict.k ** 2} rectangle "
+            f"guaranteed: every valid {verdict.m}×{_squared(verdict.k)} rectangle "
             f"completes ({verdict.reason})"
         )
     else:
         _emit(
-            f"not guaranteed: some valid {verdict.m}×{verdict.k ** 2} rectangles "
+            f"not guaranteed: some valid {verdict.m}×{_squared(verdict.k)} rectangles "
             f"have no completion"
         )
     return EXIT_OK if verdict.guaranteed else EXIT_NEGATIVE
@@ -227,28 +237,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "kv"), default="text")
 
     p = sub.add_parser("decide", help="is every m-row rectangle completable?")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--format", choices=("text", "kv"), default="text")
 
     p = sub.add_parser("complete", help="complete a rectangle or reject it")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="shuffle candidate orders (deterministic per seed)")
 
     p = sub.add_parser("construct", help="emit a non-completable rectangle")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("count", help="count completions by backtracking")
     p.add_argument("file")
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-solutions", type=int, default=None)
+    p.add_argument("--max-nodes", type=_integer, default=None)
+    p.add_argument("--max-solutions", type=_integer, default=None)
     p.add_argument("--format", choices=("text", "kv"), default="text")
 
     p = sub.add_parser("bounds", help="counting-bound ratio table")
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=_integer, required=True)
     p.add_argument("--format", choices=("text", "kv"), default="text")
 
     return parser

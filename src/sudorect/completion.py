@@ -39,6 +39,7 @@ from .grid import (
     BlockIndex,
     SudokuGrid,
     _clip,
+    _squared,
     is_m_rectangle,
     is_pq_rectangle,
     validate,
@@ -82,9 +83,7 @@ def decide_guaranteed(k: int, m: int) -> Completability:
     if k < 1:
         raise CompletionError(f"block side must be >= 1, got {_clip(str(k))}")
     if not (0 <= m <= k * k):
-        # k² is written out only while it is short: str() refuses huge ints
-        top = k * k if k < 10**10 else "k²"
-        raise CompletionError(f"row count {_clip(str(m))} outside 0..{top}")
+        raise CompletionError(f"row count {_clip(str(m))} outside 0..{_squared(k)}")
     l, r = divmod(m, k)
     if r == 0:
         return Completability(k, m, True, "r=0")

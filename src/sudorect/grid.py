@@ -404,9 +404,7 @@ def parse(text: str) -> SudokuGrid:
     rows = data_lines[1:]
     if len(rows) != n:
         lineno = rows[-1][0] if rows else header_line
-        # n of a clipped k may have too many digits for str()
-        needed = "k²" if side.endswith("…") else str(n)
-        raise ParseError(f"expected {needed} rows for k={side}, got {len(rows)}", lineno)
+        raise ParseError(f"expected {_squared(k)} rows for k={side}, got {len(rows)}", lineno)
     table = _text_tables(n)[0]
     blank = " ".join(repeat(".", n))
     cells = []
@@ -428,6 +426,12 @@ def parse(text: str) -> SudokuGrid:
 def _clip(text: str) -> str:
     """``text`` cut to 20 characters, so a diagnostic stays one short line."""
     return text if len(text) <= 20 else text[:20] + "…"
+
+
+def _squared(k: int) -> str:
+    """k² written out while k < 10¹⁰, else ``k²``: str() refuses ints of
+    more than 4,300 digits, and a diagnostic stays one short line."""
+    return str(k * k) if k < 10**10 else "k²"
 
 
 def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:

@@ -1,6 +1,9 @@
 """Matching, Hall certificates, and edge coloring against brute force."""
 
+import contextlib
+import inspect
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -362,7 +365,7 @@ def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
         assert edge_color(g) == reference_edge_color(g)
 
 
-# -- the unit-quota replay against _Matching ----------------------------------
+# -- the unit-quota replay against _b_matching -----------------------------
 
 
 def permutation_union(rng: random.Random) -> BipartiteGraph:
@@ -387,7 +390,7 @@ def sparse_graph(rng: random.Random) -> BipartiteGraph:
 
 
 def replays_b_matching(g: BipartiteGraph) -> bool:
-    """The unit-quota path gives what _Matching gives, matching or reached
+    """The unit-quota path gives what _b_matching gives, matching or reached
     set, and degree_matching takes it; True iff the greedy seed fell
     short, so the augmenting phases ran."""
     unit = DegreeDemand.uniform(g, 1, 1)
@@ -453,11 +456,63 @@ def test_unit_quotas_replay_b_matching_on_pipeline_peels(monkeypatch):
     assert short >= len(graphs) // 2
 
 
-def test_a_phase_without_an_augmenting_path_is_a_kernel_error(monkeypatch):
-    # the greedy seed gives left vertex 0 both units of right vertex 0
-    g = BipartiteGraph.build(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)])
-    demand = DegreeDemand((2, 1), (2, 1))
-    assert len(degree_matching(g, demand)) == 3
-    monkeypatch.setattr(bipartite._Matching, "augment_phase", lambda net: 0)
-    with pytest.raises(KernelError, match="no path"):
-        degree_matching(g, demand)
+def with_replaced(matcher, old: str, new: str):
+    """``matcher`` compiled again from its source, in its module's
+    namespace, with the one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(matcher)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(bipartite))
+    exec(compile(source.replace(old, new), bipartite.__file__, "exec"), namespace)
+    return namespace[matcher.__name__]
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail with TimeoutError once the block has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Per matcher: an input whose greedy seed falls one unit short, the full
+# matching one augmenting path gives, and the source edit that makes the
+# step into a right vertex with room a dead end, so no path completes.
+NO_PATH = {
+    "_b_matching": (
+        (BipartiteGraph.build(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)]),
+         DegreeDemand((2, 1), (2, 1)), 3),
+        (1, 2, 3),
+        "step = (e, -1)",
+        "step = None",
+    ),
+    "_perfect_matching": (
+        (BipartiteGraph.build(2, 2, [(0, 0), (0, 1), (1, 0)]),),
+        (1, 2),
+        "if w < 0 or level[w] == target:",
+        "if w >= 0 and level[w] == target:",
+    ),
+    "_assign_on_masks": (
+        ([0b11, 0b01], 1, 0b11),
+        ([0b10, 0b01], []),
+        "step = (low, -1)",
+        "step = None",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_PATH))
+def test_a_phase_without_an_augmenting_path_is_a_kernel_error(name):
+    # without its phase guard the edited matcher would loop forever
+    args, found, old, new = NO_PATH[name]
+    matcher = getattr(bipartite, name)
+    assert matcher(*args) == found
+    with within(5), pytest.raises(KernelError, match="no path"):
+        with_replaced(matcher, old, new)(*args)

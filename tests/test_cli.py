@@ -349,6 +349,92 @@ def test_huge_integers_are_clipped_in_one_short_line(argv):
     assert "…" in err or "0..k²" in err, err  # the integer is clipped, not dropped
 
 
+def test_decide_takes_a_k_whose_square_is_too_long_for_str():
+    k = "9" * 2200  # k² has 4,400 digits, past the int-to-str limit
+    code, out, err = run_cli("decide", "--k", k, "--m", "3")
+    assert (code, err) == (0, "")
+    assert out == "guaranteed: every valid 3×k² rectangle completes (product)\n"
+    code, out, err = run_cli("decide", "--k", k, "--m", "3", "--format", "kv")
+    assert (code, out, err) == (0, f"k={k} m=3 guaranteed=true reason=product\n", "")
+
+
+INTEGER_OPTIONS = [
+    ["decide", "--k", None, "--m", "3"],
+    ["decide", "--k", "3", "--m", None],
+    ["complete", "grid.txt", "--seed", None],
+    ["construct", "--k", None, "--m", "3"],
+    ["construct", "--k", "3", "--m", None],
+    ["count", "grid.txt", "--max-nodes", None],
+    ["count", "grid.txt", "--max-solutions", None],
+    ["bounds", "--k-max", None],
+]
+
+
+@pytest.mark.parametrize("token", ["9" * 5000, "x" * 500], ids=["5000-digits", "500-letters"])
+@pytest.mark.parametrize(
+    "argv", INTEGER_OPTIONS, ids=[f"{a[0]}{a[a.index(None) - 1]}" for a in INTEGER_OPTIONS]
+)
+def test_unparsable_integer_options_are_clipped(argv, token):
+    # argparse's own message, with the token clipped as in every other diagnostic
+    option = argv[argv.index(None) - 1]
+    code, out, err = run_cli(*[token if a is None else a for a in argv])
+    assert code == 2 and out == ""
+    line = err.splitlines()[-1]
+    assert line == (
+        f"sudorect {argv[0]}: error: argument {option}: invalid int value: {token[:20] + '…'!r}"
+    )
+    assert len(line.encode()) < 200 and len(err.encode()) < 300, err
+
+
+HUGE = st.sampled_from([10**4000, -(10**4000)])
+OPEN_SHAPES = [
+    ("construct", "--k", k, "--m", m)
+    for k in range(2, 9)
+    for m in range(k * k)
+    if not decide_guaranteed(k, m).guaranteed
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=st.one_of(
+        st.sampled_from(OPEN_SHAPES),
+        st.tuples(
+            st.just("construct"),
+            st.just("--k"),
+            st.one_of(
+                st.integers(1, 8),
+                st.integers(max_value=8),
+                st.integers(min_value=cli.CONSTRUCT_K_LIMIT + 1),
+                HUGE,
+            ),
+            st.just("--m"),
+            st.one_of(st.integers(0, 63), st.integers(), HUGE),
+        ),
+        st.tuples(
+            st.just("bounds"),
+            st.just("--k-max"),
+            st.one_of(
+                st.integers(2, 60),
+                st.integers(max_value=60),
+                st.integers(min_value=cli.BOUNDS_K_MAX_LIMIT + 1),
+                HUGE,
+            ),
+        ),
+    )
+)
+def test_guarded_commands_end_in_a_documented_exit_on_both_sides_of_their_limits(argv):
+    # construct keeps k <= 8 and bounds k_max <= 60 below their limits, so
+    # every run that passes a guard stays small
+    code, out, err = run_cli(*map(str, argv))
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200, err
+
+
 # -- usage ------------------------------------------------------------------------
 
 

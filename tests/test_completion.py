@@ -75,6 +75,11 @@ def test_decide_takes_a_k_too_long_for_str():
     with pytest.raises(CompletionError) as caught:
         decide_guaranteed(k, -1)
     assert str(caught.value) == "row count -1 outside 0..k²"
+    # n is written out below k = 10¹⁰ and as k² from there on
+    with pytest.raises(CompletionError, match=r"outside 0\.\.99999999980000000001$"):
+        decide_guaranteed(10**10 - 1, -1)
+    with pytest.raises(CompletionError, match=r"outside 0\.\.k²$"):
+        decide_guaranteed(10**10, -1)
     with pytest.raises(CompletionError, match=r"outside 0\.\.9$"):
         decide_guaranteed(3, 10)
 

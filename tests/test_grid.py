@@ -277,6 +277,8 @@ def test_parse_accepts_conflicting_content():
         ("k=x\n", "bad block side"),
         ("k=2\n1 2 3\n3 4 1 2\n. . . .\n. . . .\n", "expected 4 tokens"),
         ("k=2\n1 2 3 4\n3 4 1 2\n. . . .\n", "expected 4 rows"),
+        ("k=99999\n1 2\n", "expected 9999800001 rows for k=99999,"),
+        ("k=10000000000\n1 2\n", "expected k² rows for k=10000000000,"),
         ("k=2\n1 2 3 9\n3 4 1 2\n. . . .\n. . . .\n", "outside 1..4"),
         ("k=2\n1 2 3 z\n3 4 1 2\n. . . .\n. . . .\n", "bad token"),
     ],
