@@ -11,7 +11,8 @@ machine-readable key=value lines.  ``bounds --k-max`` above
 ``BOUNDS_K_MAX_LIMIT`` is a usage error: the table's work grows as k_max².
 So is ``construct --k`` above ``CONSTRUCT_K_LIMIT``: a construction's work
 grows faster than k⁴.  Integers echoed in diagnostics are clipped, those
-argparse cannot parse included, so each stays one short line.
+argparse cannot parse included, and so are the tokens argparse echoes in
+its other usage errors, so each stays one short line.
 
 The argparse parser is built once per process, on the first ``main`` call
 and not at import, because building it takes about a millisecond, more
@@ -57,6 +58,25 @@ def _integer(token: str) -> int:
         return int(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_clip(token)!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with the tokens it echoes in a usage error clipped as
+    :func:`_integer` clips them: an unknown subcommand, an invalid choice
+    and the unrecognised arguments."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_clip(value)!r} (choose from {choices})"
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_clip(' '.join(extras))}")
+        return parsed
 
 
 def _read_grid(path: str) -> SudokuGrid:
@@ -226,7 +246,7 @@ def _cmd_bounds(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sudorect",
         description="Sudoku rectangle completion, constructions and counting bounds",
     )

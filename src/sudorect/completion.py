@@ -20,8 +20,9 @@ one value mask per column: it reads a column block from the grid when
 stage 1 first reaches it, and the step ORs in the values stage 1 gives each
 column, so later row blocks read nothing.  Stage 2 peels the masks' bits
 into the (column, value) edges and colours them into the row block's new
-rows.  The pipeline collects the given rows and the new ones, builds the
-square from them once and proves it once with :func:`validate`.  The
+rows.  Once the last row block is coloured, the pipeline copies the given
+rows, adds the new ones, builds the square from them once and proves it
+once with :func:`validate`; a rejection copies nothing.  The
 column-block widening is the same step on rows: one call per new column
 block, whose colours name the new columns.
 """
@@ -260,7 +261,7 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
             else:
                 yield BlockIndex(b, d), full, masks[d - 1]
 
-    rows = [list(row) for row in grid.rows(shape.m)]
+    new_rows: list[list[int]] = []
     for b in range(shape.l + 1, k + 1):
         top = max(shape.m, (b - 1) * k)
         outcome = _row_block(k, b * k - top, blocks(b), rng)
@@ -268,9 +269,10 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
             if top % k:
                 return outcome
             raise CompletionError(f"full row block {b} unexpectedly infeasible; pipeline bug")
-        rows += outcome  # b·k − top new rows of n entries
+        new_rows += outcome  # b·k − top new rows of n entries
+    # the given rows are copied only now, so a rejection copies nothing;
     # a hole or a clash in the new rows is caught here
-    work = SudokuGrid._adopt(grid.order, rows)
+    work = SudokuGrid._adopt(grid.order, [list(row) for row in grid.rows(shape.m)] + new_rows)
     if not work.is_full() or validate(work) is not None:
         raise CompletionError("completed grid failed its own validity check")
     return work

@@ -23,7 +23,10 @@ three structural recipes, selected by the shape:
 Every recipe ends with the widening, which validates the column block and
 the widened rectangle, and a completion run that must reject with a
 witness that replays; a construction that fails any of these checks
-raises instead of returning.  All placements are deterministic.
+raises instead of returning.  The column block enters the grid unchecked
+(:func:`_matrix_to_grid` checks its shape only), so the widening's two
+gates are the only proofs of well-formedness a construction runs.  All
+placements are deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .completion import (
     extend_column_blocks,
     verify_certificate,
 )
-from .grid import SudokuGrid, _clip
+from .grid import GridError, Order, SudokuGrid, _clip
 
 
 class ConstructionError(Exception):
@@ -113,10 +116,18 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _matrix_to_grid(matrix: list[list[int]], k: int) -> SudokuGrid:
-    """The matrix as the top-left corner of an otherwise empty grid."""
-    n = k * k
+    """The matrix as the top-left corner of an otherwise empty grid.
+
+    Only the shape is checked here.  The grid adopts fresh rows without
+    checking their entries: a construction's first gate is the widening's
+    input :func:`~sudorect.grid.validate`, which proves every entry and
+    every unit of the column block."""
+    order = Order(k)
+    n = order.n
+    if len(matrix) > n or any(len(row) > n for row in matrix):
+        raise GridError(f"expected {n}×{n} entries")
     rows = [row + [None] * (n - len(row)) for row in matrix]
-    return SudokuGrid.from_rows(k, rows + [[None] * n] * (n - len(rows)))
+    return SudokuGrid._adopt(order, rows + [[None] * n for _ in range(n - len(rows))])
 
 
 # -- case a: l < k/2 ---------------------------------------------------------

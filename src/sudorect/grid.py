@@ -11,7 +11,10 @@ read from them when asked for, :meth:`SudokuGrid.from_rows` and
 follow the filled rows: the bulk proof behind :func:`validate` and
 :meth:`SudokuGrid.from_rows` passes over a row whose entries are all None,
 and :func:`parse` maps a canonical blank line straight to an empty row, so
-checking an m-rectangle reads m rows, not n.
+checking an m-rectangle reads m rows, not n.  The bulk proof type-checks
+those rows first, then builds one set per row, column and block; it cuts
+each band's blocks as slices of the band's entries read column by column,
+and skips counting the empty cells of a unit that holds none.
 
 All public row/column indices are 1-based.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import is_not
+from operator import is_, is_not
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -234,9 +237,10 @@ class SudokuGrid:
     @classmethod
     def _adopt(cls, order: Order, cells: list[list[Optional[int]]]) -> "SudokuGrid":
         """A grid that owns ``cells``: n fresh lists of n entries.  Nothing
-        is checked here: :func:`parse` builds its entries in range, and the
+        is checked here: :func:`parse` builds its entries in range, the
         completion pipeline and the widening prove theirs with a final
-        :func:`validate`."""
+        :func:`validate`, and a construction's column block is proved by
+        the widening's input :func:`validate`."""
         grid = cls.__new__(cls)
         grid.order = order
         grid._cells = cells
@@ -263,19 +267,23 @@ def _valid_in_bulk(grid: SudokuGrid) -> bool:
     """True iff every entry is an int in [1, n] and no row, column or block
     repeats a value: one set per filled row, column and block, built from
     the filled rows alone.  False is no verdict; the scan then finds the
-    violation."""
+    violation.
+
+    The filled rows are type-checked before any set is built, which
+    :func:`_distinct` relies on.  A band of h filled rows, read column by
+    column, holds its k blocks one after another, each as k·h entries, so
+    every block is one slice of the band's transposed columns."""
     n, k = grid.order.n, grid.order.k
     cells = grid._cells
     bands = [_filled_rows(cells[top : top + k]) for top in range(0, n, k)]
     filled = list(chain.from_iterable(bands))
     if not _well_formed(filled, n):
         return False
-    blocks = (
-        [v for row in band for v in row[left : left + k]]
-        for band in bands
-        if band
-        for left in range(0, n, k)
-    )
+    blocks = []
+    for band in filter(None, bands):
+        entries = list(chain.from_iterable(zip(*band)))
+        size = k * len(band)
+        blocks += [entries[left : left + size] for left in range(0, len(entries), size)]
     return all(map(_distinct, chain(filled, zip(*filled), blocks)))
 
 
@@ -294,9 +302,14 @@ def _well_formed(cells: list[list[Optional[int]]], n: int) -> bool:
 
 
 def _distinct(unit: Sequence[Optional[int]]) -> bool:
+    """True iff no value repeats among the entries of ``unit`` that are not
+    None.  Call it only on units that passed :func:`_well_formed`: with
+    every entry an int or None, ``None in values`` holds exactly when the
+    unit has an empty cell, so a unit without one skips the count."""
     values = set(unit)
-    values.discard(None)
-    return len(values) == len(unit) - unit.count(None)
+    if None not in values:
+        return len(values) == len(unit)
+    return len(values) - 1 == len(unit) - unit.count(None)
 
 
 def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
@@ -353,15 +366,22 @@ def is_m_rectangle(grid: SudokuGrid) -> Optional[RectShape]:
 
 
 def is_pq_rectangle(grid: SudokuGrid) -> Optional[tuple[int, int]]:
-    """(p, q) if exactly the top-left p×q region is filled; (0, 0) if empty."""
-    n = grid.order.n
-    holes = [[v is None for v in row] for row in grid._cells]
-    q = holes[0].count(False)
-    top = [False] * q + [True] * (n - q)
-    p = next((r for r, row in enumerate(holes) if row != top), n) if q else 0
-    if any(False in row for row in holes[p:]):
+    """(p, q) if exactly the top-left p×q region is filled; (0, 0) if empty.
+
+    Cells are tested against None by identity, as in the gates."""
+    rows = grid._cells
+    q = sum(map(is_not, rows[0], repeat(None)))
+    p = 0
+    while q and p < len(rows) and _holds_first(rows[p], q):
+        p += 1
+    if _filled_rows(rows[p:]):
         return None
     return (p, q)
+
+
+def _holds_first(row: list[Optional[int]], q: int) -> bool:
+    """True iff the entries of ``row`` other than None are its first q."""
+    return all(map(is_not, row[:q], repeat(None))) and all(map(is_, row[q:], repeat(None)))
 
 
 def truncate_rows(grid: SudokuGrid, m: int) -> SudokuGrid:
@@ -415,10 +435,10 @@ def parse(text: str) -> SudokuGrid:
         tokens = line.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} tokens, got {len(tokens)}", lineno)
-        values = list(map(table.get, tokens, repeat(0, n)))
-        if 0 in values:  # a token outside the canonical spellings
-            values = [_parse_token(token, n, lineno, c) for c, token in enumerate(tokens, 1)]
-        cells.append(values)
+        try:
+            cells.append(list(map(table.__getitem__, tokens)))
+        except KeyError:  # a token outside the canonical spellings
+            cells.append([_parse_token(token, n, lineno, c) for c, token in enumerate(tokens, 1)])
     # every entry came from the token table or _parse_token: no second proof
     return SudokuGrid._adopt(Order(k), cells)
 

@@ -448,6 +448,33 @@ def test_unknown_subcommand_is_usage_error():
     assert code == 2
 
 
+CLIPPED = repr("x" * 20 + "…")
+COMMANDS = "'check', 'decide', 'complete', 'construct', 'count', 'bounds'"
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["x" * 5000],
+         f"sudorect: error: argument command: invalid choice: {CLIPPED} (choose from {COMMANDS})"),
+        (["check", "grid.txt", "x" * 5000],
+         "sudorect: error: unrecognized arguments: " + "x" * 20 + "…"),
+        (["check", "grid.txt", "--format", "x" * 5000],
+         f"sudorect check: error: argument --format: invalid choice: {CLIPPED}"
+         " (choose from 'text', 'kv')"),
+        (["check", "grid.txt"] + ["a"] * 5000,
+         "sudorect: error: unrecognized arguments: " + "a " * 10 + "…"),
+    ],
+    ids=["unknown-subcommand", "unrecognised-argument", "invalid-format", "many-arguments"],
+)
+def test_tokens_echoed_in_usage_errors_are_clipped(argv, line):
+    # argparse echoes these tokens whole; they are clipped as integers are
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == line
+    assert len(err.encode()) < 300, err
+
+
 def test_parser_is_built_once_per_process(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

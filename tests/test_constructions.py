@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sudorect import constructions
 from sudorect import (
+    CompletionError,
     ConstructionError,
     NotCompletable,
     SudokuGrid,
@@ -168,6 +170,34 @@ def test_counterexample_k2_rejected():
     for m in range(5):
         with pytest.raises(ConstructionError):
             construct_counterexample(2, m)
+
+
+@pytest.mark.parametrize(
+    "k,m,recipe", [(3, 5, "_case_a_matrix"), (4, 11, "_case_b_matrix"), (5, 19, "_case_c_matrix")]
+)
+@pytest.mark.parametrize(
+    "planted,message",
+    [
+        ("duplicate", r"(row|column|block) condition violated"),
+        (True, r"malformed entry at \(2,1\)"),
+    ],
+)
+def test_a_bad_column_block_is_refused_at_the_widening_gate(
+    monkeypatch, k, m, recipe, planted, message
+):
+    # the column block enters the grid unchecked, so the widening's input
+    # gate is what refuses a repeated value or an entry that is not an int
+    build = getattr(constructions, recipe)
+
+    def planting(*args):
+        out = build(*args)
+        matrix = out[0] if isinstance(out, tuple) else out
+        matrix[1][0] = matrix[0][0] if planted == "duplicate" else planted
+        return out
+
+    monkeypatch.setattr(constructions, recipe, planting)
+    with pytest.raises(CompletionError, match="input grid is invalid: " + message):
+        construct_counterexample(k, m)
 
 
 @pytest.mark.parametrize("k", [3, 4])

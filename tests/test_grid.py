@@ -2,6 +2,7 @@
 
 import random
 import re
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -607,8 +608,9 @@ def grids_with_cleared_rows(draw) -> SudokuGrid:
     block conflict planted as planted_grids plants it, then whole rows
     cleared: rows anywhere, rows inside one band, and the rows strictly
     between the conflict's two cells.  Sometimes the conflict's own rows
-    are cleared too, and sometimes a malformed entry is poked in first."""
-    k = draw(st.integers(2, 3))
+    are cleared too, and sometimes a malformed entry is poked in first.
+    k runs to 4, so blocks of 16 cells and bands of every height are cut."""
+    k = draw(st.integers(2, 4))
     n = k * k
     label = draw(st.permutations(range(1, n + 1)))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -711,6 +713,37 @@ def test_a_look_alike_none_in_an_empty_row_is_malformed(k, entry):
             assert not grid.audit()
             with pytest.raises(GridError, match="outside"):
                 SudokuGrid.from_rows(k, grid._cells)
+
+
+class _One(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize(
+    "entry",
+    [_LooksLikeNone, _Incomparable, lambda: True, lambda: 1.0, lambda: _One.ONE],
+    ids=["looks-like-none", "incomparable", "bool", "float", "int-enum"],
+)
+def test_a_malformed_entry_in_a_filled_row_fails_the_bulk_proof(k, entry):
+    # the type pass runs before any unit's set is built: _distinct skips
+    # counting None in a unit without an empty cell only on that ground
+    n = k * k
+    square = complete_randomized(SudokuGrid(k), k)
+    partial = truncate_rows(square, k + 1)
+    for c in range(2, n + 1, 2):
+        partial.clear(k + 1, c)
+    places = [
+        (partial, k, 0),  # a partial row
+        (truncate_rows(square, k + 1), k, n - 1),  # a full row of a rectangle
+        (square, n // 2, n // 2),  # a full square
+    ]
+    for grid, r, c in places:
+        grid = grid.copy()
+        grid._cells[r][c] = entry()  # simulate drift past the API
+        expected = Violation("malformed", CellRef(r + 1, c + 1), CellRef(r + 1, c + 1))
+        assert validate(grid) == reference_validate(grid) == expected
+        assert not sudorect.grid._valid_in_bulk(grid)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
