@@ -25,6 +25,13 @@ names:
   the reached left vertices; otherwise it augments along level-increasing
   paths with forward-only edge cursors, and a phase that gains nothing
   is a :class:`KernelError`.
+
+The mask kernel's seed alone differs: each left vertex first takes the
+bits no later vertex is eligible for, an ordering form of Karp and
+Sipser's forced choice, which leaves stage 1 and the widening far fewer
+units to augment.  Its assignments therefore differ from
+``_b_matching``'s, but not its reached set: that is the source side of
+the minimal minimum cut, the same for every maximum matching.
 """
 
 from __future__ import annotations
@@ -342,12 +349,15 @@ def _assign_on_masks(
     Left vertex u may take the values whose bits are set in
     ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
     taken once.  The graph this stands for lists each left vertex's edges
-    in increasing bit order.  The greedy seed, the level labelling and
-    the augmenting phases run step for step as in ``_b_matching``:
-    matched edges become the bits each left vertex holds, the mates of a
-    right vertex its one owner, and an edge cursor the lowest bit still
-    to scan (0 once every edge is passed).  So the assignment and the
-    reached set are those that degree_matching returns on that graph.
+    in increasing bit order.  The level labelling and the augmenting
+    phases run step for step as in ``_b_matching``: matched edges become
+    the bits each left vertex holds, the mates of a right vertex its one
+    owner, and an edge cursor the lowest bit still to scan (0 once every
+    edge is passed).  The greedy seed is this kernel's own: each left
+    vertex in turn takes its last-chance bits (free bits that no later
+    vertex is eligible for) before its lowest other free bits.  So the
+    assignment can differ from the one degree_matching returns on that
+    graph, but the reached set is the same.
 
     Returns (assigned, reached): the bits each left vertex holds, and the
     left vertices the last failed search reached, which is empty iff
@@ -358,20 +368,30 @@ def _assign_on_masks(
         raise KernelError(
             f"quota sums differ: left {quota * left}, right {free.bit_count()}"
         )
-    # greedy seed: every left vertex in turn takes its lowest free bits
+    # greedy seed: every left vertex in turn first takes its last-chance
+    # bits, the free ones no later vertex is eligible for, then its lowest
+    # other free bits; each pool is taken whole unless it holds more than
+    # the vertex still lacks, and then only its lowest bits
+    later = [0] * left  # later[u]: the OR of eligible[u + 1:]
+    for u in range(left - 1, 0, -1):
+        later[u - 1] = later[u] | eligible[u]
     assigned = []
     missing = 0
-    for mask in eligible:
+    for mask, others in zip(eligible, later):
         avail = mask & free
-        if avail.bit_count() > quota:
-            take = 0
-            for _ in range(quota):
-                low = avail & -avail
-                take |= low
-                avail ^= low
-        else:
-            take = avail
-            missing += quota - take.bit_count()
+        take = 0
+        lack = quota
+        for pool in (avail & ~others, avail & others):
+            if pool.bit_count() > lack:
+                for _ in range(lack):
+                    low = pool & -pool
+                    take |= low
+                    pool ^= low
+                lack = 0
+                break
+            take |= pool
+            lack -= pool.bit_count()
+        missing += lack
         free ^= take
         assigned.append(take)
     if missing:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import is_, is_not
 from typing import NamedTuple, Optional, Sequence
 
@@ -253,10 +253,11 @@ def validate(grid: SudokuGrid) -> Optional[Violation]:
     Validity is proved in bulk first, over the rows that hold a value: an
     empty row adds nothing to any row, column or block, so the proof of an
     m-rectangle reads m rows, not n.  Only a grid that fails that proof is
-    scanned row-major, which reports the first offending cell, paired with
-    its earliest (row-major) conflicting partner.  When the pair sits in one
-    block, the conflict is reported as a block violation even if the cells
-    also share a column; a shared row wins over both.
+    searched, row by row, for the first offending cell in row-major order,
+    which is reported paired with its earliest (row-major) conflicting
+    partner.  When the pair sits in one block, the conflict is reported as
+    a block violation even if the cells also share a column; a shared row
+    wins over both.
     """
     if _valid_in_bulk(grid):
         return None
@@ -313,43 +314,70 @@ def _distinct(unit: Sequence[Optional[int]]) -> bool:
 
 
 def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
-    order = grid.order
-    n, k = order.n, order.k
-    first_in_row: dict[tuple[int, int], CellRef] = {}
-    first_in_col: dict[tuple[int, int], CellRef] = {}
-    first_in_block: dict[tuple[int, int], CellRef] = {}
-    cells = grid.rows()
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            v = cells[r - 1][c - 1]
-            if v is None:
-                continue
-            here = CellRef(r, c)
-            if type(v) is not int or not (1 <= v <= n):  # bool is not a value
-                return Violation("malformed", here, here)
-            b = ((r - 1) // k) * k + (c - 1) // k
-            partners = [
-                p
-                for p in (
-                    first_in_row.get((r, v)),
-                    first_in_col.get((c, v)),
-                    first_in_block.get((b, v)),
-                )
-                if p is not None
-            ]
-            if partners:
-                partner = min(partners)
-                if partner.row == r:
-                    kind = "row"
-                elif ((partner.row - 1) // k) * k + (partner.col - 1) // k == b:
-                    kind = "block"
-                else:
-                    kind = "column"
-                return Violation(kind, partner, here)
-            first_in_row.setdefault((r, v), here)
-            first_in_col.setdefault((c, v), here)
-            first_in_block.setdefault((b, v), here)
+    """The row-major scan's verdict, with the scan run on one row only.
+
+    The first offending cell lies in the first row that is malformed,
+    repeats a value, or repeats a value held above it in one of its
+    columns or, within its band, one of its blocks.  Rows are checked
+    whole at C level against one set of values per column and per block
+    of the band, and the per-cell scan then runs on that row alone."""
+    n, k = grid.order.n, grid.order.k
+    cells = grid._cells
+    contains, add = set.__contains__, set.add
+    columns: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(cells):
+        if r % k == 0:
+            band = [set() for _ in range(k)]
+            blocks = [band[c // k] for c in range(n)]  # each column's block
+        # the type pass comes first: _distinct relies on it, the sets hold
+        # no None, and after it exactly the values are truthy
+        if (
+            _well_formed([row], n)
+            and _distinct(row)
+            and not any(map(contains, columns, row))
+            and not any(map(contains, blocks, row))
+        ):
+            values = list(compress(row, row))
+            any(map(add, compress(columns, row), values))
+            any(map(add, compress(blocks, row), values))
+            continue
+        return _scan_row(cells, r, k, columns, blocks)
     return None
+
+
+def _scan_row(
+    cells: list[list[Optional[int]]],
+    r: int,
+    k: int,
+    columns: list[set[int]],
+    blocks: list[set[int]],
+) -> Violation:
+    """The first offending cell of row ``r`` (0-based), paired with its
+    earliest (row-major) conflicting partner.  Row r is the first row with
+    one, and ``columns`` and ``blocks`` hold, per column, the values above
+    it in that column and in that column's block of the band.  The partner
+    is the earliest of the column's, the block's and the row's, and the
+    pair counts as a row, else a block, else a column violation."""
+    n = k * k
+    row = cells[r]
+    top = r - r % k
+    for c, v in enumerate(row):
+        if v is None:
+            continue
+        here = CellRef(r + 1, c + 1)
+        if type(v) is not int or not (1 <= v <= n):  # bool is not a value
+            return Violation("malformed", here, here)
+        if v in columns[c]:  # in the band, that cell is the block's too
+            i = [above[c] for above in cells[:r]].index(v)
+            return Violation("column" if i < top else "block", CellRef(i + 1, c + 1), here)
+        if v in blocks[c]:
+            left = c - c % k
+            for i in range(top, r):
+                if v in cells[i][left : left + k]:
+                    return Violation("block", CellRef(i + 1, cells[i].index(v, left) + 1), here)
+        if v in row[:c]:
+            return Violation("row", CellRef(r + 1, row.index(v) + 1), here)
+    raise AssertionError("a row that failed its check holds no offending cell")
 
 
 def is_m_rectangle(grid: SudokuGrid) -> Optional[RectShape]:

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written from scratch against the raw
 definitions, without touching the package's algorithms, so the main code
-paths can be cross-checked against a second opinion.  The one exception is
-:func:`core_stage1`, a driver that runs the pipeline's own stage 1 on one
-block of a grid, so that tests can hold it against the oracles.
+paths can be cross-checked against a second opinion.  The two exceptions
+are :func:`core_stage1`, a driver that runs the pipeline's own stage 1 on
+one block of a grid, so that tests can hold it against the oracles, and
+:func:`with_replaced`, which compiles a kernel again with one edit, so that
+tests can break one of its steps or read a count it keeps.
 """
 
 from __future__ import annotations
 
+import inspect
+import sys
 from itertools import combinations, permutations
 from math import exp, factorial, fsum, lgamma, log, pi
 from typing import Sequence
@@ -697,3 +701,14 @@ def _reference_euler_split(side, edges, live) -> tuple[list[int], list[int]]:
             half_b.append(e)
             node ^= link[e]
     return half_a, half_b
+
+
+def with_replaced(function, old: str, new: str):
+    """``function`` compiled again from its source, in its module's
+    namespace, with the one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, old
+    module = sys.modules[function.__module__]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[function.__name__]

@@ -1,7 +1,6 @@
 """Matching, Hall certificates, and edge coloring against brute force."""
 
 import contextlib
-import inspect
 import random
 import signal
 
@@ -18,6 +17,7 @@ from oracles import (
     max_degree,
     recount_matching,
     reference_edge_color,
+    with_replaced,
 )
 from sudorect import (
     BipartiteGraph,
@@ -456,16 +456,6 @@ def test_unit_quotas_replay_b_matching_on_pipeline_peels(monkeypatch):
     assert short >= len(graphs) // 2
 
 
-def with_replaced(matcher, old: str, new: str):
-    """``matcher`` compiled again from its source, in its module's
-    namespace, with the one occurrence of ``old`` replaced by ``new``."""
-    source = inspect.getsource(matcher)
-    assert source.count(old) == 1, old
-    namespace = dict(vars(bipartite))
-    exec(compile(source.replace(old, new), bipartite.__file__, "exec"), namespace)
-    return namespace[matcher.__name__]
-
-
 @contextlib.contextmanager
 def within(seconds: float):
     """Fail with TimeoutError once the block has run ``seconds``."""
@@ -500,8 +490,10 @@ NO_PATH = {
         "if w >= 0 and level[w] == target:",
     ),
     "_assign_on_masks": (
-        ([0b11, 0b01], 1, 0b11),
-        ([0b10, 0b01], []),
+        # every bit a vertex could take is one a later vertex may take, so
+        # the seed gives vertex 0 bit 0 and leaves vertex 2 without one
+        ([0b011, 0b110, 0b001], 1, 0b111),
+        ([0b010, 0b100, 0b001], []),
         "step = (low, -1)",
         "step = None",
     ),

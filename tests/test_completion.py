@@ -678,69 +678,67 @@ def _pinned_outputs() -> dict[str, str]:
     return {label: hashlib.sha256(text.encode()).hexdigest() for label, text in texts.items()}
 
 
-# sha256 of each output's text, recorded before the stage-1 and widening
-# matchings moved from the edge-list graph to value bitmasks: the pipeline's
-# outputs are byte-identical across that change.
+# sha256 of each output's text, re-pinned when stage 1's greedy seed began
+# taking each column's last-chance values first: completed squares and
+# widened rectangles changed, and every witness stayed byte-identical.
 PINNED_DIGESTS = {
     "empty k=2": "1b9dc9dddc983fcff7390f4dc0108b137eb6dba7980f91c38396bc0c8b709190",
     "empty k=3": "549f556f9c90655d681cad3238ba7b2f6465c817221dc19b8bae933e6a619efb",
     "empty k=4": "46e8bc040c5f80346e6b68d93259fe613d16ffb991407e60c7ec0982b774f0c3",
-    "empty k=5": "fc63cd0be31cabb03c995df320b93b0e2fe665b7c591ee034e5992237da7c225",
-    "empty k=6": "662f202e19f839831333aea1d92a93cef4734ab2f595750f3a2e10b425bbb49e",
-    "empty k=7": "af41cbfecd8377ef7cee71a534c22f3599db6c7a81857eef93d80191d2b9ed06",
+    "empty k=5": "a12fb5951e4d7753d44eaf1da3c233f8cefd2e85876bf97f39b645da1810e228",
+    "empty k=6": "ca9b3cb20beca0ca9cf084e132ab6406449ff314cff483e5751b559e56f62f81",
+    "empty k=7": "0d6932b156a5223c40511d2071afbc05b02049d7473bdd87e2e6d607d426018e",
     "empty k=8": "5bc646f8556f6f1d6f774816d97a293345a753f49f9a39a67e6fcd374424ac3e",
-    "empty k=9": "ac1cd23d08ff1ae33f2f7f1912629b30831552073522cfb1de2e0b4f72eb09c0",
-    "empty k=10": "a1a4a1f18d776514ec8255abe6c9631891229a8093628975ad4771b7ab3174de",
-    "pattern k=3 m=2": "905dd72c8680ea336c04bfc242ac9ab95c3a1591830c93e1b27fce216b32825d",
-    "pattern k=3 m=4": "16fde2b2005a05a0998543c8f2b98ba2ab6342485681ca32218129455e04cbcd",
+    "empty k=9": "b2bfd98305c6c1caf73a2b66e9c28cb667d01f88025f984d77d24b4a04be2783",
+    "empty k=10": "cd1a6ea062b11df1b8d3c2596b9fd58491dac17331044b2872555f2644692a78",
+    "pattern k=3 m=2": "cf5282a939bae2e97e8e9262668bad03a4a4a53f567628f21588acfdb111042f",
+    "pattern k=3 m=4": "fd2b60260680e9671b5dac4162f50fb2202c112aad5ced3a4ad603aa83ed01e8",
     "pattern k=3 m=5": "c329e8d0b7e3cd214f42284fcb98785139e33a5300b958f5f73af8c35dd01c2a",
-    "pattern k=4 m=3": "e441132361957bc5ceb6f5b97ad39b5981e4a474c89f50e69afed47a20233125",
-    "pattern k=4 m=7": "30adae9bfd92cf05cac1b13b45c88ab2d55ea32452caf17060261029b1795345",
-    "pattern k=4 m=10": "c8b9120b86cc786837563a3ddd18ee5c602842b1f87bafd3cb722910a12f5f4f",
-    "construct k=4 m=7": "70f96162ca1f43cb457a353718d7853f8818c23a5a749b57a3e19796f99fb464",
-    "construct k=4 m=9": "205f9c70c148a08631f539d8f622c25993b2d3151509dac077cf377b94c27afc",
-    "construct k=4 m=10": "69c88c38f7f1d590e9d2c078bcd054bfb266c953311f7faef2e6fe7d1f26c802",
-    "construct k=4 m=11": "9fdb03fb8ef688cd5aa09d6420eab6d05a9f9c556637c03605dd83ae38f74d8d",
-    "construct k=5 m=9": "5e9428d151f9bfeb0868076bd8b2e73cc8ccc3c0f05d31ab788e689bb3e380d5",
-    "construct k=5 m=12": "db5ffd94b3678576554c887d836ed79a047921f235407c7ab79863624b5fe034",
-    "construct k=5 m=13": "e4a8a713694e23305b39548f7f4c9bed4b766661318fa78269a6db1fdb2e6828",
-    "construct k=5 m=14": "32ca5543f47a815a5a5eb1221ba9dca2d861173a57d10b1154b4825804ba945d",
-    "construct k=5 m=16": "5dfdb2de165dca04a812e7a592fef406919c8f1fe31a8bba76965836a1fb27d1",
-    "construct k=5 m=17": "1997ebea868bf69ea1dd9f98b50a9e1cde311dd37269aa3ffbbf21006da55330",
-    "construct k=5 m=18": "e88dbbe8a5f1d5d301ace7b28fdde3f1d45ac7654d6ba3991cf68e27d3786ea1",
-    "construct k=5 m=19": "c727a9db4530c65047d12ddca6f1263db702b2de2616cc99f6123641bb5cc37c",
-    "construct k=6 m=11": "955cba3007a80c369d20fe77ea265976981d6d880dfcebbff45ac8f5af23fc4d",
-    "construct k=6 m=16": "365e408d951c736aa6dac8be50972438c9317fbc17e49313cf023f0a29348e47",
-    "construct k=6 m=17": "b80e7a12d2cdedb938cc9251f5b1a28f692688a3558c036ca0e094ac61b278e1",
-    "construct k=6 m=19": "3a5267b53297ac936729ac68b92258fb3a5c3f55636f34571d985466c3a02ba9",
-    "construct k=6 m=20": "1dda9dc814e9def069b88cece6feb0e457f0a14dadb32212768f7aa94b0860c6",
-    "construct k=6 m=21": "9bdc5438513504eadc3c9b6a578f6700822c54087e037142d07c4d0de27a7dab",
-    "construct k=6 m=22": "902c7a96bb3fa7e9059571b497ce744fa36a85349a7d38b88c73d17f6cf21c72",
-    "construct k=6 m=23": "d777db724f61fa47e40d72bb9d2aa8cad68193b2fb52c20669d5f0076bf0dc1b",
-    "construct k=6 m=25": "3f195d8f19b8a44bd8a2cd85a403544c8142b062bbcdca526ad22c93bee50bbe",
-    "construct k=6 m=26": "6d3da82b44f06304b12927d86da18d7f84a4618e1798cc83f779a80e8ecca56a",
-    "construct k=6 m=27": "fbe76003faeaa9fc90ecc16f2afa91def2bfe08b4c4b800482b8f6b9c880abb9",
-    "construct k=6 m=28": "60445f32aa00b97a01d8e54c0ed32ef842c19c8363a9cd34419d90bfef50ccc0",
-    "construct k=6 m=29": "cf97b7b3ea91fb8cf57e1c600dfef1033b16b0e7b2d5e1ad547182944b1a92e2",
-    # recorded before the column masks were carried across row blocks and
-    # the Euler split moved to per-vertex iterators
-    "empty k=12": "745a902f80a40fcb748f3eca8cc5f92f3de9d919a83c085a9ba24518fbb2d8b0",
+    "pattern k=4 m=3": "755e6cbf5e69d77498d1d5cae108ee9ccc8bba3cb9cec9fdd07bcce01aab6e87",
+    "pattern k=4 m=7": "dc108433084951c125df69558eb3b011cfa7165e985b9c60bec54b5fc88d9df0",
+    "pattern k=4 m=10": "78adb7dcffa4a186e2c484aa29be1d321bb46560d901cf0676200919d417d191",
+    "construct k=4 m=7": "a9c1a14522d11e072473a230744d41853ff055f8cfae24653cc8aaccd5fdaef0",
+    "construct k=4 m=9": "55d4496b9f0b85bbc0eebe05c9c8a5bd08d0d7ab454e7a1f58eb784e79cfdc3a",
+    "construct k=4 m=10": "7905865b041f95294df498e0e9fb9060e45ae7cf354e330823fb6aa3c1a136df",
+    "construct k=4 m=11": "1f849f940d59c74b01dfe33481f0c615b539f6d01d9dc4d59d9a7021b92e67e5",
+    "construct k=5 m=9": "50e418142f8495b35d50dd85d43fe3e2546ec22eda0575b1d8b6594a868ff5c5",
+    "construct k=5 m=12": "c044faa6c7c525f6af0826af05445ab02a6a32509aa1e23ad7fb5eee9822d6da",
+    "construct k=5 m=13": "663d740d24fdc228c2f1fdfc39d8c27e4f6e7292973df5df08cfcf5c2f5982e1",
+    "construct k=5 m=14": "fc854fdaf429bffb3e39818695525e17e30b023c43e4f8254cbffbbbbfc40883",
+    "construct k=5 m=16": "b4119e2ff3513af946dff0fe4afadd1aa3b62bb5ba6c1c670021038b172e7832",
+    "construct k=5 m=17": "785a054524b7e2c8fdf757e94843d0cd841279655331278b3a7205ceca8fa083",
+    "construct k=5 m=18": "cac11f6cd4c62c2c3d156cd5d5ab4638363ecabc5e6af7679b7a40e603389c40",
+    "construct k=5 m=19": "0b235faf175f5a8ee0c12a57fe55a9ac22587e46f64b30f0fff22e492f4067f4",
+    "construct k=6 m=11": "76ef80d16bc536ca981025b264e11bfe67f98953af432a966874530b7a165bf3",
+    "construct k=6 m=16": "422ac20a466c97b1b73656df7a477fa01ee497bf6974b9c4d87010a419b931ff",
+    "construct k=6 m=17": "b19458e83a767e411189e5f8c0d10920383587ce942d9a45103c80e1f64e508d",
+    "construct k=6 m=19": "d19984324e10c834ed4ebdb5a17aac43ed83a1511848b51768dcda50b05e8245",
+    "construct k=6 m=20": "0fbb6f2603a262d8c209a02dea478928e167451b4d9709043a2ba7400b7e54a8",
+    "construct k=6 m=21": "c2f5595a01d6e0276be3678d321081fc963a6c4ad06697f768a2d65711eb354c",
+    "construct k=6 m=22": "d7c09ca16276381dfdebe993033a0e06e34f0a936a2bd34eb1044462d118c135",
+    "construct k=6 m=23": "c9a0decf13c7d71d9501feca254ec84a343f42f58b54c98ac1f9ebff541cb382",
+    "construct k=6 m=25": "e166fdd513287b3345f5544f229cd28f8327e9bea21635f14116da5d006e666c",
+    "construct k=6 m=26": "bab783ff9271a2feac65eed2a0e9b59bef34334c9657f4eb881a6b04ab976763",
+    "construct k=6 m=27": "c9f5d785407418691f40aaab001051c6c5632601b0e6f220c208b39ee1dbe410",
+    "construct k=6 m=28": "8a421153fdc6598c497ed019e912087e28dfd9926129fcf143c4ceac9de3b26e",
+    "construct k=6 m=29": "9f39dea37114911b1d92b37ee711a1d09eddbb0fa476b6f8f239b0f3f001dd2d",
+    "empty k=12": "a9d25f4a2ef9a12a33dbc9915c6577a046b646b20d1f9383e80b10499505a658",
     "empty k=16": "8a2a2b2d8ec6ac569ec446303547ee21cb02b98985b7e57e8bd914ba22a9eb22",
-    "pattern k=12 m=30": "30ee2c75d050ff7fad5e2f9f64da2dcb665e4155620da312dd3e7c9fb3d4dfd2",
-    "pattern k=12 m=72": "9e3821cdbe5e4e83e8f4b504eac620a2916aa8f086cbd520803bf29ddf4ed1f6",
-    "pattern k=12 m=131": "e71e378caccd1e2e2878593e494269b67473f508b58f6ae3aa69ec40531ca927",
+    "pattern k=12 m=30": "21c72efa1c8dc2884cdab01e9cfef3ec80f753b9c7792b13b3d101a7a8b36e36",
+    "pattern k=12 m=72": "85ae9ca2b3886eee52d52303d13f9108aa262416d1c198e24c4d3f3629f7be8d",
+    "pattern k=12 m=131": "3e79e1a994448f41b5b0b03f15a84eeb5dcfc6c8cf38d609d326dabdbb4e5b0f",
     "seeded k=2 seed=0": "48793dfa2f5870a024a1117b93c6aa37534bae83d7aac6dcc19a52d4595ef140",
     "seeded k=2 seed=1": "d0f2eb4afa46d8dc53f05ebca5a09c6329e36f45345599ebc6b6e473fe72e058",
     "seeded k=2 seed=2": "c8ceefc29787dc72dc82dfc2078a579dfd9b5ce4790040e927d8afc449f83147",
-    "seeded k=3 seed=0": "a25e9e42685eb69f1c4f783009153ac3a2a554d07d99a8603a6b8bae3a2fee68",
-    "seeded k=3 seed=1": "5daba28576a8908faf0e60c1e6976c21d0ecc52289c776877ed1e9ee873f8727",
-    "seeded k=3 seed=2": "b9d50ad1f5dd0f0ff1d298ab333d5bd33d49a9805ce00d9fcdae8c65ac112866",
-    "seeded k=4 seed=0": "588e1c5cd7a1751d4a48e298f51e03dc7146edd105a37d494b1f994595dd716b",
-    "seeded k=4 seed=1": "d629ee2a4480348f4a2677c2a5c1f77be0baeb88f1436c2da52b04063f5093b3",
-    "seeded k=4 seed=2": "3baa73463f13366ac91b02691dce8cf60da94d28b54ba7d0b43d82acecc24f9d",
-    "seeded k=5 seed=0": "d75cdb9f77288ae7768dbb4f040d925d1833fcb91f6eef5ee8678181031560d8",
-    "seeded k=5 seed=1": "3c428b68f9631b11900b5251b9d517634eaf1c9abb62c8be8a15997a3c6055da",
-    "seeded k=5 seed=2": "18244453c1156506acdd1b83f681f0be1fa4185d531e62bc2e0554f12be058d7",
+    "seeded k=3 seed=0": "58c17e60598bac74977ae9623083b735594c476106ea583c4da5926bc9f28b9b",
+    "seeded k=3 seed=1": "d334dd7e115ca601e4a6b08ea0718e39e84c905b517276ef4b55c5545c78c401",
+    "seeded k=3 seed=2": "17151e6d1ce59c64c0a78ae3e4d5f3caadea2f710002d4750fa217899d49a062",
+    "seeded k=4 seed=0": "cd812cceaeba5ad97325f5f223195bd17b08401fb9a8570f5b517795198e9dbc",
+    "seeded k=4 seed=1": "5020b94b5e1d418a4030fbdc72ca120c59d4867846e827a662cc46af46dd52e3",
+    "seeded k=4 seed=2": "0a192d9864a38f5d78bc166ff7d3e031e0e8ff7a108990b4123bd8a8101bee3b",
+    "seeded k=5 seed=0": "accf92a3f4aeb2e6e1a3339a2fe611ef19c423180e4877f91bccb20ac844c39c",
+    "seeded k=5 seed=1": "c673adde52f8ec157e9e43577ea73a1c06744e58fb200f0d043413e98a1a3860",
+    "seeded k=5 seed=2": "d6384200f9d3daad0883b5687d714d507479320357cd9ccdefa58722f1d18e61",
 }
 
 

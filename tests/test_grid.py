@@ -661,6 +661,62 @@ def test_validate_with_cleared_rows_matches_reference_scan(grid):
     assert sudorect.grid._valid_in_bulk(grid) == (expected is None)
 
 
+def planted_at(rectangle: SudokuGrid, r: int, c: int) -> list[SudokuGrid]:
+    """Copies of a valid ``rectangle`` with cell (r, c) (0-based) written
+    past the API: a value of its row, a value of its column from the
+    filled rows before and after it (cyclically), a value of its block
+    from another row and column, and a malformed entry.  A value taken
+    from another row is cleared from its old place in row r, so only its
+    column or block check can see the clash."""
+    k, n = rectangle.order.k, rectangle.order.n
+    m = sum(1 for row in rectangle.rows() if row.count(None) < n)
+    top, left = r - r % k, c - c % k
+    sources = [(r, (c + 1) % n), ((r - 1) % m, c), ((r + 1) % m, c)]
+    sources += [(i, left + (c + 1) % k) for i in range(top, min(top + k, m)) if i != r][:1]
+    planted = []
+    for i, j in sources:
+        if (i, j) != (r, c):
+            grid = rectangle.copy()
+            row, value = grid._cells[r], grid._cells[i][j]
+            if i != r and value in row:
+                row[row.index(value)] = None
+            row[c] = value
+            planted.append(grid)
+    grid = rectangle.copy()
+    grid._cells[r][c] = (0, n + 1, True, 1.0)[(r + c) % 4]
+    return planted + [grid]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_conflict_planted_at_any_row_is_found_as_the_scan_finds_it(k):
+    # the first row that completes a violation is found by whole-row
+    # checks, and only that row is scanned cell by cell
+    n = k * k
+    square = complete_randomized(SudokuGrid(k), k)
+    kinds = set()
+    for m in (k + 1, n):
+        rectangle = truncate_rows(square, m)
+        for r in range(m):
+            for c in sorted({0, k - 1, k, n - 1}):
+                for grid in planted_at(rectangle, r, c):
+                    expected = reference_validate(grid)
+                    assert expected is not None
+                    assert validate(grid) == expected
+                    kinds.add(expected.kind)
+    assert kinds == {"row", "column", "block", "malformed"}
+
+
+def test_a_conflict_planted_in_a_k16_rectangle_is_found_as_the_scan_finds_it():
+    rectangle = truncate_rows(complete_randomized(SudokuGrid(16), 1), 31)
+    for r in (0, 15, 16, 30):
+        for grid in planted_at(rectangle, r, 0):
+            assert validate(grid) == reference_validate(grid)
+    for r in (1, 31):  # a row conflict at the top and at the bottom
+        grid = rectangle.copy()
+        grid._cells[r - 1][1] = grid._cells[r - 1][0]
+        assert validate(grid) == Violation("row", CellRef(r, 1), CellRef(r, 2))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_blocks_are_read_band_by_band_past_cleared_rows(k):
     # k − 1 filled rows in the first band, then a block conflict lower down:
