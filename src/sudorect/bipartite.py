@@ -19,19 +19,21 @@ names:
 
 * a greedy seed in edge order;
 * only if it falls short, the adjacency the search needs;
-* then ``while missing:`` Hopcroft–Karp phases.  Each labels breadth-first
-  alternating levels from the deficient left vertices and stops at the
-  first edge into a right vertex with room.  With no such edge it returns
-  the reached left vertices; otherwise it augments along level-increasing
-  paths with forward-only edge cursors, and a phase that gains nothing
-  is a :class:`KernelError`.
+* then ``while missing:`` rounds (Kuhn's augmenting search).  A round
+  sets up one ``seen`` set, and every left vertex still short and not yet
+  seen starts a depth-first search along alternating paths, again while
+  it is still short after a success; a path that ends in a right vertex
+  with room is flipped at once.  A round that gains nothing returns its
+  seen vertices: exactly those alternating search reaches from the short
+  ones.  So each round gains a unit or returns, and the loop ends.
 
-The mask kernel's seed alone differs: each left vertex first takes the
-bits no later vertex is eligible for, an ordering form of Karp and
-Sipser's forced choice, which leaves stage 1 and the widening far fewer
-units to augment.  Its assignments therefore differ from
-``_b_matching``'s, but not its reached set: that is the source side of
-the minimal minimum cut, the same for every maximum matching.
+The mask kernel differs in two rules.  Its seed has each left vertex
+first take the bits no later vertex is eligible for, an ordering form of
+Karp and Sipser's forced choice, which leaves stage 1 and the widening
+far fewer units to augment; its search takes a free bit before any held
+one.  Its assignments therefore differ from ``_b_matching``'s, but not
+its reached set: that is the source side of the minimal minimum cut, the
+same for every maximum matching.
 """
 
 from __future__ import annotations
@@ -107,13 +109,17 @@ MatchingResult = Union[tuple[int, ...], HallCertificate]
 def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     """Edge subset giving every vertex exactly its quota, or a certificate.
 
-    A greedy pass in edge order seeds the matching, then Hopcroft–Karp
-    phases augment it.  Infeasibility is witnessed by the left vertices
-    that alternating search reaches from the deficient ones: the source
-    side of the minimal minimum cut, the same for every maximum matching.
-    Their quota mass exceeds what their combined neighborhood can absorb.
-    With every quota 1 the matching is perfect, and ``_perfect_matching``
-    takes the same steps with one mate per vertex, so the result is the same.
+    A greedy pass in edge order seeds the matching, then rounds of
+    depth-first augmenting search complete it.  That is O(V·E) in the
+    worst case, against Hopcroft–Karp's O(E·√V); but the seeds leave the
+    program's graphs few units to find, and there one search per unit,
+    without levels, measured faster than the phases.  Infeasibility is
+    witnessed by the left vertices that alternating search reaches from
+    the deficient ones: the source side of the minimal minimum cut, the
+    same for every maximum matching.  Their quota mass exceeds what their
+    combined neighborhood can absorb.  With every quota 1 the matching is
+    perfect, and ``_perfect_matching`` takes the same steps with one mate
+    per vertex, so the result is the same.
     """
     left, right = demand.left_quota, demand.right_quota
     if len(left) != g.left_count or len(right) != g.right_count:
@@ -162,74 +168,47 @@ def _b_matching(
         mates: list[list[int]] = [[] for _ in room]
         for e in compress(range(len(edges)), matched):
             mates[edges[e][1]].append(e)
-    while missing:
-        # label levels (-1: unreached)
-        frontier = [u for u, lack in enumerate(need) if lack]
-        level = [-1] * len(need)
-        for u in frontier:
-            level[u] = 0
-        depth = 0
-        spare_seen = False
-        while frontier and not spare_seen:
-            depth += 1
-            reached = []
-            for u in frontier:
-                for e in out[u]:
-                    if matched[e]:
-                        continue
+
+        def steps(u):
+            # u's alternating steps in edge order: (e, -1) for an unmatched
+            # edge e into a right vertex with room, else (e, f) for each
+            # matched edge f into it
+            for e in out[u]:
+                if not matched[e]:
                     v = edges[e][1]
                     if room[v]:
-                        spare_seen = True
-                        break
-                    for f in mates[v]:
-                        w = tail[f]
-                        if level[w] < 0:
-                            level[w] = depth
-                            reached.append(w)
-                if spare_seen:
-                    break
-            frontier = reached
-        if not spare_seen:
-            return [u for u, depth in enumerate(level) if depth >= 0]
-        # augment: a vertex whose search fails is dropped for the rest of the
-        # phase, and each cursor stays on the edge taken
+                        yield e, -1
+                    else:
+                        for f in mates[v]:
+                            yield e, f
+
+    while missing:
+        # one round: each short left vertex not seen yet searches depth
+        # first, and a path found is flipped at once
         short = missing
-        cursor = [0] * len(need)
+        seen = [False] * len(need)
         for source in range(len(need)):
-            while need[source] and level[source] == 0:
-                stack = [source]
+            if not need[source] or seen[source]:
+                continue
+            seen[source] = True
+            while need[source]:
+                scans = [steps(source)]  # one step iterator per vertex on the path
                 path: list[tuple[int, int]] = []  # (unmatched edge out, matched edge back)
-                while stack:
-                    u = stack[-1]
-                    row = out[u]
-                    target = level[u] + 1
-                    i = cursor[u]
-                    step = None
-                    while i < len(row):
-                        e = row[i]
-                        if not matched[e]:
-                            v = edges[e][1]
-                            if room[v]:
-                                step = (e, -1)
-                                break
-                            for f in mates[v]:
-                                if level[tail[f]] == target:
-                                    step = (e, f)
-                                    break
-                            if step is not None:
-                                break
-                        i += 1
-                    cursor[u] = i
-                    if step is None:
-                        level[u] = -1
-                        stack.pop()
+                while scans:
+                    for e, f in scans[-1]:
+                        if f < 0 or not seen[tail[f]]:
+                            break
+                    else:
+                        scans.pop()
                         if path:
                             path.pop()
                         continue
-                    path.append(step)
-                    if step[1] >= 0:
-                        stack.append(tail[step[1]])
+                    path.append((e, f))
+                    if f >= 0:
+                        seen[tail[f]] = True
+                        scans.append(steps(tail[f]))
                         continue
+                    room[edges[e][1]] -= 1
                     for e, f in path:
                         matched[e] = 1
                         into = mates[edges[e][1]]
@@ -239,24 +218,25 @@ def _b_matching(
                         else:
                             into.append(e)
                     need[source] -= 1
-                    room[edges[step[0]][1]] -= 1
                     missing -= 1
                     break
+                else:  # a failed search ends the source's turn
+                    break
         if missing == short:
-            raise KernelError("an augmenting phase found no path")
+            return [u for u in range(len(need)) if seen[u]]
     return tuple(compress(range(len(edges)), matched))
 
 
 def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
     """``_b_matching`` with every quota 1 on ``left_count`` vertices a side,
-    replayed step for step: its greedy seed, level labelling and augmenting
-    phases.
+    replayed step for step: its greedy seed and its rounds.
 
     ``mate[u]`` is the edge matched at left vertex u and ``partner[v]`` the
     left vertex matched to right vertex v (-1: free), in place of quotas,
-    ``matched`` flags and ``mates`` lists.  A scan skips no matched edge:
-    one out of u leads back to u, which is labelled already and is never
-    the level sought.
+    ``matched`` flags and ``mates`` lists.  Each vertex on the path keeps
+    one iterator over its edges, and a search steps to the first right
+    vertex that is free or whose partner is not seen yet.  A scan skips no
+    matched edge: one out of u leads back to u, which is seen already.
     """
     edges = g.edges
     count = g.left_count
@@ -275,60 +255,31 @@ def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
             out[u].append(e)
             heads[u].append(v)
     while missing:
-        # label levels, stopping at the first edge into a free vertex
-        free = frontier = [u for u in range(count) if mate[u] < 0]
-        level = [-1] * count
-        for u in free:
-            level[u] = 0
-        depth = 0
-        spare_seen = False
-        while frontier and not spare_seen:
-            depth += 1
-            reached = []
-            for u in frontier:
-                for v in heads[u]:
-                    w = partner[v]
-                    if w < 0:
-                        spare_seen = True
-                        break
-                    if level[w] < 0:
-                        level[w] = depth
-                        reached.append(w)
-                if spare_seen:
-                    break
-            frontier = reached
-        if not spare_seen:
-            return [u for u, depth in enumerate(level) if depth >= 0]
-        # augment: each cursor stays on the edge taken.  Only a path's source
-        # leaves ``free``, and a free vertex is no path's inner vertex, so
-        # each one is still free at level 0 when its turn comes.
         short = missing
-        cursor = [0] * count
-        for source in free:
+        seen = [False] * count
+        for source in range(count):
+            if mate[source] >= 0 or seen[source]:
+                continue
+            seen[source] = True
             stack = [source]
+            scans = [enumerate(heads[source])]
             path: list[int] = []  # the position in heads[u] of each step out
-            while stack:
-                u = stack[-1]
-                row = heads[u]
-                target = level[u] + 1
-                i = cursor[u]
-                step = -2  # none yet; -1: a free right vertex
-                while i < len(row):
-                    w = partner[row[i]]
-                    if w < 0 or level[w] == target:
-                        step = w
+            while scans:
+                for i, v in scans[-1]:
+                    w = partner[v]
+                    if w < 0 or not seen[w]:
                         break
-                    i += 1
-                cursor[u] = i
-                if step == -2:
-                    level[u] = -1
+                else:
+                    scans.pop()
                     stack.pop()
                     if path:
                         path.pop()
                     continue
                 path.append(i)
-                if step >= 0:
-                    stack.append(step)
+                if w >= 0:
+                    seen[w] = True
+                    stack.append(w)
+                    scans.append(enumerate(heads[w]))
                     continue
                 for u, i in zip(stack, path):
                     mate[u] = out[u][i]
@@ -336,7 +287,7 @@ def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
                 missing -= 1
                 break
         if missing == short:
-            raise KernelError("an augmenting phase found no path")
+            return [u for u in range(count) if seen[u]]
     return tuple(sorted(mate))
 
 
@@ -349,18 +300,21 @@ def _assign_on_masks(
     Left vertex u may take the values whose bits are set in
     ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
     taken once.  The graph this stands for lists each left vertex's edges
-    in increasing bit order.  The level labelling and the augmenting
-    phases run step for step as in ``_b_matching``: matched edges become
-    the bits each left vertex holds, the mates of a right vertex its one
-    owner, and an edge cursor the lowest bit still to scan (0 once every
-    edge is passed).  The greedy seed is this kernel's own: each left
-    vertex in turn takes its last-chance bits (free bits that no later
+    in increasing bit order.  The rounds run as in ``_b_matching``:
+    matched edges become the bits each left vertex holds, the mates of a
+    right vertex its one owner, and ``unvisited`` is the OR of the bits
+    held by the vertices not seen yet, so the candidates at a vertex u on
+    the path are ``eligible[u] & ~assigned[u] & (free | unvisited)``,
+    taken again at every step.  Two rules are this kernel's own.  A free
+    candidate ends the path at once; otherwise the search descends into
+    the owner of the lowest candidate.  And the greedy seed has each left
+    vertex in turn take its last-chance bits (free bits that no later
     vertex is eligible for) before its lowest other free bits.  So the
     assignment can differ from the one degree_matching returns on that
     graph, but the reached set is the same.
 
     Returns (assigned, reached): the bits each left vertex holds, and the
-    left vertices the last failed search reached, which is empty iff
+    left vertices seen by a round that gained nothing, which is empty iff
     every left vertex got its quota.
     """
     left = len(eligible)
@@ -403,86 +357,48 @@ def _assign_on_masks(
                 owner[low] = u
                 mask ^= low
     while missing:
-        # label levels: breadth-first alternating levels from the deficient
-        # vertices; ``unlabelled`` holds the bits whose owner has none yet
-        level = [-1] * left
-        frontier = [u for u in range(left) if need[u]]
-        unlabelled = 0
-        for u in range(left):
-            if need[u]:
-                level[u] = 0
-            else:
-                unlabelled |= assigned[u]
-        depth = 0
-        spare_seen = False
-        while frontier and not spare_seen:
-            depth += 1
-            reached = []
-            for u in frontier:
-                scan = eligible[u] & ~assigned[u]
-                spare = scan & free
-                if spare:  # labelling stops at u's first edge with room
-                    scan &= (spare & -spare) - 1
-                    spare_seen = True
-                scan &= unlabelled
-                while scan:
-                    w = owner[scan & -scan]
-                    level[w] = depth
-                    reached.append(w)
-                    unlabelled &= ~assigned[w]
-                    scan &= ~assigned[w]
-                if spare_seen:
-                    break
-            frontier = reached
-        if not spare_seen:
-            return assigned, [u for u in range(left) if level[u] >= 0]
-        # augment: level-increasing paths, each cursor moving forward.
-        # The cursors bound the work only: an edge a cursor has passed cannot
-        # become usable later in the same phase.
         short = missing
-        cursor = [1] * left
+        seen = [False] * left
+        unvisited = sum(assigned)  # disjoint: the bits held by vertices not seen yet
         for source in range(left):
-            while need[source] and level[source] == 0:
+            if not need[source] or seen[source]:
+                continue
+            seen[source] = True
+            unvisited &= ~assigned[source]
+            while need[source]:
                 stack = [source]
                 path: list[tuple[int, int]] = []  # (bit taken, its owner or -1)
                 while stack:
                     u = stack[-1]
-                    target = level[u] + 1
-                    scan = eligible[u] & ~assigned[u] & -cursor[u]
-                    step = None
-                    while scan:
-                        low = scan & -scan
-                        if free & low:
-                            step = (low, -1)
-                            break
-                        w = owner[low]
-                        if level[w] == target:
-                            step = (low, w)
-                            break
-                        scan ^= low
-                    if step is None:
-                        cursor[u] = 0
-                        level[u] = -1
+                    scan = eligible[u] & ~assigned[u] & (free | unvisited)
+                    spare = scan & free
+                    if spare:  # a free bit ends the path at once
+                        low = spare & -spare
+                        path.append((low, -1))
+                        for taker, (bit, held_by) in zip(stack, path):
+                            assigned[taker] |= bit
+                            if held_by >= 0:
+                                assigned[held_by] ^= bit
+                            owner[bit] = taker
+                        free ^= low
+                        need[source] -= 1
+                        missing -= 1
+                        break
+                    if not scan:
                         stack.pop()
                         if path:
                             path.pop()
                         continue
-                    cursor[u] = step[0]
-                    path.append(step)
-                    if step[1] >= 0:
-                        stack.append(step[1])
-                        continue
-                    for taker, (bit, held_by) in zip(stack, path):
-                        assigned[taker] |= bit
-                        if held_by >= 0:
-                            assigned[held_by] ^= bit
-                        owner[bit] = taker
-                    free ^= step[0]
-                    need[source] -= 1
-                    missing -= 1
+                    low = scan & -scan
+                    w = owner[low]
+                    seen[w] = True
+                    unvisited &= ~assigned[w]
+                    path.append((low, w))
+                    stack.append(w)
+                else:  # a failed search ends the source's turn
                     break
         if missing == short:
-            raise KernelError("an augmenting phase found no path")
+            return assigned, [u for u in range(left) if seen[u]]
     return assigned, []
 
 

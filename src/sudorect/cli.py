@@ -3,8 +3,9 @@
 Subcommands: check, decide, complete, construct, count, bounds.  Exit
 codes: 0 success/affirmative, 1 well-formed negative (violation found, not
 completable, not guaranteed, capped count), 2 usage or input errors,
-and also an interrupt, exhausted memory or an exceeded recursion limit,
-each reported in one line and never as a traceback.  All
+and also an interrupt, exhausted memory, an exceeded recursion limit or
+a write to stdout that fails (a closed pipe, a full disk), each reported
+in one line and never as a traceback.  All
 diagnostics go to stderr; stdout carries only grid/table payloads, so the
 commands compose in pipes.  ``--format kv`` switches the reports to
 machine-readable key=value lines.  ``bounds --k-max`` above
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -291,7 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return globals()[f"_cmd_{args.command}"](args)
+        code = globals()[f"_cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         _warn(f"parse error: {exc}")
         return EXIT_ERROR
@@ -307,6 +311,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         _warn("recursion limit exceeded")
         return EXIT_ERROR
+    except OSError as exc:  # stdout refused the payload: a closed pipe, a full disk
+        _warn(f"cannot write to stdout: {exc.strerror or exc}")
+        _drop_stdout()
+        return EXIT_ERROR
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the
+    interpreter's final flush of what is still buffered cannot fail again
+    and print more than the one diagnostic."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # an in-process stream without one
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from oracles import (
 )
 from sudorect import (
     BipartiteGraph,
+    BlockIndex,
     DegreeDemand,
     HallCertificate,
     KernelError,
@@ -159,6 +160,26 @@ def test_matching_agrees_with_exhaustive_search(seed):
     else:
         assert oracle is not None
         assert recount_matching(g, demand, ours)
+
+
+def test_a_search_may_pass_through_a_short_left_vertex():
+    # the seed leaves vertices 0 and 1 one unit short each; the search from
+    # 0 steps into right vertex 0 and back to 1, still short, and on to 2,
+    # whose unmatched edge into right vertex 1 has room
+    edges = [(1, 0), (1, 1), (2, 0), (2, 0), (2, 0), (2, 1), (1, 0), (0, 0), (2, 1)]
+    g = BipartiteGraph.build(3, 2, edges)
+    demand = DegreeDemand((1, 3, 3), (4, 3))
+    through_short = with_replaced(
+        bipartite._b_matching,
+        "seen[tail[f]] = True",
+        "assert not need[tail[f]]; seen[tail[f]] = True",
+    )
+    with pytest.raises(AssertionError):
+        through_short(g, demand, 7)
+    ours = degree_matching(g, demand)
+    assert ours == (0, 1, 4, 5, 6, 7, 8)
+    assert recount_matching(g, demand, ours)
+    assert exhaustive_degree_matching(3, 2, edges, demand.left_quota, demand.right_quota) is not None
 
 
 # -- hall_check ----------------------------------------------------------------
@@ -473,38 +494,57 @@ def within(seconds: float):
 
 
 # Per matcher: an input whose greedy seed falls one unit short, the full
-# matching one augmenting path gives, and the source edit that makes the
-# step into a right vertex with room a dead end, so no path completes.
+# matching one augmenting path gives, the source edit that makes the step
+# into a right vertex with room a dead end, and what the edited matcher
+# then returns: a reached set, whose neighbourhood still has room.
 NO_PATH = {
     "_b_matching": (
         (BipartiteGraph.build(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)]),
          DegreeDemand((2, 1), (2, 1)), 3),
         (1, 2, 3),
-        "step = (e, -1)",
-        "step = None",
+        "yield e, -1",
+        "continue",
+        [0, 1],
     ),
     "_perfect_matching": (
         (BipartiteGraph.build(2, 2, [(0, 0), (0, 1), (1, 0)]),),
         (1, 2),
-        "if w < 0 or level[w] == target:",
-        "if w >= 0 and level[w] == target:",
+        "if w < 0 or not seen[w]:",
+        "if w >= 0 and not seen[w]:",
+        [0, 1],
     ),
     "_assign_on_masks": (
         # every bit a vertex could take is one a later vertex may take, so
         # the seed gives vertex 0 bit 0 and leaves vertex 2 without one
         ([0b011, 0b110, 0b001], 1, 0b111),
         ([0b010, 0b100, 0b001], []),
-        "step = (low, -1)",
-        "step = None",
+        "scan = eligible[u] & ~assigned[u] & (free | unvisited)",
+        "scan = eligible[u] & ~assigned[u] & unvisited",
+        ([0b001, 0b010, 0], [0, 1, 2]),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NO_PATH))
-def test_a_phase_without_an_augmenting_path_is_a_kernel_error(name):
-    # without its phase guard the edited matcher would loop forever
-    args, found, old, new = NO_PATH[name]
+def test_a_matcher_that_misses_its_path_is_refused_at_the_boundary(name, monkeypatch):
+    # each round either gains a unit or returns, so the edited matcher
+    # ends; the reached set it returns is not deficient, and the boundary
+    # that turns it into a witness must refuse it
+    args, found, old, new, reached = NO_PATH[name]
     matcher = getattr(bipartite, name)
     assert matcher(*args) == found
-    with within(5), pytest.raises(KernelError, match="no path"):
-        with_replaced(matcher, old, new)(*args)
+    edited = with_replaced(matcher, old, new)
+    with within(5):
+        assert edited(*args) == reached
+    if name == "_assign_on_masks":
+        # the block's three columns already hold values 3, 1 and 2-3 of
+        # the offered 1-3: the eligible masks above
+        monkeypatch.setattr(completion, name, edited)
+        with pytest.raises(KernelError, match="deficient column set failed its own"):
+            completion._stage1(BlockIndex(2, 1), 1, 0b111, [0b100, 0b001, 0b110], None)
+    else:
+        monkeypatch.setattr(bipartite, name, edited)
+        g = args[0]
+        demand = args[1] if len(args) > 1 else DegreeDemand.uniform(g, 1, 1)
+        with pytest.raises(KernelError, match="min-cut certificate failed its own"):
+            degree_matching(g, demand)

@@ -2,7 +2,10 @@
 
 import argparse
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -221,6 +224,40 @@ def test_construct_unwritable_output_exits_2_with_one_line(tmp_path):
     assert out == ""
     assert err.count("\n") == 1 and f"cannot write {target}" in err
     assert not target.exists()
+
+
+def run_cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    """The CLI in a process of its own, writing its payload to ``stdout``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "sudorect.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60, text=True,
+    )
+
+
+def assert_one_line_exit_2(done: subprocess.CompletedProcess, reason: str) -> None:
+    assert done.returncode == 2
+    assert done.stderr == f"cannot write to stdout: {reason}\n"  # no traceback
+
+
+def test_a_closed_stdout_pipe_exits_2_with_one_line():
+    # the pipe's reader is gone before the CLI writes, as after `| head -1`
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = run_cli_process(["bounds", "--k-max", "1000"], writer)
+    finally:
+        os.close(writer)
+    assert_one_line_exit_2(done, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        done = run_cli_process(["bounds", "--k-max", "3"], full)
+    assert_one_line_exit_2(done, "No space left on device")
 
 
 # -- count ------------------------------------------------------------------------

@@ -678,22 +678,23 @@ def _pinned_outputs() -> dict[str, str]:
     return {label: hashlib.sha256(text.encode()).hexdigest() for label, text in texts.items()}
 
 
-# sha256 of each output's text, re-pinned when stage 1's greedy seed began
-# taking each column's last-chance values first: completed squares and
-# widened rectangles changed, and every witness stayed byte-identical.
+# sha256 of each output's text, re-pinned when the matchers began to
+# augment by depth-first rounds instead of Hopcroft–Karp phases: completed
+# squares and widened rectangles changed, and every witness stayed
+# byte-identical.
 PINNED_DIGESTS = {
     "empty k=2": "1b9dc9dddc983fcff7390f4dc0108b137eb6dba7980f91c38396bc0c8b709190",
     "empty k=3": "549f556f9c90655d681cad3238ba7b2f6465c817221dc19b8bae933e6a619efb",
     "empty k=4": "46e8bc040c5f80346e6b68d93259fe613d16ffb991407e60c7ec0982b774f0c3",
-    "empty k=5": "a12fb5951e4d7753d44eaf1da3c233f8cefd2e85876bf97f39b645da1810e228",
-    "empty k=6": "ca9b3cb20beca0ca9cf084e132ab6406449ff314cff483e5751b559e56f62f81",
-    "empty k=7": "0d6932b156a5223c40511d2071afbc05b02049d7473bdd87e2e6d607d426018e",
+    "empty k=5": "61f636d5ccae56443ac1392fd0df3aec3951ecdad1f1ad34628344cfa93fe07b",
+    "empty k=6": "b5e86b6250b14539adca412c91e0ce7c31de6a273af2b09ab01acff5324c2078",
+    "empty k=7": "7075cf2a47a3812469bbc7234221c454094f0fec1250061983df41a5ce2bf5c4",
     "empty k=8": "5bc646f8556f6f1d6f774816d97a293345a753f49f9a39a67e6fcd374424ac3e",
-    "empty k=9": "b2bfd98305c6c1caf73a2b66e9c28cb667d01f88025f984d77d24b4a04be2783",
-    "empty k=10": "cd1a6ea062b11df1b8d3c2596b9fd58491dac17331044b2872555f2644692a78",
+    "empty k=9": "61cab418cbc98e984283161a9eb14da9d455d6feff6a37b6da22d87662900371",
+    "empty k=10": "ea20fdeca126acda45101355541eb1fd16238468c47ba488d7236ab82295e41a",
     "pattern k=3 m=2": "cf5282a939bae2e97e8e9262668bad03a4a4a53f567628f21588acfdb111042f",
-    "pattern k=3 m=4": "fd2b60260680e9671b5dac4162f50fb2202c112aad5ced3a4ad603aa83ed01e8",
-    "pattern k=3 m=5": "c329e8d0b7e3cd214f42284fcb98785139e33a5300b958f5f73af8c35dd01c2a",
+    "pattern k=3 m=4": "2fd5ff343e6ba909a71a4f9368946a56bc4154d6f70ce59efb893bb8cae205cf",
+    "pattern k=3 m=5": "3f0fc6bb6a863793cd6af01df7ddb8aed9065f7c5bef5977c247e3faa6f18e7a",
     "pattern k=4 m=3": "755e6cbf5e69d77498d1d5cae108ee9ccc8bba3cb9cec9fdd07bcce01aab6e87",
     "pattern k=4 m=7": "dc108433084951c125df69558eb3b011cfa7165e985b9c60bec54b5fc88d9df0",
     "pattern k=4 m=10": "78adb7dcffa4a186e2c484aa29be1d321bb46560d901cf0676200919d417d191",
@@ -701,44 +702,44 @@ PINNED_DIGESTS = {
     "construct k=4 m=9": "55d4496b9f0b85bbc0eebe05c9c8a5bd08d0d7ab454e7a1f58eb784e79cfdc3a",
     "construct k=4 m=10": "7905865b041f95294df498e0e9fb9060e45ae7cf354e330823fb6aa3c1a136df",
     "construct k=4 m=11": "1f849f940d59c74b01dfe33481f0c615b539f6d01d9dc4d59d9a7021b92e67e5",
-    "construct k=5 m=9": "50e418142f8495b35d50dd85d43fe3e2546ec22eda0575b1d8b6594a868ff5c5",
-    "construct k=5 m=12": "c044faa6c7c525f6af0826af05445ab02a6a32509aa1e23ad7fb5eee9822d6da",
-    "construct k=5 m=13": "663d740d24fdc228c2f1fdfc39d8c27e4f6e7292973df5df08cfcf5c2f5982e1",
-    "construct k=5 m=14": "fc854fdaf429bffb3e39818695525e17e30b023c43e4f8254cbffbbbbfc40883",
-    "construct k=5 m=16": "b4119e2ff3513af946dff0fe4afadd1aa3b62bb5ba6c1c670021038b172e7832",
-    "construct k=5 m=17": "785a054524b7e2c8fdf757e94843d0cd841279655331278b3a7205ceca8fa083",
-    "construct k=5 m=18": "cac11f6cd4c62c2c3d156cd5d5ab4638363ecabc5e6af7679b7a40e603389c40",
-    "construct k=5 m=19": "0b235faf175f5a8ee0c12a57fe55a9ac22587e46f64b30f0fff22e492f4067f4",
-    "construct k=6 m=11": "76ef80d16bc536ca981025b264e11bfe67f98953af432a966874530b7a165bf3",
-    "construct k=6 m=16": "422ac20a466c97b1b73656df7a477fa01ee497bf6974b9c4d87010a419b931ff",
-    "construct k=6 m=17": "b19458e83a767e411189e5f8c0d10920383587ce942d9a45103c80e1f64e508d",
-    "construct k=6 m=19": "d19984324e10c834ed4ebdb5a17aac43ed83a1511848b51768dcda50b05e8245",
-    "construct k=6 m=20": "0fbb6f2603a262d8c209a02dea478928e167451b4d9709043a2ba7400b7e54a8",
-    "construct k=6 m=21": "c2f5595a01d6e0276be3678d321081fc963a6c4ad06697f768a2d65711eb354c",
-    "construct k=6 m=22": "d7c09ca16276381dfdebe993033a0e06e34f0a936a2bd34eb1044462d118c135",
-    "construct k=6 m=23": "c9a0decf13c7d71d9501feca254ec84a343f42f58b54c98ac1f9ebff541cb382",
-    "construct k=6 m=25": "e166fdd513287b3345f5544f229cd28f8327e9bea21635f14116da5d006e666c",
-    "construct k=6 m=26": "bab783ff9271a2feac65eed2a0e9b59bef34334c9657f4eb881a6b04ab976763",
-    "construct k=6 m=27": "c9f5d785407418691f40aaab001051c6c5632601b0e6f220c208b39ee1dbe410",
-    "construct k=6 m=28": "8a421153fdc6598c497ed019e912087e28dfd9926129fcf143c4ceac9de3b26e",
-    "construct k=6 m=29": "9f39dea37114911b1d92b37ee711a1d09eddbb0fa476b6f8f239b0f3f001dd2d",
-    "empty k=12": "a9d25f4a2ef9a12a33dbc9915c6577a046b646b20d1f9383e80b10499505a658",
+    "construct k=5 m=9": "163808d4df221fe1174e1d34ccc51ed6d4ad71b51104862f3efd16861b0ea37a",
+    "construct k=5 m=12": "b4f119d4dcbf5a4b4a2d45bfd4c9171f24a199d98056a33b53d645f93082ce67",
+    "construct k=5 m=13": "fb47f26a517387658695f3c8b18920b24fd8f3802a95bb8e4dba4a1d3f213030",
+    "construct k=5 m=14": "08553b3fede9e1f3e5b71208e9b6d2f037fefdae5e49699c62b7d66352eb29e0",
+    "construct k=5 m=16": "d42b76a7b8cbfe67a2c3a482bb1ecfedc77063a401dd40f1279b79a711f1b6b0",
+    "construct k=5 m=17": "94367766c1f3ae9fe50f3d9955f753a0a5ff26ff1f553c90b78112717568bcd1",
+    "construct k=5 m=18": "ee6085a465816a9e9216fec0ad4929b782cbd1c9e2be85bcb58ac9cd488edd99",
+    "construct k=5 m=19": "0e3a02afd894739a31fe82a09eec284b6bbe31b32e1a1f97b635535505bf4259",
+    "construct k=6 m=11": "6a57cd0fb41080b3e39407de609aa3a9630b3b1160802555b500996c80b67fbc",
+    "construct k=6 m=16": "f01bf084fb07a6be3f747d50fd73ff93244e5949d7c4d7c93fc39a9f83e4a330",
+    "construct k=6 m=17": "47be4b3556cedf0f103aba0876189be9469cfc4fc52ab2a436599f5aac9e61a0",
+    "construct k=6 m=19": "52dd8e2fdc7809625fe1a4ec6c28137f190a31dfd65692e43adeddce4bb38271",
+    "construct k=6 m=20": "05bae79a8453e96360711b079f994c4ba95e146818dc1744afd1d5221445976d",
+    "construct k=6 m=21": "c466b331a3dd8fc2883adefc089ab4cfaf7d3f40b1aa2e8b8b9230f3f6f34871",
+    "construct k=6 m=22": "372c3f8f529678716cb943313eebcaf681fefa7e9c42ded69362866250d83e4a",
+    "construct k=6 m=23": "ff94749c7994d0795a540a2161dd833740c33e93d71173e29504c3b87bf107e8",
+    "construct k=6 m=25": "869365e0a10e2162d3e71830597896a578487a7165233fd8f96f30d27d21ea1b",
+    "construct k=6 m=26": "dd804d34e8fde44d91848f254707302cf479793b35f110f144057c90d7d709a4",
+    "construct k=6 m=27": "50900511e36b4b0483355d8778990c8c4ca5b0c1ef3e6ba8c5a82970f1db3cd0",
+    "construct k=6 m=28": "1e721f2a4fb34cc4dfdeb62d9d6df0d18be509c506cd92148dcd7c8e6c13f5e8",
+    "construct k=6 m=29": "ff4ece1a0719b4c174eeb518f4808a52393306579aa78c20621ef4d172e2480f",
+    "empty k=12": "809f6a347341802d4120a62a07e4ad1505d2deb76dc34f9b3529a343e0381b58",
     "empty k=16": "8a2a2b2d8ec6ac569ec446303547ee21cb02b98985b7e57e8bd914ba22a9eb22",
-    "pattern k=12 m=30": "21c72efa1c8dc2884cdab01e9cfef3ec80f753b9c7792b13b3d101a7a8b36e36",
-    "pattern k=12 m=72": "85ae9ca2b3886eee52d52303d13f9108aa262416d1c198e24c4d3f3629f7be8d",
-    "pattern k=12 m=131": "3e79e1a994448f41b5b0b03f15a84eeb5dcfc6c8cf38d609d326dabdbb4e5b0f",
+    "pattern k=12 m=30": "2871376b13eba1a4e8d34a0399422159cdcc80b8e91c6cdc58c2e4c866328705",
+    "pattern k=12 m=72": "08f20f05aa68ac6d222ed588db501922f72b65572d69f33b9881a9b5f9ff102a",
+    "pattern k=12 m=131": "4e77e599785ac7ce4c756c344a84982dd6a76b38819ecc1d3bb9ad0371fec932",
     "seeded k=2 seed=0": "48793dfa2f5870a024a1117b93c6aa37534bae83d7aac6dcc19a52d4595ef140",
     "seeded k=2 seed=1": "d0f2eb4afa46d8dc53f05ebca5a09c6329e36f45345599ebc6b6e473fe72e058",
     "seeded k=2 seed=2": "c8ceefc29787dc72dc82dfc2078a579dfd9b5ce4790040e927d8afc449f83147",
-    "seeded k=3 seed=0": "58c17e60598bac74977ae9623083b735594c476106ea583c4da5926bc9f28b9b",
-    "seeded k=3 seed=1": "d334dd7e115ca601e4a6b08ea0718e39e84c905b517276ef4b55c5545c78c401",
-    "seeded k=3 seed=2": "17151e6d1ce59c64c0a78ae3e4d5f3caadea2f710002d4750fa217899d49a062",
+    "seeded k=3 seed=0": "6cb9f28ff32d59b743454890da79e2a67f9b6241d782d84874b816cc14e5f8f3",
+    "seeded k=3 seed=1": "51e5a7d81fb7937c98bc621b190a9845a7328a2fa5606487577f68c18a061c0e",
+    "seeded k=3 seed=2": "4bc7d77f6023b6bf01f3a417acdec5c5ab292514afe0682a2f60feb259f8ed5a",
     "seeded k=4 seed=0": "cd812cceaeba5ad97325f5f223195bd17b08401fb9a8570f5b517795198e9dbc",
     "seeded k=4 seed=1": "5020b94b5e1d418a4030fbdc72ca120c59d4867846e827a662cc46af46dd52e3",
     "seeded k=4 seed=2": "0a192d9864a38f5d78bc166ff7d3e031e0e8ff7a108990b4123bd8a8101bee3b",
-    "seeded k=5 seed=0": "accf92a3f4aeb2e6e1a3339a2fe611ef19c423180e4877f91bccb20ac844c39c",
-    "seeded k=5 seed=1": "c673adde52f8ec157e9e43577ea73a1c06744e58fb200f0d043413e98a1a3860",
-    "seeded k=5 seed=2": "d6384200f9d3daad0883b5687d714d507479320357cd9ccdefa58722f1d18e61",
+    "seeded k=5 seed=0": "5af54d90e064d492d89b002b9151c7edf1a0b9817d2e97b63dcb055436db79a9",
+    "seeded k=5 seed=1": "b6c3fc0ecb03d104553a25690693f725d30bce2969931ed82e8bb4ef952e3880",
+    "seeded k=5 seed=2": "97234fe83f42c7059d5b52e3700365ccfe07e0cca685e9baf82746843b22f8c3",
 }
 
 

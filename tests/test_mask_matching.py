@@ -1,6 +1,6 @@
 """The value-mask matcher against degree_matching on the graph it stands for.
 
-``_assign_on_masks`` replays the Hopcroft–Karp phases of
+``_assign_on_masks`` replays the depth-first rounds of
 :func:`degree_matching` on int bitmasks, from a greedy seed of its own
 that takes each left vertex's last-chance values first.  Every test here
 materialises the graph the masks stand for (right vertices the bits of
@@ -140,6 +140,25 @@ def test_kernel_takes_the_greedy_seed_when_it_suffices():
     assert (assigned, reached) == ([0b0011, 0b1100], [])
 
 
+# Instances on which a search steps into a left vertex that is itself still
+# short, and the reached set each ends with; the edited kernel fails on such
+# a step, which shows each instance takes it.
+THROUGH_SHORT = [
+    (([0b101100110, 0b100101110, 0b101001011], 3, 0b111111111), [0, 1, 2]),
+    (([0b111011, 0b000101, 0b11110000, 0b001011], 2, 0b11111111), []),
+]
+
+
+@pytest.mark.parametrize("instance, reached", THROUGH_SHORT)
+def test_a_search_may_pass_through_a_short_left_vertex(instance, reached):
+    through_short = with_replaced(
+        _assign_on_masks, "seen[w] = True", "assert not need[w]; seen[w] = True"
+    )
+    with pytest.raises(AssertionError):
+        through_short(*instance)
+    assert _assign_on_masks(*instance)[1] == reached
+    assert assert_replays(*instance) == (not reached)
+
 # -- instances cut from the pipeline ---------------------------------------------
 
 
@@ -229,9 +248,9 @@ def lowest_bits_shortfall(eligible: list[int], quota: int, free: int) -> int:
     return missing
 
 
-def test_last_chance_seed_leaves_fewer_units_to_the_phases(monkeypatch):
-    # the kernel's own seed, cut off before its first phase: it returns
-    # the units the Hopcroft–Karp phases would have to find
+def test_last_chance_seed_leaves_fewer_units_to_the_search(monkeypatch):
+    # the kernel's own seed, cut off before its first round: it returns
+    # the units the depth-first search would have to find
     seed_shortfall = with_replaced(
         _assign_on_masks, "    while missing:\n", "    return missing\n    while missing:\n"
     )
@@ -243,7 +262,7 @@ def test_last_chance_seed_leaves_fewer_units_to_the_phases(monkeypatch):
     assert len(calls) == 394
     short = sum(seed_shortfall(*instance) for instance in calls)
     assert short == 45
-    assert short < sum(lowest_bits_shortfall(*instance) for instance in calls) == 1326
+    assert short < sum(lowest_bits_shortfall(*instance) for instance in calls) == 1323
 
 
 # -- stage 1 against the graph path ----------------------------------------------
