@@ -2,20 +2,16 @@
 certificates, and max-degree edge coloring.
 
 Vertices are 0-based; parallel edges are allowed and matter (a matching is
-a subset of edge *positions*).  Colorings come from alternating Euler
-splits, with a perfect-matching peel for odd degree; the last, 2-regular
-level is colored directly as alternating even cycles.  Each edge's ends
-are numbered once per coloring, and a split walks its trails with one edge
-iterator per vertex.  Everything here is deterministic for a fixed edge
-order.
+a subset of edge *positions*).  Colorings follow Kőnig's alternating-path
+proof: each edge is colored once, in edge order, and only an edge with no
+color free at both ends swaps two colors along one alternating path.
+Everything here is deterministic for a fixed edge order.
 
 Matchings are found on the graph itself by ``_b_matching``, for general
-quotas, and by two replays of it that swap only the representation:
-``_perfect_matching`` keeps one mate per vertex for all-ones quotas (the
-colouring's peel), and ``_assign_on_masks`` keeps value bitmasks for unit
-right quotas with edges in increasing value order (stage 1 and the
-column-block widening).  All three run one skeleton, with the same local
-names:
+quotas, and by a replay of it that swaps only the representation:
+``_assign_on_masks`` keeps value bitmasks for unit right quotas with edges
+in increasing value order (stage 1 and the column-block widening).  Both
+run one skeleton, with the same local names:
 
 * a greedy seed in edge order;
 * only if it falls short, the adjacency the search needs;
@@ -39,9 +35,10 @@ same for every maximum matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from itertools import compress
-from operator import add, xor
-from typing import NamedTuple, Union
+from operator import xor
+from typing import Union
 
 
 class KernelError(Exception):
@@ -117,22 +114,17 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     witnessed by the left vertices that alternating search reaches from
     the deficient ones: the source side of the minimal minimum cut, the
     same for every maximum matching.  Their quota mass exceeds what their
-    combined neighborhood can absorb.  With every quota 1 the matching is
-    perfect, and ``_perfect_matching`` takes the same steps with one mate
-    per vertex, so the result is the same.
+    combined neighborhood can absorb.
     """
     left, right = demand.left_quota, demand.right_quota
     if len(left) != g.left_count or len(right) != g.right_count:
         raise KernelError("quota vectors do not match vertex counts")
-    if left.count(1) == len(left) == len(right) == right.count(1):
-        found = _perfect_matching(g)
-    else:
-        if any(q < 0 for q in left + right):
-            raise KernelError("negative quota")
-        total = sum(left)
-        if total != sum(right):
-            raise KernelError(f"quota sums differ: left {total}, right {sum(right)}")
-        found = _b_matching(g, demand, total)
+    if any(q < 0 for q in left + right):
+        raise KernelError("negative quota")
+    total = sum(left)
+    if total != sum(right):
+        raise KernelError(f"quota sums differ: left {total}, right {sum(right)}")
+    found = _b_matching(g, demand, total)
     if isinstance(found, list):
         return _certificate(g, demand, found)
     return found
@@ -225,70 +217,6 @@ def _b_matching(
         if missing == short:
             return [u for u in range(len(need)) if seen[u]]
     return tuple(compress(range(len(edges)), matched))
-
-
-def _perfect_matching(g: BipartiteGraph) -> Union[tuple[int, ...], list[int]]:
-    """``_b_matching`` with every quota 1 on ``left_count`` vertices a side,
-    replayed step for step: its greedy seed and its rounds.
-
-    ``mate[u]`` is the edge matched at left vertex u and ``partner[v]`` the
-    left vertex matched to right vertex v (-1: free), in place of quotas,
-    ``matched`` flags and ``mates`` lists.  Each vertex on the path keeps
-    one iterator over its edges, and a search steps to the first right
-    vertex that is free or whose partner is not seen yet.  A scan skips no
-    matched edge: one out of u leads back to u, which is seen already.
-    """
-    edges = g.edges
-    count = g.left_count
-    mate = [-1] * count
-    partner = [-1] * count
-    missing = count
-    for e, (u, v) in enumerate(edges):
-        if mate[u] < 0 and partner[v] < 0:
-            mate[u] = e
-            partner[v] = u
-            missing -= 1
-    if missing:
-        out: list[list[int]] = [[] for _ in range(count)]  # edge ids, in edge order
-        heads: list[list[int]] = [[] for _ in range(count)]  # their right ends
-        for e, (u, v) in enumerate(edges):
-            out[u].append(e)
-            heads[u].append(v)
-    while missing:
-        short = missing
-        seen = [False] * count
-        for source in range(count):
-            if mate[source] >= 0 or seen[source]:
-                continue
-            seen[source] = True
-            stack = [source]
-            scans = [enumerate(heads[source])]
-            path: list[int] = []  # the position in heads[u] of each step out
-            while scans:
-                for i, v in scans[-1]:
-                    w = partner[v]
-                    if w < 0 or not seen[w]:
-                        break
-                else:
-                    scans.pop()
-                    stack.pop()
-                    if path:
-                        path.pop()
-                    continue
-                path.append(i)
-                if w >= 0:
-                    seen[w] = True
-                    stack.append(w)
-                    scans.append(enumerate(heads[w]))
-                    continue
-                for u, i in zip(stack, path):
-                    mate[u] = out[u][i]
-                    partner[heads[u][i]] = u
-                missing -= 1
-                break
-        if missing == short:
-            return [u for u in range(count) if seen[u]]
-    return tuple(sorted(mate))
 
 
 def _assign_on_masks(
@@ -422,173 +350,73 @@ def _certificate(
 
 
 def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
-    """Proper edge coloring with colors in [1, max degree].
+    """Proper edge coloring with colors in [1, max degree Δ].
 
-    The graph is first padded to a Δ-regular bipartite multigraph with dummy
-    vertices/edges; regular multigraphs are colored by alternating Euler
-    splits (even degree) and one perfect-matching peel (odd degree), which
-    meets the max-degree bound constructively.  Dummy edges are discarded.
-    Each edge's endpoints are numbered once, the right side after the left.
+    Kőnig's alternating-path proof, run in edge order.  An edge (u, v)
+    takes the lowest color free at both ends.  If there is none, let a be
+    the lowest color free at u and b the lowest free at v; the edges
+    colored a or b form paths and even cycles, and v and u each end one
+    path.  Swapping a and b on the path from v frees a at v, and swapping
+    them on the path from u frees b at u; whichever path is shorter is
+    swapped, the one from v on a tie, and the edge takes the freed color.
+    Neither path reaches the other end of the edge: the path from v
+    enters left vertices only along a-edges, and u has none; the path from
+    u enters right vertices only along b-edges, and v has none.  The two
+    paths are walked in lockstep, so the work is twice the shorter one.
     """
-    if not g.edges:
+    edges = g.edges
+    if not edges:
         return ()
-    side = max(g.left_count, g.right_count)
-    edges: list[tuple[int, int]] = list(g.edges)
+    left = g.left_count
     tail = [u for u, _ in edges]
-    head = [v for _, v in edges]
-    left_deg = [0] * side
-    right_deg = [0] * side
-    for u in tail:
-        left_deg[u] += 1
-    for v in head:
-        right_deg[v] += 1
-    delta = max(max(left_deg), max(right_deg))
-    real_count = len(edges)
-    u = v = 0
-    while True:
-        while u < side and left_deg[u] == delta:
-            u += 1
-        if u == side:
-            break
-        while right_deg[v] == delta:
-            v += 1
-        edges.append((u, v))
-        tail.append(u)
-        head.append(v)
-        left_deg[u] += 1
-        right_deg[v] += 1
-
-    head = [side + v for v in head]
-    ends = _Ends(side, edges, tail, head, list(map(xor, tail, head)))
+    head = [left + v for _, v in edges]  # right vertex v is vertex left + v
+    link = list(map(xor, tail, head))  # node ^ link[e]: the other end of e at node
+    delta = max(max(Counter(tail).values()), max(Counter(head).values()))
+    top = 1 << delta  # bit c stands for color c
+    at = [[-1] * (delta + 1) for _ in range(left + g.right_count)]  # at[x][c]: x's edge of color c
+    used = [1] * len(at)  # the colors at each vertex; bit 0 set, so color 0 is never free
     colors = [0] * len(edges)
-    _color_regular(ends, list(range(len(edges))), delta, 1, colors)
-    return tuple(colors[:real_count])
-
-
-class _Ends(NamedTuple):
-    """The padded regular multigraph: ``side`` vertices on each side, left
-    vertex u numbered u and right vertex v numbered side + v; ``tail`` and
-    ``head`` are each edge's two numbers and ``node ^ link[e]`` is the
-    other end of edge e at ``node``."""
-
-    side: int
-    edges: list[tuple[int, int]]
-    tail: list[int]
-    head: list[int]
-    link: list[int]
-
-
-def _color_regular(
-    ends: _Ends, live: list[int], degree: int, first_color: int, colors: list[int]
-) -> None:
-    """Color the ``degree``-regular multigraph ``live`` with ``degree``
-    colors from ``first_color`` on.  An odd degree peels the perfect
-    matching that :func:`degree_matching` finds on the edges in ``live``
-    order, which takes ``first_color``, and keeps the other edges in that
-    order; an even one splits in halves."""
-    if degree == 1:
-        for e in live:
-            colors[e] = first_color
-        return
-    if degree == 2:
-        _color_cycles(ends, live, first_color, colors)
-        return
-    if degree % 2 == 1:
-        edges = ends.edges
-        sub = BipartiteGraph._trusted(ends.side, ends.side, tuple(map(edges.__getitem__, live)))
-        matched = degree_matching(sub, DegreeDemand.uniform(sub, 1, 1))
-        if isinstance(matched, HallCertificate):
-            raise KernelError("regular bipartite multigraph lost its perfect matching")
-        rest: list[int] = []
-        start = 0
-        for i in matched:  # positions in increasing order
-            colors[live[i]] = first_color
-            rest += live[start:i]
-            start = i + 1
-        rest += live[start:]
-        _color_regular(ends, rest, degree - 1, first_color + 1, colors)
-        return
-    half_a, half_b = _euler_split(ends, live, degree)
-    _color_regular(ends, half_a, degree // 2, first_color, colors)
-    _color_regular(ends, half_b, degree // 2, first_color + degree // 2, colors)
-
-
-def _by_vertex(ends: _Ends, live: list[int]) -> list[int]:
-    """Each edge of ``live`` at both its ends, grouped by vertex in vertex
-    order, left side first; the sorts are stable, so each vertex's edges
-    keep their order in ``live``."""
-    return sorted(live, key=ends.tail.__getitem__) + sorted(live, key=ends.head.__getitem__)
-
-
-def _euler_split(
-    ends: _Ends, live: list[int], degree: int
-) -> tuple[list[int], list[int]]:
-    """Split an even-regular multigraph into two halves of equal degree.
-
-    From every left vertex in turn, walks a closed trail (the unused edge
-    earliest in ``live`` first) until the vertex has no edge left, and
-    alternates the trail's edges between the halves.  Each vertex keeps one
-    iterator over its edges, which passes each edge once per split.  Every
-    vertex has even degree, so a trail can only get stuck where it
-    started; bipartite closed trails have even length, so every vertex
-    splits evenly.  Every edge has a left end, so once the left vertices
-    are spent so is the graph.
-    """
-    side, link = ends.side, ends.link
-    # every vertex has ``degree`` edges: cut the grouped list in chunks
-    ahead = list(map(iter, zip(*[iter(_by_vertex(ends, live))] * degree)))
-    used = [False] * len(link)
-    trail: list[int] = []  # the closed trails, one after another
-    walk = trail.append
-    for start in range(side):
-        node = start
-        while True:
-            for e in ahead[node]:
-                if not used[e]:
+    for e, u in enumerate(tail):
+        v = head[e]
+        here, there = used[u], used[v]
+        both = here | there
+        low = ~both & (both + 1)
+        if low > top:
+            a = (~here & (here + 1)).bit_length() - 1
+            b = (~there & (there + 1)).bit_length() - 1
+            swap = a + b
+            # x walks the a/b path from v, y the b/a path from u, one edge
+            # each per turn; cx and cy are the colors they leave by next
+            from_v: list[int] = []
+            from_u: list[int] = []
+            x, cx, y, cy = v, a, u, b
+            while True:
+                f = at[x][cx]
+                if f < 0:
+                    path, start, end, stale, c = from_v, v, x, swap - cx, a
                     break
-            else:
-                break
-            used[e] = True
-            walk(e)
-            node ^= link[e]
-            for e in ahead[node]:
-                if not used[e]:
+                from_v.append(f)
+                x ^= link[f]
+                cx = swap - cx
+                f = at[y][cy]
+                if f < 0:
+                    path, start, end, stale, c = from_u, u, y, swap - cy, b
                     break
-            else:
-                raise KernelError("Euler walk stuck after an odd step; degrees are not even")
-            used[e] = True
-            walk(e)
-            node ^= link[e]
-    return trail[0::2], trail[1::2]
-
-
-def _color_cycles(ends: _Ends, live: list[int], first_color: int, colors: list[int]) -> None:
-    """Color a 2-regular multigraph with ``first_color`` and the next color.
-
-    Its components are even cycles.  Each is walked from its lowest vertex
-    along the edge there that comes earlier in ``live``, alternating the
-    two colors: these are the trails :func:`_euler_split` walks, colored as
-    its halves would be.  The edge ids at a vertex sum to ``pair[node]``,
-    so the edge leaving by is the sum less the edge arriving by.  Splitting
-    this level with :func:`_euler_split` instead gives the same colors but
-    makes :func:`edge_color` 6-16% slower, so this walk stays.
-    """
-    by_vertex = _by_vertex(ends, live)
-    first = by_vertex[0::2]
-    pair = list(map(add, first, by_vertex[1::2]))
-    link = ends.link
-    second_color = first_color + 1
-    for start in range(ends.side):
-        e = first[start]
-        if colors[e]:
-            continue
-        node = start
-        while True:
-            colors[e] = first_color
-            node ^= link[e]
-            e = pair[node] - e
-            colors[e] = second_color
-            node ^= link[e]
-            if node == start:
-                break
-            e = pair[node] - e
+                from_u.append(f)
+                y ^= link[f]
+                cy = swap - cy
+            for f in path:
+                flipped = colors[f] = swap - colors[f]
+                at[tail[f]][flipped] = f
+                at[head[f]][flipped] = f
+            at[end][stale] = -1  # the far end's last edge changed color
+            ab = (1 << a) | (1 << b)
+            used[end] ^= ab
+            used[start] |= ab  # the swapped color, and c for e
+            low = 1 << c
+        c = low.bit_length() - 1
+        colors[e] = c
+        at[u][c] = at[v][c] = e
+        used[u] |= low
+        used[v] |= low
+    return tuple(colors)

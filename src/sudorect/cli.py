@@ -25,6 +25,7 @@ was built is the one that runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -93,9 +94,12 @@ def _read_grid(path: str) -> SudokuGrid:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
+    out = sys.stdout
+    if out is None:  # started with stdout closed: the interpreter sets it to None
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    out.write(text)
     if not text.endswith("\n"):
-        sys.stdout.write("\n")
+        out.write("\n")
 
 
 def _warn(text: str) -> None:
@@ -294,7 +298,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         code = globals()[f"_cmd_{args.command}"](args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except ParseError as exc:
         _warn(f"parse error: {exc}")

@@ -18,11 +18,12 @@ on the union of the assigned masks.  The seeded stage 1 of
 the value bits.  The pipeline calls the step once per row block and keeps
 one value mask per column: it reads a column block from the grid when
 stage 1 first reaches it, and the step ORs in the values stage 1 gives each
-column, so later row blocks read nothing.  Stage 2 peels the masks' bits
+column, so later row blocks read nothing.  Stage 2 splits the masks' bits
 into the (column, value) edges and colours them into the row block's new
-rows.  Once the last row block is coloured, the pipeline copies the given
-rows, adds the new ones, builds the square from them once and proves it
-once with :func:`validate`; a rejection copies nothing.  The
+rows with :func:`edge_color`, along Kőnig's alternating paths.  Once the
+last row block is coloured, the pipeline copies the given rows, adds the
+new ones, builds the square from them once and proves it once with
+:func:`validate`; a rejection copies nothing.  The
 column-block widening is the same step on rows: one call per new column
 block, whose colours name the new columns.
 """

@@ -611,96 +611,57 @@ def core_stage1(grid, shape, block: BlockIndex, rng=None):
 
 
 def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
-    """``edge_color`` as it stood before each edge's ends were numbered once
-    per coloring: padding to a Δ-regular multigraph, a perfect-matching
-    peel at odd degree, and Euler splits that rebuild their incidence
-    stacks on every call, down to degree 1."""
-    if not g.edges:
-        return ()
+    """Kőnig's alternating-path coloring, stated plainly on dicts.
+
+    Edges are colored in order.  An edge takes the lowest color in
+    [1, Δ] free at both its ends.  If none is, a is the lowest color free
+    at its left end u and b the lowest free at its right end v; the a/b
+    path from v and the b/a path from u are walked to their ends, the one
+    from v is swapped unless the one from u has fewer edges, and the edge
+    takes the color the swap freed (a after the path from v, b after the
+    one from u)."""
     delta = max_degree(g)
-    side = max(g.left_count, g.right_count)
-    left_deg = [0] * side
-    right_deg = [0] * side
-    edges: list[tuple[int, int]] = list(g.edges)
-    for u, v in edges:
-        left_deg[u] += 1
-        right_deg[v] += 1
-    real_count = len(edges)
-    u = v = 0
-    while True:
-        while u < side and left_deg[u] == delta:
-            u += 1
-        if u == side:
-            break
-        while right_deg[v] == delta:
-            v += 1
-        edges.append((u, v))
-        left_deg[u] += 1
-        right_deg[v] += 1
-    colors = [0] * len(edges)
-    _reference_color_regular(side, edges, list(range(len(edges))), delta, 1, colors)
-    return tuple(colors[:real_count])
+    at: dict[tuple[str, int], dict[int, int]] = {}  # vertex -> {color: edge}
+    colors: dict[int, int] = {}
 
+    def other_end(e: int, vertex: tuple[str, int]) -> tuple[str, int]:
+        u, v = g.edges[e]
+        return ("r", v) if vertex == ("l", u) else ("l", u)
 
-def _reference_color_regular(side, edges, live, degree, first_color, colors) -> None:
-    if degree == 0 or not live:
-        return
-    if degree == 1:
-        for e in live:
-            colors[e] = first_color
-        return
-    if degree % 2 == 1:
-        matched = _reference_peel(side, edges, live)
-        for e in matched:
-            colors[e] = first_color
-        rest = [e for e in live if e not in matched]
-        _reference_color_regular(side, edges, rest, degree - 1, first_color + 1, colors)
-        return
-    half_a, half_b = _reference_euler_split(side, edges, live)
-    _reference_color_regular(side, edges, half_a, degree // 2, first_color, colors)
-    _reference_color_regular(side, edges, half_b, degree // 2, first_color + degree // 2, colors)
+    def path_from(vertex: tuple[str, int], first: int, second: int) -> list[int]:
+        path = []
+        color = first
+        while color in at[vertex]:
+            e = at[vertex][color]
+            path.append(e)
+            vertex = other_end(e, vertex)
+            color = first + second - color
+        return path
 
-
-def _reference_peel(side, edges, live) -> set[int]:
-    sub = BipartiteGraph(side, side, tuple([edges[e] for e in live]))
-    result = degree_matching(sub, DegreeDemand.uniform(sub, 1, 1))
-    if isinstance(result, HallCertificate):
-        raise KernelError("regular bipartite multigraph lost its perfect matching")
-    return {live[i] for i in result}
-
-
-def _reference_euler_split(side, edges, live) -> tuple[list[int], list[int]]:
-    incidence: list[list[int]] = [[] for _ in range(2 * side)]
-    link = [0] * len(edges)  # node ^ link[e] is the other end of e
-    for e in reversed(live):
-        u, v = edges[e]
-        incidence[u].append(e)
-        incidence[side + v].append(e)
-        link[e] = u ^ (side + v)
-    used = bytearray(len(edges))
-    half_a: list[int] = []
-    half_b: list[int] = []
-    for start in range(2 * side):
-        node = start
-        while True:
-            stack = incidence[node]
-            while stack and used[stack[-1]]:
-                stack.pop()
-            if not stack:
-                break
-            e = stack.pop()
-            used[e] = 1
-            half_a.append(e)
-            node ^= link[e]
-            # an odd number of steps in, the walk cannot be stuck
-            stack = incidence[node]
-            while used[stack[-1]]:
-                stack.pop()
-            e = stack.pop()
-            used[e] = 1
-            half_b.append(e)
-            node ^= link[e]
-    return half_a, half_b
+    for e, (u, v) in enumerate(g.edges):
+        left, right = ("l", u), ("r", v)
+        at.setdefault(left, {})
+        at.setdefault(right, {})
+        free_u = [c for c in range(1, delta + 1) if c not in at[left]]
+        free_v = [c for c in range(1, delta + 1) if c not in at[right]]
+        common = [c for c in free_u if c in free_v]
+        if common:
+            color = common[0]
+        else:
+            a, b = free_u[0], free_v[0]
+            path_v = path_from(right, a, b)
+            path_u = path_from(left, b, a)
+            path, color = (path_u, b) if len(path_u) < len(path_v) else (path_v, a)
+            for f in path:
+                x, y = g.edges[f]
+                del at[("l", x)][colors[f]], at[("r", y)][colors[f]]
+            for f in path:
+                x, y = g.edges[f]
+                colors[f] = a + b - colors[f]
+                at[("l", x)][colors[f]] = at[("r", y)][colors[f]] = f
+        colors[e] = color
+        at[left][color] = at[right][color] = e
+    return tuple(colors[e] for e in range(len(g.edges)))
 
 
 def with_replaced(function, old: str, new: str):

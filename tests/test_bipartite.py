@@ -28,7 +28,6 @@ from sudorect import (
     SudokuGrid,
     bipartite,
     complete,
-    complete_randomized,
     completion,
     construct_counterexample,
     decide_guaranteed,
@@ -36,7 +35,6 @@ from sudorect import (
     edge_color,
     truncate_rows,
 )
-from sudorect.bipartite import _Ends, _euler_split
 from sudorect.constructions import figure1_fixture
 
 
@@ -325,18 +323,35 @@ def test_regular_graph_color_classes_are_perfect_matchings(k):
         assert len({v for _, v in class_edges}) == n
 
 
-@pytest.mark.parametrize("side", [1, 3])
-def test_euler_split_of_odd_regular_graph_is_kernel_error(side):
-    # K_{side,side} is side-regular; a walk gets stuck away from its start
-    edges = [(u, v) for u in range(side) for v in range(side)]
-    tail = [u for u, _ in edges]
-    head = [side + v for _, v in edges]
-    ends = _Ends(side, edges, tail, head, [u ^ w for u, w in zip(tail, head)])
-    with pytest.raises(KernelError, match="stuck after an odd step"):
-        _euler_split(ends, list(range(len(edges))), side)
+# Each graph's last edge finds no color free at both ends.  Before it the
+# colors are those of greedy first-fit; the last edge then swaps the shorter
+# alternating path, the one from its right end v on a tie, and takes the
+# color that frees.
+ALTERNATING_PATH_CASES = {
+    # u = 2 holds 1 and v = 1 holds 2, so a = 2 and b = 1.  From v:
+    # (1,1) colored 2, then (1,2) colored 1, two edges; from u: (2,0)
+    # colored 1, one edge.  That one is swapped and the edge takes b = 1.
+    "the path from u is shorter": ([(1, 2), (1, 1), (2, 0), (2, 1)], (1, 2, 1), (1, 2, 2, 1)),
+    # u = 3 holds 2 and v = 0 holds 1, so a = 1 and b = 2.  From v: (0,0)
+    # colored 1, one edge; from u: (3,2) then (1,2), two.  The edge takes a = 1.
+    "the path from v is shorter": ([(1, 2), (0, 0), (3, 2), (3, 0)], (1, 1, 2), (1, 2, 2, 1)),
+    # u = 1 holds 2 and v = 1 holds 1, so a = 1 and b = 2.  Both paths have
+    # two edges: (2,1) then (2,0) from v, (1,2) then (0,2) from u.
+    "a tie goes to the path from v": (
+        [(2, 1), (0, 2), (2, 0), (1, 2), (1, 1)], (1, 1, 2, 2), (2, 1, 1, 2, 1),
+    ),
+}
 
 
-# -- edge coloring against the frozen reference ------------------------------
+@pytest.mark.parametrize("case", sorted(ALTERNATING_PATH_CASES))
+def test_an_edge_without_a_common_color_swaps_the_shorter_path(case):
+    edges, before, after = ALTERNATING_PATH_CASES[case]
+    assert edge_color(BipartiteGraph.build(4, 4, edges[:-1])) == before
+    assert edge_color(BipartiteGraph.build(4, 4, edges)) == after
+    assert reference_edge_color(BipartiteGraph.build(4, 4, edges)) == after
+
+
+# -- edge coloring against the plain statement on dicts ------------------------
 
 
 @st.composite
@@ -386,13 +401,13 @@ def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
         assert edge_color(g) == reference_edge_color(g)
 
 
-# -- the unit-quota replay against _b_matching -----------------------------
+# -- all-ones quotas ---------------------------------------------------------
 
 
 def permutation_union(rng: random.Random) -> BipartiteGraph:
     """A union of d random permutations (d odd, 2-40 vertices a side, so
-    parallel edges occur) with its edges in a random order: the shape of
-    a perfect-matching peel."""
+    parallel edges occur) with its edges in a random order: a d-regular
+    multigraph, which has a perfect matching by Kőnig's theorem."""
     side = rng.randint(2, 40)
     degree = rng.choice([1, 3, 5, 7, 9])
     edges = []
@@ -410,34 +425,25 @@ def sparse_graph(rng: random.Random) -> BipartiteGraph:
     return BipartiteGraph.build(side, side, edges)
 
 
-def replays_b_matching(g: BipartiteGraph) -> bool:
-    """The unit-quota path gives what _b_matching gives, matching or reached
-    set, and degree_matching takes it; True iff the greedy seed fell
-    short, so the augmenting phases ran."""
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_unit_quotas_on_permutation_unions_give_a_perfect_matching(rng):
+    g = permutation_union(rng)
     unit = DegreeDemand.uniform(g, 1, 1)
-    want = bipartite._b_matching(g, unit, g.left_count)
-    assert bipartite._perfect_matching(g) == want
-    if isinstance(want, list):
-        assert degree_matching(g, unit) == bipartite._certificate(g, unit, want)
+    found = degree_matching(g, unit)
+    assert not isinstance(found, HallCertificate) and recount_matching(g, unit, found)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_unit_quotas_on_sparse_graphs_agree_with_hall(rng):
+    g = sparse_graph(rng)
+    unit = DegreeDemand.uniform(g, 1, 1)
+    found = degree_matching(g, unit)
+    if hall_check(g, 1) is None:
+        assert not isinstance(found, HallCertificate) and recount_matching(g, unit, found)
     else:
-        assert degree_matching(g, unit) == want
-    taken: set[tuple[str, int]] = set()
-    for u, v in g.edges:
-        if ("l", u) not in taken and ("r", v) not in taken:
-            taken |= {("l", u), ("r", v)}
-    return len(taken) < 2 * g.left_count
-
-
-@settings(max_examples=300, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_unit_quotas_replay_b_matching_on_permutation_unions(rng):
-    replays_b_matching(permutation_union(rng))
-
-
-@settings(max_examples=300, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_unit_quotas_replay_b_matching_on_sparse_graphs(rng):
-    replays_b_matching(sparse_graph(rng))
+        assert isinstance(found, HallCertificate) and found.capacity < found.required
 
 
 def test_sparse_graphs_reach_both_outcomes():
@@ -447,34 +453,6 @@ def test_sparse_graphs_reach_both_outcomes():
         g = sparse_graph(rng)
         outcomes.add(isinstance(degree_matching(g, DegreeDemand.uniform(g, 1, 1)), tuple))
     assert outcomes == {True, False}
-
-
-def test_unit_quotas_replay_b_matching_on_pipeline_peels(monkeypatch):
-    # every perfect-matching peel of the pipelines, captured where
-    # degree_matching hands it to the unit-quota path
-    graphs = []
-    kernel = bipartite._perfect_matching
-
-    def recording(g):
-        graphs.append(g)
-        return kernel(g)
-
-    monkeypatch.setattr(bipartite, "_perfect_matching", recording)
-    for k in range(3, 10):
-        square = complete(SudokuGrid(k))
-        for grid in [SudokuGrid(k)] + [truncate_rows(square, m) for m in (1, k + 1, k * k - 1)]:
-            complete(grid)
-            for seed in range(3):
-                complete_randomized(grid, seed)
-    for k in (5, 7):
-        for m in range(k * k):
-            if not decide_guaranteed(k, m).guaranteed:
-                construct_counterexample(k, m)
-    monkeypatch.undo()
-    assert {len(g.edges) // g.left_count for g in graphs} == {3, 5, 7, 9}
-    short = sum(replays_b_matching(g) for g in graphs)
-    # a replay that stops after its greedy seed fails most of these
-    assert short >= len(graphs) // 2
 
 
 @contextlib.contextmanager
@@ -504,13 +482,6 @@ NO_PATH = {
         (1, 2, 3),
         "yield e, -1",
         "continue",
-        [0, 1],
-    ),
-    "_perfect_matching": (
-        (BipartiteGraph.build(2, 2, [(0, 0), (0, 1), (1, 0)]),),
-        (1, 2),
-        "if w < 0 or not seen[w]:",
-        "if w >= 0 and not seen[w]:",
         [0, 1],
     ),
     "_assign_on_masks": (
@@ -544,7 +515,5 @@ def test_a_matcher_that_misses_its_path_is_refused_at_the_boundary(name, monkeyp
             completion._stage1(BlockIndex(2, 1), 1, 0b111, [0b100, 0b001, 0b110], None)
     else:
         monkeypatch.setattr(bipartite, name, edited)
-        g = args[0]
-        demand = args[1] if len(args) > 1 else DegreeDemand.uniform(g, 1, 1)
         with pytest.raises(KernelError, match="min-cut certificate failed its own"):
-            degree_matching(g, demand)
+            degree_matching(*args[:2])

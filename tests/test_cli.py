@@ -226,14 +226,15 @@ def test_construct_unwritable_output_exits_2_with_one_line(tmp_path):
     assert not target.exists()
 
 
-def run_cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
-    """The CLI in a process of its own, writing its payload to ``stdout``."""
+def run_cli_process(argv: list[str], stdout, **options) -> subprocess.CompletedProcess:
+    """The CLI in a process of its own, writing its payload to ``stdout``;
+    ``options`` go to :func:`subprocess.run`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "sudorect.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60, text=True, **options,
     )
 
 
@@ -251,6 +252,12 @@ def test_a_closed_stdout_pipe_exits_2_with_one_line():
     finally:
         os.close(writer)
     assert_one_line_exit_2(done, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_2_with_one_line():
+    # started with descriptor 1 closed, as by `>&-`: sys.stdout is None
+    done = run_cli_process(["bounds", "--k-max", "3"], None, preexec_fn=lambda: os.close(1))
+    assert_one_line_exit_2(done, "Bad file descriptor")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -652,7 +652,25 @@ def _relabelled_pattern_square(k: int) -> SudokuGrid:
     )
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pinned_witnesses() -> dict[str, str]:
+    """Per k, the witnesses of every construction at that k, one per line:
+    112 in all (k = 2 has none)."""
+    texts = {}
+    for k in range(3, 10):
+        lines = []
+        for m in range(k * k + 1):
+            if not decide_guaranteed(k, m).guaranteed:
+                lines.append(f"m={m} " + _witness_text(construct_counterexample(k, m).witness))
+        texts[f"witnesses k={k}"] = "\n".join(lines)
+    return {label: _digest(text) for label, text in texts.items()}
+
+
 def _pinned_outputs() -> dict[str, str]:
+    """Completed squares and widened rectangles."""
     texts = {}
     for k in range(2, 11):
         texts[f"empty k={k}"] = render(complete(SudokuGrid(k)))
@@ -662,85 +680,97 @@ def _pinned_outputs() -> dict[str, str]:
         square = _relabelled_pattern_square(k)
         for m in ms:
             out = complete(truncate_rows(square, m))
-            texts[f"pattern k={k} m={m}"] = (
-                render(out) if isinstance(out, SudokuGrid) else _witness_text(out)
-            )
+            texts[f"pattern k={k} m={m}"] = render(out)
     for k in (4, 5, 6):
         for m in range(k * k + 1):
             if not decide_guaranteed(k, m).guaranteed:
-                report = construct_counterexample(k, m)
-                texts[f"construct k={k} m={m}"] = render(report.rectangle) + _witness_text(
-                    report.witness
-                )
+                texts[f"construct k={k} m={m}"] = render(construct_counterexample(k, m).rectangle)
     for k in range(2, 6):
         for seed in range(3):
             texts[f"seeded k={k} seed={seed}"] = render(complete_randomized(SudokuGrid(k), seed))
-    return {label: hashlib.sha256(text.encode()).hexdigest() for label, text in texts.items()}
+    return {label: _digest(text) for label, text in texts.items()}
 
 
-# sha256 of each output's text, re-pinned when the matchers began to
-# augment by depth-first rounds instead of Hopcroft–Karp phases: completed
-# squares and widened rectangles changed, and every witness stayed
-# byte-identical.
+# sha256 of each k's construction witnesses: pinned apart from the outputs
+# below, so that a change to how squares are filled shows here as no change.
+PINNED_WITNESSES = {
+    "witnesses k=3": "2d992939cd1f1d4c2a77555696e716488eea2083c614bf6466771b817359eb6a",
+    "witnesses k=4": "e88b689daafca6024d25ad9e877a57ab12f3d7451bcd1101a8e5b172b9859d0c",
+    "witnesses k=5": "921d5e0066d48d5a5f930426dfd048ac0dd663957fd83d8a0366b4ad62a95491",
+    "witnesses k=6": "6bf78748ad660b47074e5f05c074aaa4e8917e5e9123d8fde59246737beb203b",
+    "witnesses k=7": "9d190c8d43db744c245cf4f51058f43a727d6144e6acd763d37f47affd3fed4a",
+    "witnesses k=8": "42b81e3083ddb72b2bae639a7b4b180338f3c38515410d9a5da4a5b704a59186",
+    "witnesses k=9": "06978e1f91d11787e30b39a2ee4ec22d1d3904bed7fc036e3aff719ad24a13fb",
+}
+
+# sha256 of each output's text, re-pinned when the edge colouring moved to
+# Kőnig's alternating paths: every square and rectangle but empty k=2 changed.
 PINNED_DIGESTS = {
     "empty k=2": "1b9dc9dddc983fcff7390f4dc0108b137eb6dba7980f91c38396bc0c8b709190",
-    "empty k=3": "549f556f9c90655d681cad3238ba7b2f6465c817221dc19b8bae933e6a619efb",
-    "empty k=4": "46e8bc040c5f80346e6b68d93259fe613d16ffb991407e60c7ec0982b774f0c3",
-    "empty k=5": "61f636d5ccae56443ac1392fd0df3aec3951ecdad1f1ad34628344cfa93fe07b",
-    "empty k=6": "b5e86b6250b14539adca412c91e0ce7c31de6a273af2b09ab01acff5324c2078",
-    "empty k=7": "7075cf2a47a3812469bbc7234221c454094f0fec1250061983df41a5ce2bf5c4",
-    "empty k=8": "5bc646f8556f6f1d6f774816d97a293345a753f49f9a39a67e6fcd374424ac3e",
-    "empty k=9": "61cab418cbc98e984283161a9eb14da9d455d6feff6a37b6da22d87662900371",
-    "empty k=10": "ea20fdeca126acda45101355541eb1fd16238468c47ba488d7236ab82295e41a",
-    "pattern k=3 m=2": "cf5282a939bae2e97e8e9262668bad03a4a4a53f567628f21588acfdb111042f",
-    "pattern k=3 m=4": "2fd5ff343e6ba909a71a4f9368946a56bc4154d6f70ce59efb893bb8cae205cf",
-    "pattern k=3 m=5": "3f0fc6bb6a863793cd6af01df7ddb8aed9065f7c5bef5977c247e3faa6f18e7a",
-    "pattern k=4 m=3": "755e6cbf5e69d77498d1d5cae108ee9ccc8bba3cb9cec9fdd07bcce01aab6e87",
-    "pattern k=4 m=7": "dc108433084951c125df69558eb3b011cfa7165e985b9c60bec54b5fc88d9df0",
-    "pattern k=4 m=10": "78adb7dcffa4a186e2c484aa29be1d321bb46560d901cf0676200919d417d191",
-    "construct k=4 m=7": "a9c1a14522d11e072473a230744d41853ff055f8cfae24653cc8aaccd5fdaef0",
-    "construct k=4 m=9": "55d4496b9f0b85bbc0eebe05c9c8a5bd08d0d7ab454e7a1f58eb784e79cfdc3a",
-    "construct k=4 m=10": "7905865b041f95294df498e0e9fb9060e45ae7cf354e330823fb6aa3c1a136df",
-    "construct k=4 m=11": "1f849f940d59c74b01dfe33481f0c615b539f6d01d9dc4d59d9a7021b92e67e5",
-    "construct k=5 m=9": "163808d4df221fe1174e1d34ccc51ed6d4ad71b51104862f3efd16861b0ea37a",
-    "construct k=5 m=12": "b4f119d4dcbf5a4b4a2d45bfd4c9171f24a199d98056a33b53d645f93082ce67",
-    "construct k=5 m=13": "fb47f26a517387658695f3c8b18920b24fd8f3802a95bb8e4dba4a1d3f213030",
-    "construct k=5 m=14": "08553b3fede9e1f3e5b71208e9b6d2f037fefdae5e49699c62b7d66352eb29e0",
-    "construct k=5 m=16": "d42b76a7b8cbfe67a2c3a482bb1ecfedc77063a401dd40f1279b79a711f1b6b0",
-    "construct k=5 m=17": "94367766c1f3ae9fe50f3d9955f753a0a5ff26ff1f553c90b78112717568bcd1",
-    "construct k=5 m=18": "ee6085a465816a9e9216fec0ad4929b782cbd1c9e2be85bcb58ac9cd488edd99",
-    "construct k=5 m=19": "0e3a02afd894739a31fe82a09eec284b6bbe31b32e1a1f97b635535505bf4259",
-    "construct k=6 m=11": "6a57cd0fb41080b3e39407de609aa3a9630b3b1160802555b500996c80b67fbc",
-    "construct k=6 m=16": "f01bf084fb07a6be3f747d50fd73ff93244e5949d7c4d7c93fc39a9f83e4a330",
-    "construct k=6 m=17": "47be4b3556cedf0f103aba0876189be9469cfc4fc52ab2a436599f5aac9e61a0",
-    "construct k=6 m=19": "52dd8e2fdc7809625fe1a4ec6c28137f190a31dfd65692e43adeddce4bb38271",
-    "construct k=6 m=20": "05bae79a8453e96360711b079f994c4ba95e146818dc1744afd1d5221445976d",
-    "construct k=6 m=21": "c466b331a3dd8fc2883adefc089ab4cfaf7d3f40b1aa2e8b8b9230f3f6f34871",
-    "construct k=6 m=22": "372c3f8f529678716cb943313eebcaf681fefa7e9c42ded69362866250d83e4a",
-    "construct k=6 m=23": "ff94749c7994d0795a540a2161dd833740c33e93d71173e29504c3b87bf107e8",
-    "construct k=6 m=25": "869365e0a10e2162d3e71830597896a578487a7165233fd8f96f30d27d21ea1b",
-    "construct k=6 m=26": "dd804d34e8fde44d91848f254707302cf479793b35f110f144057c90d7d709a4",
-    "construct k=6 m=27": "50900511e36b4b0483355d8778990c8c4ca5b0c1ef3e6ba8c5a82970f1db3cd0",
-    "construct k=6 m=28": "1e721f2a4fb34cc4dfdeb62d9d6df0d18be509c506cd92148dcd7c8e6c13f5e8",
-    "construct k=6 m=29": "ff4ece1a0719b4c174eeb518f4808a52393306579aa78c20621ef4d172e2480f",
-    "empty k=12": "809f6a347341802d4120a62a07e4ad1505d2deb76dc34f9b3529a343e0381b58",
-    "empty k=16": "8a2a2b2d8ec6ac569ec446303547ee21cb02b98985b7e57e8bd914ba22a9eb22",
-    "pattern k=12 m=30": "2871376b13eba1a4e8d34a0399422159cdcc80b8e91c6cdc58c2e4c866328705",
-    "pattern k=12 m=72": "08f20f05aa68ac6d222ed588db501922f72b65572d69f33b9881a9b5f9ff102a",
-    "pattern k=12 m=131": "4e77e599785ac7ce4c756c344a84982dd6a76b38819ecc1d3bb9ad0371fec932",
-    "seeded k=2 seed=0": "48793dfa2f5870a024a1117b93c6aa37534bae83d7aac6dcc19a52d4595ef140",
-    "seeded k=2 seed=1": "d0f2eb4afa46d8dc53f05ebca5a09c6329e36f45345599ebc6b6e473fe72e058",
-    "seeded k=2 seed=2": "c8ceefc29787dc72dc82dfc2078a579dfd9b5ce4790040e927d8afc449f83147",
-    "seeded k=3 seed=0": "6cb9f28ff32d59b743454890da79e2a67f9b6241d782d84874b816cc14e5f8f3",
-    "seeded k=3 seed=1": "51e5a7d81fb7937c98bc621b190a9845a7328a2fa5606487577f68c18a061c0e",
-    "seeded k=3 seed=2": "4bc7d77f6023b6bf01f3a417acdec5c5ab292514afe0682a2f60feb259f8ed5a",
-    "seeded k=4 seed=0": "cd812cceaeba5ad97325f5f223195bd17b08401fb9a8570f5b517795198e9dbc",
-    "seeded k=4 seed=1": "5020b94b5e1d418a4030fbdc72ca120c59d4867846e827a662cc46af46dd52e3",
-    "seeded k=4 seed=2": "0a192d9864a38f5d78bc166ff7d3e031e0e8ff7a108990b4123bd8a8101bee3b",
-    "seeded k=5 seed=0": "5af54d90e064d492d89b002b9151c7edf1a0b9817d2e97b63dcb055436db79a9",
-    "seeded k=5 seed=1": "b6c3fc0ecb03d104553a25690693f725d30bce2969931ed82e8bb4ef952e3880",
-    "seeded k=5 seed=2": "97234fe83f42c7059d5b52e3700365ccfe07e0cca685e9baf82746843b22f8c3",
+    "empty k=3": "049a5996ec60ddeebd086c3df5d2876c8fffc2d3b08922e003d739b01df1206a",
+    "empty k=4": "8c5b58b2dff545a2056c76563872cf833ffc753748512e9ebb9d1b033ae54ffa",
+    "empty k=5": "b96248eb9b3dd3b30cf597cb7e39b9af381023a72916af96b52342b8fb711a9d",
+    "empty k=6": "b21e88ef0e51e6e22d5698e420ba0a8a31f6fea1b8034f7c1a6e190372107910",
+    "empty k=7": "30fe19eec6f0eba24867bd97e659219671543c2cb4aa1d9925934decdb1c4f35",
+    "empty k=8": "e67b61187970060e4e28d2f0cd64232ea24baaa757f474658c624b15e778d263",
+    "empty k=9": "1994238aa2b7358223bac217a59c53b4321ddddc6d0f9c02957c69964110a2db",
+    "empty k=10": "8c20a66465e6dc38adb898816a8549f3fc871323449813b61ca86c2b1dd5463f",
+    "empty k=12": "9eae942f3d3c8bee42f0e21787c04f90e9e9094b8821268a7e0740f1c73ed01b",
+    "empty k=16": "c35c48a79206777ac0a6d5d217137114dc5631d6ce43ab44d3809c867ad78a16",
+    "pattern k=3 m=2": "6f97e55dd6a1cc580c2493f07e0bfa68cdefecf1571fe213365fea8204766b67",
+    "pattern k=3 m=4": "5113c034b834139171578a38fb2b69b0e5a153201d7512a12325cf3af34620ef",
+    "pattern k=3 m=5": "bf637990ebf9ba65341998b6b0948861e6b348d5d19e20622cecf4b87a677423",
+    "pattern k=4 m=3": "4bd99638f48299a5157a9678ca6c7450b949e463d5b00cc5017a1fd9114a41f1",
+    "pattern k=4 m=7": "879cf18d92f5973b7ae63a72c3fb1d6644611026228001cbd319c58e1f7a7bec",
+    "pattern k=4 m=10": "9358c7aecd9dde59aa602ebd70516b2fb70caf255765b0575d09d7051b7ff19c",
+    "pattern k=12 m=30": "898770f50843cc444c6aa95446ff1825f892101a06a1cb3d7a5c8489c9608c14",
+    "pattern k=12 m=72": "210329563a9b9388b49b6f4fb1bf651580f8b8ae26d01933cf4768534e8a2a80",
+    "pattern k=12 m=131": "0fb5e93af4a41cad2f94f00562bc5cd7f075db0ce026fd36890da53ee4e832df",
+    "construct k=4 m=7": "140661f8be3ba705b2329ca35f558b40434d9be5a49ba6abf137deb701450ef0",
+    "construct k=4 m=9": "848a02b4487fe867035b6bf6331a3e3c42f43fec9cc4e03fe44f91694d469809",
+    "construct k=4 m=10": "96407fb65ae2f616dace4ab9dbda1eaf909fe3279336216e7ac11398c7038d9b",
+    "construct k=4 m=11": "815e81b675bc1cf31982053d994e1436dd7b756ac983d723af51adf651a5d831",
+    "construct k=5 m=9": "437872ecaed25c4277320d0473324b55b946ca03a711d00b83d1e66a99c58e8c",
+    "construct k=5 m=12": "1b4519626b997410b60bb8a3f60fe233f80f47360d49ff8fa796bd2aecee3282",
+    "construct k=5 m=13": "fcc54071c483b4c582269138aa93ae26809b7f4df4642c7b811988170661bbee",
+    "construct k=5 m=14": "6142be41fa628a87f0b340dbd56604f6384684d9e800c21bf6b1f599b58049db",
+    "construct k=5 m=16": "9f90109afa873f10683b38385bd46fb17f6cc720a6c81c986a5a1effd8e93065",
+    "construct k=5 m=17": "4f642c7ca52e036db42fb1eb104c377ffd146c2accba413cbcba2ff1531e4797",
+    "construct k=5 m=18": "d9388be186767136833aec3c5979400592610c1c0f846fc49d28c240c6bef505",
+    "construct k=5 m=19": "d1b56965fa5817ae8782a8ec90ddeb4dcbf6f6a3de7587ce1f17fd332c2b01e4",
+    "construct k=6 m=11": "c1f6a98239f7b1e2eccc02b8eaffd6838ccd4179ed73fc37f4320027f22849a2",
+    "construct k=6 m=16": "b1f3943fd3051d5adf05f12dbf60641e4cf10a00640a3d0f7d79acda222d5434",
+    "construct k=6 m=17": "464b249c389e03d97fecaad9656d31769ae838b9447bafec0fc16043c29c0f41",
+    "construct k=6 m=19": "ca300d857435c04e900742ed63dda9297ce696990a964851acf04ef286fbe45b",
+    "construct k=6 m=20": "d38d6ab0f212688c4f1f94bf07ac6d84c98181e14d11592f153235b3250d0a90",
+    "construct k=6 m=21": "57f4a7feae71910123e0cc1099f04f5f21dd6d6b834a1cdc886ac044ac7943a7",
+    "construct k=6 m=22": "154a07dfa12fde1d6889f2b3ff23c3eb56263d27331c272ca8f6a4bb37648f8a",
+    "construct k=6 m=23": "673c83a29eb339a2c380196fae1bf01de53fa71d07d83d4c3297d687796b9acb",
+    "construct k=6 m=25": "7db6dc9c2c75f6bb3d336a9866f02e21070a70216a203c1049d15dfb7ad193b3",
+    "construct k=6 m=26": "151df2012f76284d7ee7071d215b70ea9e1ea77dc7889556077e10f4213e8d35",
+    "construct k=6 m=27": "58858cd7be1c86d5c4ef65d86194e3ced92faed99ac6f6066593d08f9a7d58b4",
+    "construct k=6 m=28": "8aa14c5584c6d6ddeac4959cb6722ec47b3b9d8ff6dcc2363c86b392cf4a5713",
+    "construct k=6 m=29": "c8fc079b4e10216646308a54025dd89d105bb147e496458fbc1ceafcfab0b83e",
+    "seeded k=2 seed=0": "616c7e34a33e7d195770fb6ba2a17a121307656b85e0a80fc286fe6437f8f126",
+    "seeded k=2 seed=1": "b88ca51785c600f17c03a6d54d652a8d84715245e6677824364b01745c15f4e1",
+    "seeded k=2 seed=2": "3190c78511b5781431978710a8771af82de2343d9bd7e30ac71fdde5b8941ef1",
+    "seeded k=3 seed=0": "70d71238894c1b9a47fe92dcf7501166cc8d0e62503e5d9e7f0fb2acd8d23856",
+    "seeded k=3 seed=1": "b44a837ab8fee16bb3431955de6d6d29c1b427224d281bf0900113c1cf8e2af9",
+    "seeded k=3 seed=2": "f02858e3baf8524ade4ce1d9b904a43996262c37f7a3bc912c27864171ceaec8",
+    "seeded k=4 seed=0": "10b01c8d495d183f5cec21854e9b85ae3b093f33c8bdd7459ebe2ff1a5289dcd",
+    "seeded k=4 seed=1": "22e4ac67b83ca4b3063c1b18db1b7dfd78b1a496e84ad31668267a469692e476",
+    "seeded k=4 seed=2": "443647cd977f2f6d81bfb424fc77e0f29c0bbaf6f89b66261c1ee59d17d6f8bc",
+    "seeded k=5 seed=0": "d8cf61355618741aadaacef9b2590bd540ffca1e66f6bfb7d45ecf16467b07c6",
+    "seeded k=5 seed=1": "3bed931d4041d1158cbb83d598f5e90bab1603e33faff84bcb9b4acc142de625",
+    "seeded k=5 seed=2": "0159ffba334e41230006688afaa701b36fa7c3f62b12de058ae877344990f37a",
 }
+
+
+def test_witnesses_match_pinned_digests():
+    witnesses = _pinned_witnesses()
+    assert sorted(witnesses) == sorted(PINNED_WITNESSES)
+    changed = [label for label, digest in PINNED_WITNESSES.items() if witnesses[label] != digest]
+    assert not changed, f"witnesses changed: {', '.join(changed)}"
 
 
 def test_outputs_match_pinned_digests():
