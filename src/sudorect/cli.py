@@ -109,38 +109,22 @@ def _warn(text: str) -> None:
 def _cmd_check(args) -> int:
     grid = _read_grid(args.file)
     violation = validate(grid)
-    if args.format == "kv":
-        if violation is None:
-            shape = is_m_rectangle(grid)
-            extra = (
-                f" m={shape.m} l={shape.l} r={shape.r}" if shape is not None else ""
-            )
-            _emit(f"valid=true k={grid.order.k}{extra}")
-            return EXIT_OK
-        _emit(
-            "valid=false kind={} first={},{} second={},{}".format(
-                violation.kind,
-                violation.first.row,
-                violation.first.col,
-                violation.second.row,
-                violation.second.col,
-            )
+    k, n = grid.order.k, grid.order.n
+    if violation is not None:
+        first, second = violation.first, violation.second
+        kv = (
+            f"valid=false kind={violation.kind} first={first.row},{first.col}"
+            f" second={second.row},{second.col}"
         )
-        return EXIT_NEGATIVE
-    if violation is None:
-        shape = is_m_rectangle(grid)
-        if shape is not None:
-            _emit(
-                f"valid ({shape.m}×{grid.order.n} rectangle, "
-                f"k={grid.order.k}, l={shape.l}, r={shape.r})"
-            )
-        else:
-            _emit(
-                f"valid (k={grid.order.k}, {grid.filled_count}/{grid.order.n ** 2} filled)"
-            )
-        return EXIT_OK
-    _emit(violation.describe())
-    return EXIT_NEGATIVE
+        text = violation.describe()
+    elif (shape := is_m_rectangle(grid)) is not None:
+        kv = f"valid=true k={k} m={shape.m} l={shape.l} r={shape.r}"
+        text = f"valid ({shape.m}×{n} rectangle, k={k}, l={shape.l}, r={shape.r})"
+    else:
+        kv = f"valid=true k={k}"
+        text = f"valid (k={k}, {grid.filled_count}/{n ** 2} filled)"
+    _emit(kv if args.format == "kv" else text)
+    return EXIT_OK if violation is None else EXIT_NEGATIVE
 
 
 def _cmd_decide(args) -> int:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Optional, Union
 
@@ -42,6 +41,7 @@ from .grid import (
     SudokuGrid,
     _clip,
     _squared,
+    _value_bits,
     is_m_rectangle,
     is_pq_rectangle,
     validate,
@@ -94,13 +94,6 @@ def decide_guaranteed(k: int, m: int) -> Completability:
     if (k - r) * (k - l) >= l * k:
         return Completability(k, m, True, "product")
     return Completability(k, m, False, None)
-
-
-@lru_cache(maxsize=32)
-def _value_bits(n: int) -> dict[Optional[int], int]:
-    """Value v -> bit v−1 of a value mask; an empty cell sets no bit.
-    Shared between calls, so callers only read it."""
-    return {None: 0, **{v: 1 << (v - 1) for v in range(1, n + 1)}}
 
 
 def _mask_values(mask: int) -> list[int]:
@@ -351,10 +344,10 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
     height = (l + 1) * k if r > 0 else m
     matrix: list[list[int]] = [list(row[:k]) for row in grid.rows(m)]
     if r > 0:
+        # the validated partial block holds r·k distinct values, so k − r
+        # chunks of k take the n − r·k missing ones
         present = set(chain.from_iterable(matrix[l * k :]))
         missing = [v for v in range(1, n + 1) if v not in present]
-        if len(missing) != n - r * k:
-            raise CompletionError("partial block does not hold r·k distinct values")
         for chunk in range(k - r):
             matrix.append(missing[chunk * k : (chunk + 1) * k])
     bits = _value_bits(n)

@@ -315,7 +315,6 @@ def construct_counterexample(k: int, m: int) -> CounterexampleReport:
         isinstance(outcome, NotCompletable),
         "constructed rectangle is unexpectedly completable",
     )
-    assert isinstance(outcome, NotCompletable)
     _require(
         verify_certificate(rectangle, outcome),
         "rejection witness does not replay",

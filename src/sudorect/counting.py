@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import exp, lgamma, log
 from typing import Optional
 
-from .grid import SudokuGrid, _clip, validate
+from .grid import SudokuGrid, _clip, _value_bits, validate
 
 
 class CountingError(Exception):
@@ -80,16 +80,18 @@ def count_completions(
     col_mask = [0] * n
     block_mask = [0] * n
     open_cells: list[tuple[int, int, int]] = []  # (row, col, block), row-major
+    bits = _value_bits(n)  # bit v−1 for value v, as in the completion's masks
     for r, values in enumerate(grid.rows()):
         for c, v in enumerate(values):
             b = (r // k) * k + c // k
             if v is None:
                 open_cells.append((r, c, b))
             else:
-                row_mask[r] |= 1 << v
-                col_mask[c] |= 1 << v
-                block_mask[b] |= 1 << v
-    full = (1 << (n + 1)) - 2  # bits 1..n
+                bit = bits[v]
+                row_mask[r] |= bit
+                col_mask[c] |= bit
+                block_mask[b] |= bit
+    full = (1 << n) - 1
     count = nodes = 0
     capped = False
     # One frame per placed cell: [index in open_cells, cell, untried values, placed bit]

@@ -226,12 +226,11 @@ class SudokuGrid:
             raise GridError(f"expected {n}×{n} entries")
         cells = [list(row) for row in rows]
         if not _well_formed(_filled_rows(cells), n):
-            grid = cls(order)
+            scratch = cls(order)
             for r, row in enumerate(cells, start=1):  # raises at the first bad entry
                 for c, v in enumerate(row, start=1):
                     if v is not None:
-                        grid.set(r, c, v)
-            return grid
+                        scratch.set(r, c, v)
         return cls._adopt(order, cells)
 
     @classmethod
@@ -313,14 +312,18 @@ def _distinct(unit: Sequence[Optional[int]]) -> bool:
     return len(values) - 1 == len(unit) - unit.count(None)
 
 
-def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
-    """The row-major scan's verdict, with the scan run on one row only.
+def _first_violation(grid: SudokuGrid) -> Violation:
+    """The row-major scan's verdict, with the per-cell scan run on one row
+    only; call it only on a grid that failed the bulk proof.
 
     The first offending cell lies in the first row that is malformed,
     repeats a value, or repeats a value held above it in one of its
     columns or, within its band, one of its blocks.  Rows are checked
     whole at C level against one set of values per column and per block
-    of the band, and the per-cell scan then runs on that row alone."""
+    of the band; the first row that fails is scanned cell by cell.  A
+    cell's partner is the earliest of its column's, its block's and its
+    row's, and the pair counts as a row, else a block, else a column
+    violation."""
     n, k = grid.order.n, grid.order.k
     cells = grid._cells
     contains, add = set.__contains__, set.add
@@ -341,43 +344,25 @@ def _first_violation(grid: SudokuGrid) -> Optional[Violation]:
             any(map(add, compress(columns, row), values))
             any(map(add, compress(blocks, row), values))
             continue
-        return _scan_row(cells, r, k, columns, blocks)
-    return None
-
-
-def _scan_row(
-    cells: list[list[Optional[int]]],
-    r: int,
-    k: int,
-    columns: list[set[int]],
-    blocks: list[set[int]],
-) -> Violation:
-    """The first offending cell of row ``r`` (0-based), paired with its
-    earliest (row-major) conflicting partner.  Row r is the first row with
-    one, and ``columns`` and ``blocks`` hold, per column, the values above
-    it in that column and in that column's block of the band.  The partner
-    is the earliest of the column's, the block's and the row's, and the
-    pair counts as a row, else a block, else a column violation."""
-    n = k * k
-    row = cells[r]
-    top = r - r % k
-    for c, v in enumerate(row):
-        if v is None:
-            continue
-        here = CellRef(r + 1, c + 1)
-        if type(v) is not int or not (1 <= v <= n):  # bool is not a value
-            return Violation("malformed", here, here)
-        if v in columns[c]:  # in the band, that cell is the block's too
-            i = [above[c] for above in cells[:r]].index(v)
-            return Violation("column" if i < top else "block", CellRef(i + 1, c + 1), here)
-        if v in blocks[c]:
-            left = c - c % k
-            for i in range(top, r):
-                if v in cells[i][left : left + k]:
-                    return Violation("block", CellRef(i + 1, cells[i].index(v, left) + 1), here)
-        if v in row[:c]:
-            return Violation("row", CellRef(r + 1, row.index(v) + 1), here)
-    raise AssertionError("a row that failed its check holds no offending cell")
+        top = r - r % k
+        for c, v in enumerate(row):
+            if v is None:
+                continue
+            here = CellRef(r + 1, c + 1)
+            if type(v) is not int or not (1 <= v <= n):  # bool is not a value
+                return Violation("malformed", here, here)
+            if v in columns[c]:  # in the band, that cell is the block's too
+                i = [above[c] for above in cells[:r]].index(v)
+                return Violation("column" if i < top else "block", CellRef(i + 1, c + 1), here)
+            if v in blocks[c]:
+                left = c - c % k
+                for i in range(top, r):
+                    if v in cells[i][left : left + k]:
+                        return Violation("block", CellRef(i + 1, cells[i].index(v, left) + 1), here)
+            if v in row[:c]:
+                return Violation("row", CellRef(r + 1, row.index(v) + 1), here)
+    # the scan of a row that failed its check returns, and some row fails
+    raise AssertionError("a grid that failed the bulk proof holds no offending cell")
 
 
 def is_m_rectangle(grid: SudokuGrid) -> Optional[RectShape]:
@@ -436,10 +421,8 @@ def parse(text: str) -> SudokuGrid:
     if not data_lines:
         raise ParseError("empty input, expected a k=<int> header")
     header_line, header = data_lines[0]
-    if not header.startswith("k"):
-        raise ParseError("first line must be k=<int>", header_line)
     body = header[1:].lstrip()
-    if not body.startswith("="):
+    if not (header.startswith("k") and body.startswith("=")):
         raise ParseError("first line must be k=<int>", header_line)
     try:
         k = int(body[1:].strip())
@@ -492,6 +475,14 @@ def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:
     if not (1 <= value <= n):
         raise ParseError(f"value {_clip(str(value))} outside 1..{n}", lineno, column)
     return value
+
+
+@lru_cache(maxsize=32)
+def _value_bits(n: int) -> dict[Optional[int], int]:
+    """Value v -> bit v−1 of a value mask; an empty cell sets no bit.  The
+    completion's matchers and the counter share it, so callers only read
+    it."""
+    return {None: 0, **{v: 1 << (v - 1) for v in range(1, n + 1)}}
 
 
 @lru_cache(maxsize=32)

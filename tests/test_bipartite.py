@@ -88,6 +88,29 @@ def test_quota_sum_mismatch_is_contract_error():
         degree_matching(g, DegreeDemand((1, 1), (1,)))
 
 
+@pytest.mark.parametrize(
+    "demand, message",
+    [
+        (DegreeDemand((1,), (1, 1)), "quota vectors do not match vertex counts"),
+        (DegreeDemand((1, 1), (1,)), "quota vectors do not match vertex counts"),
+        (DegreeDemand((2, -1), (1, 0)), "negative quota"),
+        (DegreeDemand((1, 0), (-1, 2)), "negative quota"),
+    ],
+)
+def test_degree_matching_refuses_malformed_quotas(demand, message):
+    g = BipartiteGraph.build(2, 2, [(0, 0), (0, 1), (1, 1)])
+    with pytest.raises(KernelError) as exc:
+        degree_matching(g, demand)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edge", [(2, 0), (0, 3), (-1, 0)])
+def test_graph_refuses_an_edge_out_of_range(edge):
+    with pytest.raises(KernelError) as exc:
+        BipartiteGraph.build(2, 3, [(0, 0), edge])
+    assert str(exc.value) == f"edge ({edge[0]},{edge[1]}) out of range"
+
+
 def test_star_matching_matches_exhaustive_search():
     edges = [(0, 0), (0, 1), (0, 2)]
     g = BipartiteGraph.build(1, 3, edges)

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, and output discipline."""
 
 import argparse
+import errno
 import io
 import os
 import random
@@ -95,6 +96,24 @@ def test_check_kv_format(figure1_file):
     code, out, err = run_cli("check", figure1_file, "--format", "kv")
     assert code == 0
     assert out.strip() == "valid=true k=3 m=5 l=1 r=2"
+
+
+@pytest.mark.parametrize(
+    "text, format, report, code",
+    [
+        ("1 1 . .\n. . . .\n", "kv", "valid=false kind=row first=1,1 second=1,2", 1),
+        ("1 1 . .\n. . . .\n", "text", "row condition violated by cells (1,1) and (1,2)", 1),
+        ("1 2 . .\n. 1 . .\n", "kv", "valid=false kind=block first=1,1 second=2,2", 1),
+        (". 2 . .\n. . . .\n", "kv", "valid=true k=2", 0),
+        (". 2 . .\n. . . .\n", "text", "valid (k=2, 1/16 filled)", 0),
+        ("1 2 3 4\n3 4 1 2\n", "text", "valid (2×4 rectangle, k=2, l=1, r=0)", 0),
+    ],
+    ids=["row-kv", "row-text", "block-kv", "partial-kv", "partial-text", "rectangle-text"],
+)
+def test_check_reports_each_verdict_in_both_formats(tmp_path, text, format, report, code):
+    path = tmp_path / "grid.txt"
+    path.write_text("k=2\n" + text + ". . . .\n. . . .\n")
+    assert run_cli("check", str(path), "--format", format) == (code, report + "\n", "")
 
 
 # -- decide ---------------------------------------------------------------------
@@ -265,6 +284,45 @@ def test_a_full_stdout_exits_2_with_one_line():
     with open("/dev/full", "w") as full:
         done = run_cli_process(["bounds", "--k-max", "3"], full)
     assert_one_line_exit_2(done, "No space left on device")
+
+
+class _FullStream(io.StringIO):
+    """A stream on a full device: every write fails.  With ``fd`` it also
+    has a descriptor, as a real stdout has."""
+
+    def __init__(self, fd=None):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "stdout, reason",
+    [(None, "Bad file descriptor"), (_FullStream(), "No space left on device")],
+    ids=["closed", "full-without-descriptor"],
+)
+def test_a_failed_stdout_exits_2_with_one_line_in_process(stdout, reason):
+    err = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        code = main(["bounds", "--k-max", "3"])
+    assert (code, err.getvalue()) == (2, f"cannot write to stdout: {reason}\n")
+
+
+def test_a_failed_stdout_descriptor_is_pointed_at_the_null_device(tmp_path):
+    # the interpreter's final flush must find nothing that can fail again
+    with open(tmp_path / "stdout.txt", "w") as target:
+        err = io.StringIO()
+        with redirect_stdout(_FullStream(target.fileno())), redirect_stderr(err):
+            code = main(["bounds", "--k-max", "3"])
+        assert (code, err.getvalue()) == (2, "cannot write to stdout: No space left on device\n")
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
 
 
 # -- count ------------------------------------------------------------------------

@@ -308,13 +308,49 @@ def test_clashing_stage2_coloring_raises_completion_error(monkeypatch, coloring)
     assert not all(proper)
 
 
-def test_widening_refuses_a_coloring_that_leaves_a_hole(monkeypatch):
+def _five_row_column_block() -> SudokuGrid:
     square = complete(SudokuGrid(3))
     rows = [row[:3] + (None,) * 6 for row in square.rows()[:5]]
-    block = SudokuGrid.from_rows(3, rows + [(None,) * 9] * 4)
+    return SudokuGrid.from_rows(3, rows + [(None,) * 9] * 4)
+
+
+def test_widening_refuses_a_coloring_that_leaves_a_hole(monkeypatch):
+    block = _five_row_column_block()
     monkeypatch.setattr(completion, "edge_color", _all_color_one)
     with pytest.raises(CompletionError, match="column block 2 left a hole"):
         extend_column_blocks(block)
+
+
+def _witness_for_every_block(block, quota, offered, taken, rng):
+    """A stage 1 that finds every block infeasible."""
+    return NotCompletable(block=block, quota=quota, columns=(1,), candidates=())
+
+
+def test_a_full_row_block_that_reports_a_witness_is_a_pipeline_bug(monkeypatch):
+    # only the first, partial row block can be infeasible
+    square = complete(SudokuGrid(3))
+    monkeypatch.setattr(completion, "_stage1", _witness_for_every_block)
+    with pytest.raises(CompletionError) as exc:
+        complete(truncate_rows(square, 3))
+    assert str(exc.value) == "full row block 2 unexpectedly infeasible; pipeline bug"
+
+
+def test_a_widening_step_that_reports_a_witness_is_a_bug(monkeypatch):
+    block = _five_row_column_block()
+    monkeypatch.setattr(completion, "_stage1", _witness_for_every_block)
+    with pytest.raises(CompletionError) as exc:
+        extend_column_blocks(block)
+    assert str(exc.value) == "column block 2, row block 1: matching infeasible; bug"
+
+
+def test_widening_refuses_a_coloring_that_clashes_without_a_hole(monkeypatch):
+    # each row's values take colours 1, 2, 3 in order: every cell is filled,
+    # but a new column repeats a value
+    block = _five_row_column_block()
+    monkeypatch.setattr(completion, "edge_color", _colors_in_column_order)
+    with pytest.raises(CompletionError) as exc:
+        extend_column_blocks(block)
+    assert str(exc.value).startswith("extension failed validity: ")
 
 
 def test_pipeline_runs_on_masks_and_whole_rows(monkeypatch):

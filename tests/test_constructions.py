@@ -12,6 +12,7 @@ from sudorect import constructions
 from sudorect import (
     CompletionError,
     ConstructionError,
+    GridError,
     NotCompletable,
     SudokuGrid,
     canonical_partition,
@@ -198,6 +199,32 @@ def test_a_bad_column_block_is_refused_at_the_widening_gate(
     monkeypatch.setattr(constructions, recipe, planting)
     with pytest.raises(CompletionError, match="input grid is invalid: " + message):
         construct_counterexample(k, m)
+
+
+@pytest.mark.parametrize(
+    "name, replacement, message",
+    [
+        ("_complete_valid", lambda grid, rng: grid, "constructed rectangle is unexpectedly completable"),
+        ("verify_certificate", lambda grid, witness: False, "rejection witness does not replay"),
+    ],
+)
+def test_a_construction_that_fails_its_own_checks_is_refused(monkeypatch, name, replacement, message):
+    monkeypatch.setattr(constructions, name, replacement)
+    with pytest.raises(ConstructionError) as exc:
+        construct_counterexample(3, 5)
+    assert str(exc.value) == "construction integrity check failed: " + message
+
+
+def test_matrix_helpers_refuse_a_mismatched_shape():
+    with pytest.raises(ConstructionError) as exc:
+        _beside([[1, 2], [3, 4]], [[5, 6]])
+    assert str(exc.value) == "side-by-side pieces must have equal heights"
+    with pytest.raises(GridError) as exc:
+        _matrix_to_grid([[1, 2, 3]] * 10, 3)
+    assert str(exc.value) == "expected 9×9 entries"
+    with pytest.raises(GridError) as exc:
+        _matrix_to_grid([list(range(1, 11))], 3)
+    assert str(exc.value) == "expected 9×9 entries"
 
 
 @pytest.mark.parametrize("k", [3, 4])

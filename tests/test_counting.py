@@ -218,6 +218,13 @@ def test_matching_bounds_order_and_errors():
         matching_bounds(4, 5)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_sudoku_bounds_refuses_a_block_side_below_1(k):
+    with pytest.raises(CountingError) as exc:
+        sudoku_bounds(k)
+    assert str(exc.value) == f"block side must be >= 1, got {k}"
+
+
 # -- bound products ----------------------------------------------------------------
 
 

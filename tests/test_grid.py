@@ -126,6 +126,23 @@ def test_order_rejects_bools():
             SudokuGrid(k)
 
 
+def test_equal_orders_hash_equal_and_repr_their_side():
+    assert Order(3) == Order(3) and hash(Order(3)) == hash(Order(3))
+    assert len({Order(3), Order(3), Order(2)}) == 2
+    assert repr(Order(3)) == "Order(k=3)"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[None] * 4] * 3, [[None] * 4] * 5, [[None] * 4] * 3 + [[None] * 3], [[None] * 4] * 3 + [[None] * 5]],
+    ids=["3-rows", "5-rows", "short-row", "long-row"],
+)
+def test_from_rows_refuses_the_wrong_shape(rows):
+    with pytest.raises(GridError) as exc:
+        SudokuGrid.from_rows(2, rows)
+    assert str(exc.value) == "expected 4×4 entries"
+
+
 def test_writers_and_audit_reject_bools():
     # bool is an int subclass; True would render as "True", which parse rejects
     g = SudokuGrid(2)
@@ -275,6 +292,8 @@ def test_parse_accepts_conflicting_content():
     [
         ("", "empty input"),
         ("n=2\n", "k=<int>"),
+        ("k 3\n", "first line must be k=<int> (line 1)"),
+        ("# comment\n k : 3\n", "first line must be k=<int> (line 2)"),
         ("k=x\n", "bad block side"),
         ("k=2\n1 2 3\n3 4 1 2\n. . . .\n. . . .\n", "expected 4 tokens"),
         ("k=2\n1 2 3 4\n3 4 1 2\n. . . .\n", "expected 4 rows"),
