@@ -107,14 +107,11 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     """Edge subset giving every vertex exactly its quota, or a certificate.
 
     A greedy pass in edge order seeds the matching, then rounds of
-    depth-first augmenting search complete it.  That is O(V·E) in the
-    worst case, against Hopcroft–Karp's O(E·√V); but the seeds leave the
-    program's graphs few units to find, and there one search per unit,
-    without levels, measured faster than the phases.  Infeasibility is
-    witnessed by the left vertices that alternating search reaches from
-    the deficient ones: the source side of the minimal minimum cut, the
-    same for every maximum matching.  Their quota mass exceeds what their
-    combined neighborhood can absorb.
+    depth-first augmenting search complete it, in O(V·E) time.
+    Infeasibility is witnessed by the left vertices that alternating
+    search reaches from the deficient ones: the source side of the minimal
+    minimum cut, the same for every maximum matching.  Their quota mass
+    exceeds what their combined neighborhood can absorb.
     """
     left, right = demand.left_quota, demand.right_quota
     if len(left) != g.left_count or len(right) != g.right_count:
@@ -355,23 +352,17 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
     Kőnig's alternating-path proof, run in edge order.  An edge (u, v)
     takes the lowest color free at both ends.  If there is none, let a be
     the lowest color free at u and b the lowest free at v; the edges
-    colored a or b form paths and even cycles, and v and u each end one
-    path.  Swapping a and b on the path from v frees a at v, and swapping
-    them on the path from u frees b at u; whichever path is shorter is
-    swapped, the one from v on a tie, and the edge takes the freed color.
-    Neither path reaches the other end of the edge: the path from v
-    enters left vertices only along a-edges, and u has none; the path from
-    u enters right vertices only along b-edges, and v has none.  The two
-    paths are walked in lockstep, so the work is twice the shorter one.
+    colored a or b form paths and even cycles, and v ends one path, which
+    starts with an a-edge.  Swapping a and b along that path frees a at v,
+    and the edge takes a.  The path never reaches u: it enters left
+    vertices only along a-edges, and u has none.
     """
     edges = g.edges
-    if not edges:
-        return ()
     left = g.left_count
     tail = [u for u, _ in edges]
     head = [left + v for _, v in edges]  # right vertex v is vertex left + v
     link = list(map(xor, tail, head))  # node ^ link[e]: the other end of e at node
-    delta = max(max(Counter(tail).values()), max(Counter(head).values()))
+    delta = max(Counter(tail + head).values(), default=0)
     top = 1 << delta  # bit c stands for color c
     at = [[-1] * (delta + 1) for _ in range(left + g.right_count)]  # at[x][c]: x's edge of color c
     used = [1] * len(at)  # the colors at each vertex; bit 0 set, so color 0 is never free
@@ -385,35 +376,20 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
             a = (~here & (here + 1)).bit_length() - 1
             b = (~there & (there + 1)).bit_length() - 1
             swap = a + b
-            # x walks the a/b path from v, y the b/a path from u, one edge
-            # each per turn; cx and cy are the colors they leave by next
-            from_v: list[int] = []
-            from_u: list[int] = []
-            x, cx, y, cy = v, a, u, b
-            while True:
-                f = at[x][cx]
-                if f < 0:
-                    path, start, end, stale, c = from_v, v, x, swap - cx, a
-                    break
-                from_v.append(f)
+            # swap the path from v edge by edge: f leaves x and takes
+            # color d, and the next edge leaves f's far end by d, which f
+            # holds there from now on
+            x, f, d = v, at[v][a], b
+            while f >= 0:
+                colors[f] = d
+                at[x][d] = f
                 x ^= link[f]
-                cx = swap - cx
-                f = at[y][cy]
-                if f < 0:
-                    path, start, end, stale, c = from_u, u, y, swap - cy, b
-                    break
-                from_u.append(f)
-                y ^= link[f]
-                cy = swap - cy
-            for f in path:
-                flipped = colors[f] = swap - colors[f]
-                at[tail[f]][flipped] = f
-                at[head[f]][flipped] = f
-            at[end][stale] = -1  # the far end's last edge changed color
-            ab = (1 << a) | (1 << b)
-            used[end] ^= ab
-            used[start] |= ab  # the swapped color, and c for e
-            low = 1 << c
+                f, at[x][d] = at[x][d], f
+                d = swap - d
+            at[x][d] = -1  # the far end no longer holds the last edge's old color d
+            used[x] ^= (1 << a) | (1 << b)
+            used[v] |= 1 << b  # v's first path edge; a follows with e
+            low = 1 << a
         c = low.bit_length() - 1
         colors[e] = c
         at[u][c] = at[v][c] = e

@@ -175,10 +175,10 @@ def _cmd_construct(args) -> int:
         _warn(f"need k <= {CONSTRUCT_K_LIMIT}, got {_clip(str(args.k))}")
         return EXIT_ERROR
     report = construct_counterexample(args.k, args.m)
-    shape = is_m_rectangle(report.rectangle)
+    l, r = divmod(args.m, args.k)
     header = [
-        f"# non-completable {shape.m}×{report.rectangle.order.n} rectangle",
-        f"# case: {report.case_used}  k={args.k} m={args.m} l={shape.l} r={shape.r}",
+        f"# non-completable {args.m}×{report.rectangle.order.n} rectangle",
+        f"# case: {report.case_used}  k={args.k} m={args.m} l={l} r={r}",
     ]
     if report.special_elements is not None:
         x, x1, x2 = report.special_elements

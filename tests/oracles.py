@@ -610,16 +610,16 @@ def core_stage1(grid, shape, block: BlockIndex, rng=None):
     return {left + j: completion._mask_values(mask) for j, mask in enumerate(outcome, 1)}
 
 
-def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
+def reference_edge_color(
+    g: BipartiteGraph, swapped: list[int] | None = None
+) -> tuple[int, ...]:
     """Kőnig's alternating-path coloring, stated plainly on dicts.
 
     Edges are colored in order.  An edge takes the lowest color in
     [1, Δ] free at both its ends.  If none is, a is the lowest color free
     at its left end u and b the lowest free at its right end v; the a/b
-    path from v and the b/a path from u are walked to their ends, the one
-    from v is swapped unless the one from u has fewer edges, and the edge
-    takes the color the swap freed (a after the path from v, b after the
-    one from u)."""
+    path from v is walked to its end and swapped, and the edge takes a.
+    ``swapped``, if given, gets the length of each swapped path."""
     delta = max_degree(g)
     at: dict[tuple[str, int], dict[int, int]] = {}  # vertex -> {color: edge}
     colors: dict[int, int] = {}
@@ -627,16 +627,6 @@ def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
     def other_end(e: int, vertex: tuple[str, int]) -> tuple[str, int]:
         u, v = g.edges[e]
         return ("r", v) if vertex == ("l", u) else ("l", u)
-
-    def path_from(vertex: tuple[str, int], first: int, second: int) -> list[int]:
-        path = []
-        color = first
-        while color in at[vertex]:
-            e = at[vertex][color]
-            path.append(e)
-            vertex = other_end(e, vertex)
-            color = first + second - color
-        return path
 
     for e, (u, v) in enumerate(g.edges):
         left, right = ("l", u), ("r", v)
@@ -649,9 +639,11 @@ def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
             color = common[0]
         else:
             a, b = free_u[0], free_v[0]
-            path_v = path_from(right, a, b)
-            path_u = path_from(left, b, a)
-            path, color = (path_u, b) if len(path_u) < len(path_v) else (path_v, a)
+            path, vertex, color = [], right, a
+            while color in at[vertex]:
+                path.append(at[vertex][color])
+                vertex = other_end(path[-1], vertex)
+                color = a + b - color
             for f in path:
                 x, y = g.edges[f]
                 del at[("l", x)][colors[f]], at[("r", y)][colors[f]]
@@ -659,6 +651,9 @@ def reference_edge_color(g: BipartiteGraph) -> tuple[int, ...]:
                 x, y = g.edges[f]
                 colors[f] = a + b - colors[f]
                 at[("l", x)][colors[f]] = at[("r", y)][colors[f]] = f
+            if swapped is not None:
+                swapped.append(len(path))
+            color = a
         colors[e] = color
         at[left][color] = at[right][color] = e
     return tuple(colors[e] for e in range(len(g.edges)))

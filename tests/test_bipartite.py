@@ -296,6 +296,7 @@ def test_eight_cycle_two_alternating_colors():
 
 def test_empty_graph_coloring():
     assert edge_color(BipartiteGraph.build(3, 3, [])) == ()
+    assert edge_color(BipartiteGraph.build(0, 0, [])) == ()
 
 
 def test_coloring_determinism():
@@ -347,14 +348,15 @@ def test_regular_graph_color_classes_are_perfect_matchings(k):
 
 
 # Each graph's last edge finds no color free at both ends.  Before it the
-# colors are those of greedy first-fit; the last edge then swaps the shorter
-# alternating path, the one from its right end v on a tie, and takes the
-# color that frees.
+# colors are those of greedy first-fit; the last edge then swaps the
+# alternating path from its right end v, whichever path is shorter, and
+# takes a, the color that frees.
 ALTERNATING_PATH_CASES = {
     # u = 2 holds 1 and v = 1 holds 2, so a = 2 and b = 1.  From v:
     # (1,1) colored 2, then (1,2) colored 1, two edges; from u: (2,0)
-    # colored 1, one edge.  That one is swapped and the edge takes b = 1.
-    "the path from u is shorter": ([(1, 2), (1, 1), (2, 0), (2, 1)], (1, 2, 1), (1, 2, 2, 1)),
+    # colored 1, one edge.  The longer path from v is swapped all the same,
+    # and the edge takes a = 2.
+    "the path from u is shorter": ([(1, 2), (1, 1), (2, 0), (2, 1)], (1, 2, 1), (2, 1, 1, 2)),
     # u = 3 holds 2 and v = 0 holds 1, so a = 1 and b = 2.  From v: (0,0)
     # colored 1, one edge; from u: (3,2) then (1,2), two.  The edge takes a = 1.
     "the path from v is shorter": ([(1, 2), (0, 0), (3, 2), (3, 0)], (1, 1, 2), (1, 2, 2, 1)),
@@ -367,7 +369,7 @@ ALTERNATING_PATH_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ALTERNATING_PATH_CASES))
-def test_an_edge_without_a_common_color_swaps_the_shorter_path(case):
+def test_an_edge_without_a_common_color_swaps_the_path_from_v(case):
     edges, before, after = ALTERNATING_PATH_CASES[case]
     assert edge_color(BipartiteGraph.build(4, 4, edges[:-1])) == before
     assert edge_color(BipartiteGraph.build(4, 4, edges)) == after
@@ -422,6 +424,30 @@ def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
     assert degrees == set(range(2, 7)) and len(graphs) == 129
     for g in graphs:
         assert edge_color(g) == reference_edge_color(g)
+
+
+def test_stage2_path_work_is_pinned(monkeypatch):
+    # the edges the colouring swaps, over all of stage 2's graphs for one
+    # input: a rule that shortens the alternating paths changes this count
+    graphs = []
+
+    def recording(g):
+        graphs.append(g)
+        return edge_color(g)
+
+    monkeypatch.setattr(completion, "edge_color", recording)
+    complete(SudokuGrid(9))
+    square = list(graphs)
+    graphs.clear()
+    for m in range(25):
+        if not decide_guaranteed(5, m).guaranteed:
+            construct_counterexample(5, m)
+    monkeypatch.undo()
+    for recorded, edges, swapped in ((square, 6561, 2106), (graphs, 2700, 736)):
+        work: list[int] = []
+        for g in recorded:
+            assert edge_color(g) == reference_edge_color(g, work)
+        assert (sum(len(g.edges) for g in recorded), sum(work)) == (edges, swapped)
 
 
 # -- all-ones quotas ---------------------------------------------------------

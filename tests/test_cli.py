@@ -236,6 +236,21 @@ def test_construct_k4_m10_stdout():
     assert "case: b" in out
 
 
+@pytest.mark.parametrize(
+    "k, m, header",
+    [
+        (4, 10, ["# non-completable 10×16 rectangle", "# case: b  k=4 m=10 l=2 r=2",
+                 "# special elements: x=4 x1=12 x2=9"]),
+        (3, 5, ["# non-completable 5×9 rectangle", "# case: a  k=3 m=5 l=1 r=2"]),
+    ],
+)
+def test_construct_header_names_the_shape(k, m, header):
+    code, out, err = run_cli("construct", "--k", str(k), "--m", str(m))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[: len(header)] == header and not lines[len(header)].startswith("#")
+
+
 def test_construct_unwritable_output_exits_2_with_one_line(tmp_path):
     target = tmp_path / "missing" / "x.txt"
     code, out, err = run_cli("construct", "--k", "3", "--m", "5", "-o", str(target))

@@ -739,66 +739,66 @@ PINNED_WITNESSES = {
     "witnesses k=9": "06978e1f91d11787e30b39a2ee4ec22d1d3904bed7fc036e3aff719ad24a13fb",
 }
 
-# sha256 of each output's text, re-pinned when the edge colouring moved to
-# Kőnig's alternating paths: every square and rectangle but empty k=2 changed.
+# sha256 of each output's text.  Stage 2's colouring fills the rows, so a
+# change to its swap rule moves most of these and none of the witnesses.
 PINNED_DIGESTS = {
     "empty k=2": "1b9dc9dddc983fcff7390f4dc0108b137eb6dba7980f91c38396bc0c8b709190",
-    "empty k=3": "049a5996ec60ddeebd086c3df5d2876c8fffc2d3b08922e003d739b01df1206a",
+    "empty k=3": "8d2d4e8e7c14fdbe6e1b3a84d3feffe3fd9c9c5e0c21032e4e8cedd426091244",
     "empty k=4": "8c5b58b2dff545a2056c76563872cf833ffc753748512e9ebb9d1b033ae54ffa",
-    "empty k=5": "b96248eb9b3dd3b30cf597cb7e39b9af381023a72916af96b52342b8fb711a9d",
-    "empty k=6": "b21e88ef0e51e6e22d5698e420ba0a8a31f6fea1b8034f7c1a6e190372107910",
-    "empty k=7": "30fe19eec6f0eba24867bd97e659219671543c2cb4aa1d9925934decdb1c4f35",
+    "empty k=5": "f93641852f49e34038ba6a1c2c3f1e796451901162816866faec5282c70b9dc2",
+    "empty k=6": "08334cc194f41c41824cd25a8bc3b5c4e419b2a6effe1edec7a494cc87991a62",
+    "empty k=7": "26d9de9fa95966ea52708f8f11cba8d301a4974b666960490ba1d08923e4e275",
     "empty k=8": "e67b61187970060e4e28d2f0cd64232ea24baaa757f474658c624b15e778d263",
-    "empty k=9": "1994238aa2b7358223bac217a59c53b4321ddddc6d0f9c02957c69964110a2db",
-    "empty k=10": "8c20a66465e6dc38adb898816a8549f3fc871323449813b61ca86c2b1dd5463f",
-    "empty k=12": "9eae942f3d3c8bee42f0e21787c04f90e9e9094b8821268a7e0740f1c73ed01b",
+    "empty k=9": "4d6d143cdd2eb8fdf2704d00eb3641e1fe0ea5e56dc5e2fc322e86bc1d2b5720",
+    "empty k=10": "0020617ab4e436f13c9365b6146c28829f668f6c841917559ade3f8759d2b2d5",
+    "empty k=12": "bcec1707caaf66afbc58520501ddd1de7a75979d3907c5ec622d63c54d13947c",
     "empty k=16": "c35c48a79206777ac0a6d5d217137114dc5631d6ce43ab44d3809c867ad78a16",
-    "pattern k=3 m=2": "6f97e55dd6a1cc580c2493f07e0bfa68cdefecf1571fe213365fea8204766b67",
-    "pattern k=3 m=4": "5113c034b834139171578a38fb2b69b0e5a153201d7512a12325cf3af34620ef",
-    "pattern k=3 m=5": "bf637990ebf9ba65341998b6b0948861e6b348d5d19e20622cecf4b87a677423",
-    "pattern k=4 m=3": "4bd99638f48299a5157a9678ca6c7450b949e463d5b00cc5017a1fd9114a41f1",
-    "pattern k=4 m=7": "879cf18d92f5973b7ae63a72c3fb1d6644611026228001cbd319c58e1f7a7bec",
-    "pattern k=4 m=10": "9358c7aecd9dde59aa602ebd70516b2fb70caf255765b0575d09d7051b7ff19c",
-    "pattern k=12 m=30": "898770f50843cc444c6aa95446ff1825f892101a06a1cb3d7a5c8489c9608c14",
-    "pattern k=12 m=72": "210329563a9b9388b49b6f4fb1bf651580f8b8ae26d01933cf4768534e8a2a80",
-    "pattern k=12 m=131": "0fb5e93af4a41cad2f94f00562bc5cd7f075db0ce026fd36890da53ee4e832df",
-    "construct k=4 m=7": "140661f8be3ba705b2329ca35f558b40434d9be5a49ba6abf137deb701450ef0",
-    "construct k=4 m=9": "848a02b4487fe867035b6bf6331a3e3c42f43fec9cc4e03fe44f91694d469809",
-    "construct k=4 m=10": "96407fb65ae2f616dace4ab9dbda1eaf909fe3279336216e7ac11398c7038d9b",
-    "construct k=4 m=11": "815e81b675bc1cf31982053d994e1436dd7b756ac983d723af51adf651a5d831",
-    "construct k=5 m=9": "437872ecaed25c4277320d0473324b55b946ca03a711d00b83d1e66a99c58e8c",
-    "construct k=5 m=12": "1b4519626b997410b60bb8a3f60fe233f80f47360d49ff8fa796bd2aecee3282",
-    "construct k=5 m=13": "fcc54071c483b4c582269138aa93ae26809b7f4df4642c7b811988170661bbee",
-    "construct k=5 m=14": "6142be41fa628a87f0b340dbd56604f6384684d9e800c21bf6b1f599b58049db",
-    "construct k=5 m=16": "9f90109afa873f10683b38385bd46fb17f6cc720a6c81c986a5a1effd8e93065",
-    "construct k=5 m=17": "4f642c7ca52e036db42fb1eb104c377ffd146c2accba413cbcba2ff1531e4797",
-    "construct k=5 m=18": "d9388be186767136833aec3c5979400592610c1c0f846fc49d28c240c6bef505",
-    "construct k=5 m=19": "d1b56965fa5817ae8782a8ec90ddeb4dcbf6f6a3de7587ce1f17fd332c2b01e4",
-    "construct k=6 m=11": "c1f6a98239f7b1e2eccc02b8eaffd6838ccd4179ed73fc37f4320027f22849a2",
-    "construct k=6 m=16": "b1f3943fd3051d5adf05f12dbf60641e4cf10a00640a3d0f7d79acda222d5434",
-    "construct k=6 m=17": "464b249c389e03d97fecaad9656d31769ae838b9447bafec0fc16043c29c0f41",
-    "construct k=6 m=19": "ca300d857435c04e900742ed63dda9297ce696990a964851acf04ef286fbe45b",
-    "construct k=6 m=20": "d38d6ab0f212688c4f1f94bf07ac6d84c98181e14d11592f153235b3250d0a90",
-    "construct k=6 m=21": "57f4a7feae71910123e0cc1099f04f5f21dd6d6b834a1cdc886ac044ac7943a7",
-    "construct k=6 m=22": "154a07dfa12fde1d6889f2b3ff23c3eb56263d27331c272ca8f6a4bb37648f8a",
-    "construct k=6 m=23": "673c83a29eb339a2c380196fae1bf01de53fa71d07d83d4c3297d687796b9acb",
-    "construct k=6 m=25": "7db6dc9c2c75f6bb3d336a9866f02e21070a70216a203c1049d15dfb7ad193b3",
-    "construct k=6 m=26": "151df2012f76284d7ee7071d215b70ea9e1ea77dc7889556077e10f4213e8d35",
-    "construct k=6 m=27": "58858cd7be1c86d5c4ef65d86194e3ced92faed99ac6f6066593d08f9a7d58b4",
-    "construct k=6 m=28": "8aa14c5584c6d6ddeac4959cb6722ec47b3b9d8ff6dcc2363c86b392cf4a5713",
-    "construct k=6 m=29": "c8fc079b4e10216646308a54025dd89d105bb147e496458fbc1ceafcfab0b83e",
-    "seeded k=2 seed=0": "616c7e34a33e7d195770fb6ba2a17a121307656b85e0a80fc286fe6437f8f126",
-    "seeded k=2 seed=1": "b88ca51785c600f17c03a6d54d652a8d84715245e6677824364b01745c15f4e1",
+    "pattern k=3 m=2": "c52622e528ecde50c2af1f9af3362c2026b26891282aea5d7378559bbab04ade",
+    "pattern k=3 m=4": "f7356f53ab57d950f7ac66011b7310a94402563918f7fcfa30b2edf9a071dbaf",
+    "pattern k=3 m=5": "d0bbd4c9af8991b14d448b8a0519f612228f204e90e66cd2a0e56a352d942d7f",
+    "pattern k=4 m=3": "971a42835d7c81636a41abe79b74a783b226adb6cfef7a183110223779295fd1",
+    "pattern k=4 m=7": "9221a97af9325fb8496a511b5ecbc762e9376fc0878c8e54743c409bf6f31012",
+    "pattern k=4 m=10": "c1b25df6add8ebec7b887e3e32c209e9f9e093148a299c01c5ccc1e6a159ff46",
+    "pattern k=12 m=30": "349fb6656ba79d423f17b99ca626102ef249eeff268b41526d4bdc9687dbbd15",
+    "pattern k=12 m=72": "f99dd4035138c653a3af1ae5df629e68d4b08b041e7520c228a429578ee77221",
+    "pattern k=12 m=131": "66f9087b5c71d3982aaa077622c5d199b13d70b3a7838374a62401b13fedb375",
+    "construct k=4 m=7": "6c28435a763e52f1e15ff862d2cba8cfaa5d8429e2b962862c16db87c28e46f6",
+    "construct k=4 m=9": "a7038f409f63df76e1f9a312f71dadd81743f943ca62c0c2cd04a2aa22e204b9",
+    "construct k=4 m=10": "c0861b5295ebb71a81fa4de1bf736d5fff3c79e2b5b5f1cb9b2c2d8116a1559a",
+    "construct k=4 m=11": "d69074d38eb15e232e24ca72164753b4621f79c58cf5c5ded3d64bd4935a953e",
+    "construct k=5 m=9": "949834c4616fc44f3c6f28db99071bc22440af32d950c1fc87c14a141158c34d",
+    "construct k=5 m=12": "7369d27b61a71298317b411a3b8a298b92073ab06e4d186d31998b5e20672dee",
+    "construct k=5 m=13": "5fe529dfd2f46cc6e5361823db19dfab0c2bbb3ab92769ae836e3bbfc239804b",
+    "construct k=5 m=14": "032f8adb08a4a9e8076550ccedab8a482512edfbc6e4f705ede741c09eb2d15e",
+    "construct k=5 m=16": "202aca9623cdff7a1a7629d6ec3710e604028ce15ed2779cb5f6830976383165",
+    "construct k=5 m=17": "0ef7e58eb8200c087d8914fef907385bb932dcad9e2ac2878693f1729926f8d5",
+    "construct k=5 m=18": "91d66198812ee7125eff17a8be11985f7abcfb1c6683cc32c045ab15d3b6f3b1",
+    "construct k=5 m=19": "18d046798c8eb2a1acd5812b42c1340eec1892ac5dcad8da4ca0a43d2eaedfd1",
+    "construct k=6 m=11": "bd59606303b197c38a0f22a0edee4270ec31966954cfa1f9be462b0b0a5e30d9",
+    "construct k=6 m=16": "d3bacaabc66b1257ab1b74df28a0c389312e012911c7f7956f1d981975eac92f",
+    "construct k=6 m=17": "a421a8edd90b0e511d95fd47cf1b4e9cad2a75c4dfd1fa1079b2972920471bb7",
+    "construct k=6 m=19": "d50ca1f4db7cbeaa85b7062345c2bdafeed461d11952dfcc944b4e28f94d25eb",
+    "construct k=6 m=20": "2e7294ebbbda6c3580868df8b6b41d981b1433bacd8812609700356d07b06d16",
+    "construct k=6 m=21": "5f1e6841f548f1204c776fe472745c94086b58b65ca0a29ba63e8c102c620204",
+    "construct k=6 m=22": "6dea47f0c05fee0524b176a13e84aa329bdad768f379089df208a9b3eb7b9930",
+    "construct k=6 m=23": "c3a44559b0ad3ca0dfa92da7bce1e03f48db482569f315a7050c7520c507d737",
+    "construct k=6 m=25": "1c46c235555eb879cfb13ccddc0078c8e2cf8c7e9a31844b8ff860bea3b812cb",
+    "construct k=6 m=26": "55516f80b9ea11f3ba18f2f3a655e6605b3a01fcdd8da3ce8d3f23a033ee3171",
+    "construct k=6 m=27": "739fbbb16e95bd0302b10902293c338db4595f51945a264dd32f796dbaea322a",
+    "construct k=6 m=28": "4306c3f2b1691b7990570b985313e334df27299d857ce3f8ff0e3dcc2736602b",
+    "construct k=6 m=29": "718801669b1ec5783210c9a002893015357fe09236e90799a53b94b61efb3c6c",
+    "seeded k=2 seed=0": "2644194e3f4773b71e04695d715581f11d02b93584994d28a8e7b599224a41a7",
+    "seeded k=2 seed=1": "d0f2eb4afa46d8dc53f05ebca5a09c6329e36f45345599ebc6b6e473fe72e058",
     "seeded k=2 seed=2": "3190c78511b5781431978710a8771af82de2343d9bd7e30ac71fdde5b8941ef1",
-    "seeded k=3 seed=0": "70d71238894c1b9a47fe92dcf7501166cc8d0e62503e5d9e7f0fb2acd8d23856",
-    "seeded k=3 seed=1": "b44a837ab8fee16bb3431955de6d6d29c1b427224d281bf0900113c1cf8e2af9",
-    "seeded k=3 seed=2": "f02858e3baf8524ade4ce1d9b904a43996262c37f7a3bc912c27864171ceaec8",
-    "seeded k=4 seed=0": "10b01c8d495d183f5cec21854e9b85ae3b093f33c8bdd7459ebe2ff1a5289dcd",
-    "seeded k=4 seed=1": "22e4ac67b83ca4b3063c1b18db1b7dfd78b1a496e84ad31668267a469692e476",
-    "seeded k=4 seed=2": "443647cd977f2f6d81bfb424fc77e0f29c0bbaf6f89b66261c1ee59d17d6f8bc",
-    "seeded k=5 seed=0": "d8cf61355618741aadaacef9b2590bd540ffca1e66f6bfb7d45ecf16467b07c6",
-    "seeded k=5 seed=1": "3bed931d4041d1158cbb83d598f5e90bab1603e33faff84bcb9b4acc142de625",
-    "seeded k=5 seed=2": "0159ffba334e41230006688afaa701b36fa7c3f62b12de058ae877344990f37a",
+    "seeded k=3 seed=0": "db290af8bfeb5f94b1d063777a1a0afc1b67f91892714af20edc8288ac5457b1",
+    "seeded k=3 seed=1": "07cfbd0e432d14cb0d4c741ba49f1e0ac2dd4543b4fb5f41c16e27a77fd3436b",
+    "seeded k=3 seed=2": "70da6c6863ba32b4c1b806b001227f6f09a2649c0f5cfecae5dc8d17676e8a47",
+    "seeded k=4 seed=0": "918aab8795afa723998160afa2f640166c7e80c8f8206c3f73aed42283979334",
+    "seeded k=4 seed=1": "8319dd59d1a70ce11da50fb48266d6ad26b3020b11ca64c3b600161972ae8b63",
+    "seeded k=4 seed=2": "f4a4038e667eb7a52987d8ff931b5573764cf44bb59f92659cbc1569fc8980cd",
+    "seeded k=5 seed=0": "02a4c02e2cd7ae031b16bf5e38dafc2ba9dde617e5f810fc77c4822f2ecaf8fd",
+    "seeded k=5 seed=1": "0798f180c5e3a2abf0dd96cd597a0ae7546ce6e2fd72cf62e55dd778eca574c7",
+    "seeded k=5 seed=2": "6a8889dfa434e02a9a461b134dbc2e30cf026e84952653c9a79b3ae598ee65b8",
 }
 
 

@@ -5,10 +5,12 @@
 runs the tests (``tests/`` when no argument is given) in this process
 under a ``sys.settrace`` line collector, then compares the lines of the
 package that ran with each module's executable lines, read from
-``co_lines()`` of its compiled source.  Every line that never ran must be
-named in ``tools/unreached.txt`` with the reason it stays, and every named
-line must still be unreached.  The tool prints each difference and exits
-1 if there is one; it exits with pytest's status if the tests fail.
+``co_lines()`` of its compiled source.  Hypothesis runs on a fixed seed,
+so a line that only some draws reach cannot make the map change from run
+to run.  Every line that never ran must be named in
+``tools/unreached.txt`` with the reason it stays, and every named line
+must still be unreached.  The tool prints each difference and exits 1 if
+there is one; it exits with pytest's status if the tests fail.
 
 The tracer starts before the tests import the package, so module-level
 lines count as run.  Only frames whose code equals a code object compiled
@@ -163,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         status = pytest.main(
-            ["-q", "-p", "no:cacheprovider", *(pytest_args or [str(ROOT / "tests")])]
+            ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+             *(pytest_args or [str(ROOT / "tests")])]
         )
     finally:
         collector.stop()
