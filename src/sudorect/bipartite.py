@@ -14,7 +14,10 @@ in increasing value order (stage 1 and the column-block widening).  Both
 run one skeleton, with the same local names:
 
 * a greedy seed in edge order;
-* only if it falls short, the adjacency the search needs;
+* only if it falls short, the fixed adjacency the search needs; the
+  matching itself is kept once, per left vertex (``matched`` edge flags
+  or ``assigned`` bit masks), and a search reads a right vertex's
+  holders from it;
 * then ``while missing:`` rounds (Kuhn's augmenting search).  A round
   sets up one ``seen`` set, and every left vertex still short and not yet
   seen starts a depth-first search along alternating paths, again while
@@ -149,27 +152,27 @@ def _b_matching(
             room[v] -= 1
             matched[e] = 1
             missing -= 1
-    if missing:  # every edge out of a left vertex, matched edges into a right one
+    if missing:  # every edge out of a left vertex and into a right one
         tail = [u for u, _ in edges]
         out: list[list[int]] = [[] for _ in need]
-        for e, u in enumerate(tail):
+        into: list[list[int]] = [[] for _ in room]
+        for e, (u, v) in enumerate(edges):
             out[u].append(e)
-        mates: list[list[int]] = [[] for _ in room]
-        for e in compress(range(len(edges)), matched):
-            mates[edges[e][1]].append(e)
+            into[v].append(e)
 
         def steps(u):
             # u's alternating steps in edge order: (e, -1) for an unmatched
             # edge e into a right vertex with room, else (e, f) for each
-            # matched edge f into it
+            # matched edge f into it, in edge order too
             for e in out[u]:
                 if not matched[e]:
                     v = edges[e][1]
                     if room[v]:
                         yield e, -1
                     else:
-                        for f in mates[v]:
-                            yield e, f
+                        for f in into[v]:
+                            if matched[f]:
+                                yield e, f
 
     while missing:
         # one round: each short left vertex not seen yet searches depth
@@ -200,12 +203,8 @@ def _b_matching(
                     room[edges[e][1]] -= 1
                     for e, f in path:
                         matched[e] = 1
-                        into = mates[edges[e][1]]
                         if f >= 0:
                             matched[f] = 0
-                            into[into.index(f)] = e
-                        else:
-                            into.append(e)
                     need[source] -= 1
                     missing -= 1
                     break
@@ -226,17 +225,19 @@ def _assign_on_masks(
     ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
     taken once.  The graph this stands for lists each left vertex's edges
     in increasing bit order.  The rounds run as in ``_b_matching``:
-    matched edges become the bits each left vertex holds, the mates of a
-    right vertex its one owner, and ``unvisited`` is the OR of the bits
-    held by the vertices not seen yet, so the candidates at a vertex u on
-    the path are ``eligible[u] & ~assigned[u] & (free | unvisited)``,
-    taken again at every step.  Two rules are this kernel's own.  A free
-    candidate ends the path at once; otherwise the search descends into
-    the owner of the lowest candidate.  And the greedy seed has each left
-    vertex in turn take its last-chance bits (free bits that no later
-    vertex is eligible for) before its lowest other free bits.  So the
-    assignment can differ from the one degree_matching returns on that
-    graph, but the reached set is the same.
+    matched edges become the bits each left vertex holds, and ``unvisited``
+    is the OR of the bits held by the vertices not seen yet, so the
+    candidates at a vertex u on the path are
+    ``eligible[u] & ~assigned[u] & (free | unvisited)``, taken again at
+    every step.  A right vertex's one holder is read from ``assigned``
+    itself: the left vertex whose mask has its bit.  Two rules are this
+    kernel's own.  A free candidate ends the path at once; otherwise the
+    search descends into the holder of the lowest candidate.  And the
+    greedy seed has each left vertex in turn take its last-chance bits
+    (free bits that no later vertex is eligible for) before its lowest
+    other free bits.  So the assignment can differ from the one
+    degree_matching returns on that graph, but the reached set is the
+    same.
 
     Returns (assigned, reached): the bits each left vertex holds, and the
     left vertices seen by a round that gained nothing, which is empty iff
@@ -275,12 +276,6 @@ def _assign_on_masks(
         assigned.append(take)
     if missing:
         need = [quota - mask.bit_count() for mask in assigned]
-        owner = {}  # bit -> the left vertex holding it
-        for u, mask in enumerate(assigned):
-            while mask:
-                low = mask & -mask
-                owner[low] = u
-                mask ^= low
     while missing:
         short = missing
         seen = [False] * left
@@ -292,7 +287,7 @@ def _assign_on_masks(
             unvisited &= ~assigned[source]
             while need[source]:
                 stack = [source]
-                path: list[tuple[int, int]] = []  # (bit taken, its owner or -1)
+                path: list[tuple[int, int]] = []  # (bit taken, its holder or -1)
                 while stack:
                     u = stack[-1]
                     scan = eligible[u] & ~assigned[u] & (free | unvisited)
@@ -304,7 +299,6 @@ def _assign_on_masks(
                             assigned[taker] |= bit
                             if held_by >= 0:
                                 assigned[held_by] ^= bit
-                            owner[bit] = taker
                         free ^= low
                         need[source] -= 1
                         missing -= 1
@@ -314,8 +308,10 @@ def _assign_on_masks(
                         if path:
                             path.pop()
                         continue
+                    # a candidate that is not free lies in unvisited: its
+                    # holder is the one unseen vertex whose mask has it
                     low = scan & -scan
-                    w = owner[low]
+                    w = next(x for x, held in enumerate(assigned) if held & low)
                     seen[w] = True
                     unvisited &= ~assigned[w]
                     path.append((low, w))

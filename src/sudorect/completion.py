@@ -240,8 +240,6 @@ def _complete_valid(grid: SudokuGrid, rng: random.Random | None) -> CompletionOu
     if shape is None:
         raise CompletionError("input is not an m-rectangle (first m rows filled)")
     n, k = grid.order.n, grid.order.k
-    if shape.m == n:
-        return grid.copy()
     full = (1 << n) - 1
     masks: list[Optional[list[int]]] = [None] * k
 
@@ -338,8 +336,6 @@ def extend_column_blocks(grid: SudokuGrid) -> SudokuGrid:
     if pq is None or (pq[1] != k and pq != (0, 0)):
         raise CompletionError(f"input must fill exactly m rows × {k} columns")
     m = pq[0]
-    if m == 0:
-        return grid.copy()
     l, r = divmod(m, k)
     height = (l + 1) * k if r > 0 else m
     matrix: list[list[int]] = [list(row[:k]) for row in grid.rows(m)]

@@ -163,9 +163,12 @@ class SudokuGrid:
     def column_values(self, col: int) -> set[int]:
         return {row[col - 1] for row in self._cells} - {None}
 
-    def block_values(self, block: BlockIndex) -> set[int]:
+    def block_values(self, block: tuple[int, int]) -> set[int]:
+        """The values in block (block_row, block_col): a ``BlockIndex`` or
+        a plain pair, such as a witness rebuilt from the CLI's line."""
         k = self.order.k
-        top, left = (block.block_row - 1) * k, (block.block_col - 1) * k
+        block_row, block_col = block
+        top, left = (block_row - 1) * k, (block_col - 1) * k
         return {v for row in self._cells[top : top + k] for v in row[left : left + k]} - {None}
 
     def block_columns(self, block_col: int, depth: int) -> list[tuple[Optional[int], ...]]:

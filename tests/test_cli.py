@@ -5,6 +5,7 @@ import errno
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,14 +17,17 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sudorect import (
+    NotCompletable,
     SudokuGrid,
     complete_randomized,
+    construct_counterexample,
     figure1_fixture,
     is_m_rectangle,
     parse,
     render,
     truncate_rows,
     validate,
+    verify_certificate,
 )
 from sudorect import cli, constructions, decide_guaranteed
 from sudorect.cli import main
@@ -161,6 +165,29 @@ def test_complete_figure1_rejects(figure1_file):
     assert out == ""  # payload channel stays clean
     assert "not completable" in err
     assert "block (2,1)" in err
+
+
+WITNESS_LINE = re.compile(
+    r"not completable: block \((\d+),(\d+)\) columns ([\d,]+) "
+    r"admit only values ([\d,]+|none) \(need (\d+) each\)"
+)
+
+
+@pytest.mark.parametrize("source", ["figure1", "construct 5 14"])
+def test_a_witness_rebuilt_from_the_stderr_line_replays(tmp_path, figure1, source):
+    grid = figure1 if source == "figure1" else construct_counterexample(5, 14).rectangle
+    path = tmp_path / "rect.txt"
+    path.write_text(render(grid))
+    code, out, err = run_cli("complete", str(path))
+    assert (code, out) == (1, "")
+    row, col, columns, values, quota = WITNESS_LINE.fullmatch(err.strip()).groups()
+    witness = NotCompletable(
+        block=(int(row), int(col)),  # a plain pair, not a BlockIndex
+        quota=int(quota),
+        columns=tuple(map(int, columns.split(","))),
+        candidates=() if values == "none" else tuple(map(int, values.split(","))),
+    )
+    assert verify_certificate(parse(path.read_text()), witness)
 
 
 def test_complete_empty4(empty4_file):

@@ -256,7 +256,12 @@ def test_complete_empty_order4_is_one_of_the_288_deterministically():
 
 def test_complete_full_grid_returns_input():
     square = complete(SudokuGrid(2))
-    assert complete(square) == square
+    again = complete(square)
+    assert again == square
+    # a new grid: clearing one of its cells leaves the input as it was
+    assert again is not square
+    again.clear(1, 1)
+    assert square.is_full()
 
 
 def test_complete_order1_degenerate():
@@ -494,7 +499,13 @@ def test_extend_rejects_non_column_block_patterns(figure1):
 
 
 def test_extend_empty_grid_is_identity():
-    assert extend_column_blocks(SudokuGrid(3)) == SudokuGrid(3)
+    empty = SudokuGrid(3)
+    wide = extend_column_blocks(empty)
+    assert wide == SudokuGrid(3)
+    # a new grid: filling one of its cells leaves the input as it was
+    assert wide is not empty
+    wide.set(1, 1, 1)
+    assert empty.filled_count == 0
 
 
 # -- pipeline properties ---------------------------------------------------------
