@@ -4,8 +4,12 @@ certificates, and max-degree edge coloring.
 Vertices are 0-based; parallel edges are allowed and matter (a matching is
 a subset of edge *positions*).  Colorings follow Kőnig's alternating-path
 proof: each edge is colored once, in edge order, and only an edge with no
-color free at both ends swaps two colors along one alternating path.
-Everything here is deterministic for a fixed edge order.
+color free at both ends swaps two colors along one alternating path.  The
+public ``edge_color`` and the completion pipeline's stage 2 share that one
+loop, ``_color_edges``, which takes the edges as parallel tail and head
+lists: ``edge_color`` builds them from a checked graph, stage 2 straight
+from its value masks.  Everything here is deterministic for a fixed edge
+order.
 
 Matchings are found on the graph itself by ``_b_matching``, for general
 quotas, and by a replay of it that swaps only the representation:
@@ -40,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 from itertools import compress
-from operator import xor
 from typing import Union
 
 
@@ -63,18 +66,6 @@ class BipartiteGraph:
     def build(cls, left_count: int, right_count: int, edges) -> "BipartiteGraph":
         # __post_init__ unpacks every edge, so anything but a pair still fails
         return cls(left_count, right_count, tuple(map(tuple, edges)))
-
-    @classmethod
-    def _trusted(
-        cls, left_count: int, right_count: int, edges: tuple[tuple[int, int], ...]
-    ) -> "BipartiteGraph":
-        """A graph whose in-range index pairs the caller built itself; skips
-        the per-edge check of ``__post_init__``."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "left_count", left_count)
-        object.__setattr__(g, "right_count", right_count)
-        object.__setattr__(g, "edges", edges)
-        return g
 
 
 @dataclass(frozen=True)
@@ -353,16 +344,25 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
     and the edge takes a.  The path never reaches u: it enters left
     vertices only along a-edges, and u has none.
     """
-    edges = g.edges
     left = g.left_count
-    tail = [u for u, _ in edges]
-    head = [left + v for _, v in edges]  # right vertex v is vertex left + v
-    link = list(map(xor, tail, head))  # node ^ link[e]: the other end of e at node
+    tail = [u for u, _ in g.edges]
+    head = [left + v for _, v in g.edges]  # right vertex v is vertex left + v
     delta = max(Counter(tail + head).values(), default=0)
+    return tuple(_color_edges(tail, head, left + g.right_count, delta))
+
+
+def _color_edges(tail: list[int], head: list[int], vertices: int, delta: int) -> list[int]:
+    """:func:`edge_color`'s loop on edge e = (tail[e], head[e]), the two
+    sides numbered apart in ``range(vertices)``: the colors in [1, delta].
+
+    Every tail must have at most ``delta`` edges.  A head with more raises
+    :class:`KernelError`, at its first edge past ``delta``: no color is
+    free there, so that edge is the one that finds b > delta.
+    """
     top = 1 << delta  # bit c stands for color c
-    at = [[-1] * (delta + 1) for _ in range(left + g.right_count)]  # at[x][c]: x's edge of color c
-    used = [1] * len(at)  # the colors at each vertex; bit 0 set, so color 0 is never free
-    colors = [0] * len(edges)
+    at = [[-1] * (delta + 1) for _ in range(vertices)]  # at[x][c]: x's edge of color c
+    used = [1] * vertices  # the colors at each vertex; bit 0 set, so color 0 is never free
+    colors = [0] * len(tail)
     for e, u in enumerate(tail):
         v = head[e]
         here, there = used[u], used[v]
@@ -371,6 +371,8 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
         if low > top:
             a = (~here & (here + 1)).bit_length() - 1
             b = (~there & (there + 1)).bit_length() - 1
+            if b > delta:
+                raise KernelError(f"vertex {v} has more than {delta} edges")
             swap = a + b
             # swap the path from v edge by edge: f leaves x and takes
             # color d, and the next edge leaves f's far end by d, which f
@@ -379,7 +381,7 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
             while f >= 0:
                 colors[f] = d
                 at[x][d] = f
-                x ^= link[f]
+                x ^= tail[f] ^ head[f]  # f's far end
                 f, at[x][d] = at[x][d], f
                 d = swap - d
             at[x][d] = -1  # the far end no longer holds the last edge's old color d
@@ -391,4 +393,4 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
         at[u][c] = at[v][c] = e
         used[u] |= low
         used[v] |= low
-    return tuple(colors)
+    return colors

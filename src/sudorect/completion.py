@@ -19,8 +19,9 @@ the value bits.  The pipeline calls the step once per row block and keeps
 one value mask per column: it reads a column block from the grid when
 stage 1 first reaches it, and the step ORs in the values stage 1 gives each
 column, so later row blocks read nothing.  Stage 2 splits the masks' bits
-into the (column, value) edges and colours them into the row block's new
-rows with :func:`edge_color`, along Kőnig's alternating paths.  Once the
+into (column, value) edges and colours them into the row block's new rows
+along Kőnig's alternating paths, with the loop behind :func:`edge_color`,
+``bipartite._color_edges``, called directly on the edge ends.  Once the
 last row block is coloured, the pipeline copies the given rows, adds the
 new ones, builds the square from them once and proves it once with
 :func:`validate`; a rejection copies nothing.  The
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Union
 
-from .bipartite import BipartiteGraph, KernelError, _assign_on_masks, edge_color
+from .bipartite import KernelError, _assign_on_masks, _color_edges
 from .grid import (
     BlockIndex,
     SudokuGrid,
@@ -177,29 +178,36 @@ def _stage2(k: int, quota: int, masks: list[int], rng: random.Random | None) -> 
     ``len(masks)`` entries, one per colour.
 
     The (left vertex, value) edges, in mask order and increasing value
-    order, are coloured with ``quota`` colours.  In the pipeline the masks
-    are the n columns' stage-1 values and each colour names a new row; in
-    the widening they are the rows' assigned values and each colour names a
-    new column.  With ``rng`` the edge list is shuffled before colouring.  A
-    value used more than ``quota`` times needs a colour past ``quota``; a
-    colouring that clashes leaves a hole (None), which the callers refuse.
+    order, are coloured with ``quota`` colours by the loop behind
+    :func:`edge_color`; value vi is vertex ``len(masks) + vi`` there.  In
+    the pipeline the masks are the n columns' stage-1 values and each
+    colour names a new row; in the widening they are the rows' assigned
+    values and each colour names a new column.  With ``rng`` the edge list
+    is shuffled before colouring.  A value used more than ``quota`` times
+    needs a colour past ``quota``, which the loop refuses; a colouring that
+    clashes leaves a hole (None), which the callers refuse.
     """
-    edges = []
+    left = len(masks)
+    tail, head = [], []  # edge e joins left vertex tail[e] and value vertex head[e]
     for c, mask in enumerate(masks):
         if mask.bit_count() != quota:
             raise CompletionError(f"column {c + 1} got {mask.bit_count()} values, expected {quota}")
         while mask:
             low = mask & -mask
-            edges.append((c, low.bit_length() - 1))
+            tail.append(c)
+            head.append(left + low.bit_length() - 1)
             mask ^= low
     if rng is not None:
-        rng.shuffle(edges)
-    colors = edge_color(BipartiteGraph._trusted(len(masks), k * k, tuple(edges)))
-    if max(colors, default=0) > quota:
-        raise CompletionError("assignments are not value-regular; stage-1 bug")
-    rows: list[list] = [[None] * len(masks) for _ in range(quota)]
-    for (c, vi), color in zip(edges, colors):
-        rows[color - 1][c] = vi + 1
+        order = list(range(len(tail)))  # shuffled in place of the edges: same draws
+        rng.shuffle(order)
+        tail, head = [tail[i] for i in order], [head[i] for i in order]
+    try:
+        colors = _color_edges(tail, head, left + k * k, quota)
+    except KernelError as err:
+        raise CompletionError("assignments are not value-regular; stage-1 bug") from err
+    rows: list[list] = [[None] * left for _ in range(quota)]
+    for c, vertex, color in zip(tail, head, colors):
+        rows[color - 1][c] = vertex - left + 1
     return rows
 
 

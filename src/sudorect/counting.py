@@ -69,9 +69,9 @@ def count_completions(
     depth is not bounded by Python's recursion limit.
     """
     if max_nodes is not None and max_nodes < 0:
-        raise CountingError(f"max_nodes must be >= 0, got {max_nodes}")
+        raise CountingError(f"max_nodes must be >= 0, got {_clip(str(max_nodes))}")
     if max_solutions is not None and max_solutions < 1:
-        raise CountingError(f"max_solutions must be >= 1, got {max_solutions}")
+        raise CountingError(f"max_solutions must be >= 1, got {_clip(str(max_solutions))}")
     violation = validate(grid)
     if violation is not None:
         raise CountingError(f"input grid is invalid: {violation.describe()}")

@@ -405,14 +405,23 @@ def test_coloring_equals_reference_on_random_multigraphs(g):
     assert edge_color(g) == reference_edge_color(g)
 
 
-def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
+def _recording_stage2_graphs(monkeypatch) -> list[BipartiteGraph]:
+    """The graphs stage 2 colours from now on, rebuilt from the kernel's
+    edge lists; each side spans all the kernel's vertices, which keeps
+    the edges and their order."""
     graphs = []
+    color_edges = completion._color_edges
 
-    def recording(g):
-        graphs.append(g)
-        return edge_color(g)
+    def recording(tail, head, vertices, delta):
+        graphs.append(BipartiteGraph.build(vertices, vertices, zip(tail, head)))
+        return color_edges(tail, head, vertices, delta)
 
-    monkeypatch.setattr(completion, "edge_color", recording)
+    monkeypatch.setattr(completion, "_color_edges", recording)
+    return graphs
+
+
+def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
+    graphs = _recording_stage2_graphs(monkeypatch)
     for k in range(2, 7):
         complete(SudokuGrid(k))
     for k in (4, 5, 6):
@@ -429,13 +438,7 @@ def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
 def test_stage2_path_work_is_pinned(monkeypatch):
     # the edges the colouring swaps, over all of stage 2's graphs for one
     # input: a rule that shortens the alternating paths changes this count
-    graphs = []
-
-    def recording(g):
-        graphs.append(g)
-        return edge_color(g)
-
-    monkeypatch.setattr(completion, "edge_color", recording)
+    graphs = _recording_stage2_graphs(monkeypatch)
     complete(SudokuGrid(9))
     square = list(graphs)
     graphs.clear()

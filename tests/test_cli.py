@@ -493,6 +493,14 @@ def test_huge_integers_are_clipped_in_one_short_line(argv):
     assert "…" in err or "0..k²" in err, err  # the integer is clipped, not dropped
 
 
+@pytest.mark.parametrize("option", ["--max-nodes", "--max-solutions"])
+def test_huge_negative_count_caps_are_clipped_in_one_short_line(empty4_file, option):
+    code, out, err = run_cli("count", empty4_file, option, "-" + "9" * 4000)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200, err
+    assert err.endswith(f", got -{'9' * 19}…\n"), err
+
+
 def test_decide_takes_a_k_whose_square_is_too_long_for_str():
     k = "9" * 2200  # k² has 4,400 digits, past the int-to-str limit
     code, out, err = run_cli("decide", "--k", k, "--m", "3")

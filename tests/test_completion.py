@@ -13,6 +13,7 @@ from oracles import coloring_is_proper, core_stage1, count_extensions_4x4, sud4_
 from sudorect import completion
 from sudorect import grid as grid_module
 from sudorect import (
+    BipartiteGraph,
     BlockIndex,
     CompletionError,
     NotCompletable,
@@ -282,32 +283,33 @@ def test_complete_contract_errors(figure1):
         complete(broken)
 
 
-def _colors_in_column_order(graph):
+def _colors_in_column_order(tail, head, vertices, delta):
     """Colours 1, 2, ... along each column's edges: every cell gets one
     value, but one value may land twice in a row."""
     seen: dict[int, int] = {}
     colors = []
-    for col, _ in graph.edges:
+    for col in tail:
         seen[col] = seen.get(col, 0) + 1
         colors.append(seen[col])
-    return tuple(colors)
+    return colors
 
 
-def _all_color_one(graph):
+def _all_color_one(tail, head, vertices, delta):
     """Every value of a column into the same cell."""
-    return (1,) * len(graph.edges)
+    return [1] * len(tail)
 
 
 @pytest.mark.parametrize("coloring", [_colors_in_column_order, _all_color_one])
 def test_clashing_stage2_coloring_raises_completion_error(monkeypatch, coloring):
     proper = []
 
-    def clashing(graph):
-        colors = coloring(graph)
+    def clashing(tail, head, vertices, delta):
+        colors = coloring(tail, head, vertices, delta)
+        graph = BipartiteGraph.build(vertices, vertices, zip(tail, head))
         proper.append(coloring_is_proper(graph, colors))
         return colors
 
-    monkeypatch.setattr(completion, "edge_color", clashing)
+    monkeypatch.setattr(completion, "_color_edges", clashing)
     with pytest.raises(CompletionError):
         complete(SudokuGrid(3))
     assert not all(proper)
@@ -321,7 +323,7 @@ def _five_row_column_block() -> SudokuGrid:
 
 def test_widening_refuses_a_coloring_that_leaves_a_hole(monkeypatch):
     block = _five_row_column_block()
-    monkeypatch.setattr(completion, "edge_color", _all_color_one)
+    monkeypatch.setattr(completion, "_color_edges", _all_color_one)
     with pytest.raises(CompletionError, match="column block 2 left a hole"):
         extend_column_blocks(block)
 
@@ -352,7 +354,7 @@ def test_widening_refuses_a_coloring_that_clashes_without_a_hole(monkeypatch):
     # each row's values take colours 1, 2, 3 in order: every cell is filled,
     # but a new column repeats a value
     block = _five_row_column_block()
-    monkeypatch.setattr(completion, "edge_color", _colors_in_column_order)
+    monkeypatch.setattr(completion, "_color_edges", _colors_in_column_order)
     with pytest.raises(CompletionError) as exc:
         extend_column_blocks(block)
     assert str(exc.value).startswith("extension failed validity: ")
@@ -436,7 +438,7 @@ def test_extend_keeps_first_column_block():
 def test_widening_colours_each_new_column_block_through_stage2(monkeypatch):
     # one copy of stage 2: the widening calls _stage2 once per new column
     # block on the padded height, and never colours on its own
-    stage2, edge_color = completion._stage2, completion.edge_color
+    stage2, color_edges = completion._stage2, completion._color_edges
     calls, inside = [], []
 
     def counted_stage2(k, quota, masks, rng):
@@ -447,12 +449,12 @@ def test_widening_colours_each_new_column_block_through_stage2(monkeypatch):
         finally:
             inside.pop()
 
-    def guarded_edge_color(graph):
-        assert inside, "edge_color called outside _stage2"
-        return edge_color(graph)
+    def guarded_color_edges(tail, head, vertices, delta):
+        assert inside, "_color_edges called outside _stage2"
+        return color_edges(tail, head, vertices, delta)
 
     monkeypatch.setattr(completion, "_stage2", counted_stage2)
-    monkeypatch.setattr(completion, "edge_color", guarded_edge_color)
+    monkeypatch.setattr(completion, "_color_edges", guarded_color_edges)
     for k in range(2, 6):
         n = k * k
         square = complete_randomized(SudokuGrid(k), k)
