@@ -12,31 +12,23 @@ from its value masks.  Everything here is deterministic for a fixed edge
 order.
 
 Matchings are found on the graph itself by ``_b_matching``, for general
-quotas, and by a replay of it that swaps only the representation:
-``_assign_on_masks`` keeps value bitmasks for unit right quotas with edges
-in increasing value order (stage 1 and the column-block widening).  Both
-run one skeleton, with the same local names:
+quotas: a greedy seed in edge order, then, only if it falls short, one
+breadth-first augmenting search per missing unit (Ford and Fulkerson),
+started at every short left vertex at once.  A search that finds no
+augmenting path returns the left vertices it reached.
 
-* a greedy seed in edge order;
-* only if it falls short, the fixed adjacency the search needs; the
-  matching itself is kept once, per left vertex (``matched`` edge flags
-  or ``assigned`` bit masks), and a search reads a right vertex's
-  holders from it;
-* then ``while missing:`` rounds (Kuhn's augmenting search).  A round
-  sets up one ``seen`` set, and every left vertex still short and not yet
-  seen starts a depth-first search along alternating paths, again while
-  it is still short after a success; a path that ends in a right vertex
-  with room is flipped at once.  A round that gains nothing returns its
-  seen vertices: exactly those alternating search reaches from the short
-  ones.  So each round gains a unit or returns, and the loop ends.
-
-The mask kernel differs in two rules.  Its seed has each left vertex
-first take the bits no later vertex is eligible for, an ordering form of
-Karp and Sipser's forced choice, which leaves stage 1 and the widening
-far fewer units to augment; its search takes a free bit before any held
-one.  Its assignments therefore differ from ``_b_matching``'s, but not
-its reached set: that is the source side of the minimal minimum cut, the
-same for every maximum matching.
+The completion's matching runs on value bitmasks instead:
+``_assign_on_masks`` takes unit right quotas, with each left vertex's
+edges in increasing value order (stage 1 and the column-block widening),
+and keeps its own rules.  Its seed has each left vertex first take the
+bits no later vertex is eligible for, an ordering form of Karp and
+Sipser's forced choice, which leaves stage 1 and the widening far fewer
+units to augment; it then runs depth-first rounds that share one
+``seen`` set per round, and its search takes a free bit before any held
+one.  Its assignments can differ from ``_b_matching``'s, but its reached
+set cannot: in every maximum matching, the left vertices that
+alternating search reaches from the short ones are the source side of
+the minimal minimum cut.
 """
 
 from __future__ import annotations
@@ -59,6 +51,8 @@ class BipartiteGraph:
 
     def __post_init__(self):
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:  # bool is not a vertex
+                raise KernelError(f"edge ({type(u).__name__},{type(v).__name__}): vertices are ints")
             if not (0 <= u < self.left_count and 0 <= v < self.right_count):
                 raise KernelError(f"edge ({u},{v}) out of range")
 
@@ -100,8 +94,10 @@ MatchingResult = Union[tuple[int, ...], HallCertificate]
 def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     """Edge subset giving every vertex exactly its quota, or a certificate.
 
-    A greedy pass in edge order seeds the matching, then rounds of
-    depth-first augmenting search complete it, in O(V·E) time.
+    A greedy pass in edge order seeds the matching, then one
+    breadth-first augmenting search per missing unit completes it.  A
+    search scans each vertex's edges at most once, so with V vertices,
+    E edges and T the quota total it takes O(T·(V + E)) time in all.
     Infeasibility is witnessed by the left vertices that alternating
     search reaches from the deficient ones: the source side of the minimal
     minimum cut, the same for every maximum matching.  Their quota mass
@@ -144,91 +140,72 @@ def _b_matching(
             matched[e] = 1
             missing -= 1
     if missing:  # every edge out of a left vertex and into a right one
-        tail = [u for u, _ in edges]
-        out: list[list[int]] = [[] for _ in need]
-        into: list[list[int]] = [[] for _ in room]
+        out: list[list[tuple[int, int]]] = [[] for _ in need]  # (edge, right end)
+        into: list[list[tuple[int, int]]] = [[] for _ in room]  # (edge, left end)
         for e, (u, v) in enumerate(edges):
-            out[u].append(e)
-            into[v].append(e)
-
-        def steps(u):
-            # u's alternating steps in edge order: (e, -1) for an unmatched
-            # edge e into a right vertex with room, else (e, f) for each
-            # matched edge f into it, in edge order too
-            for e in out[u]:
-                if not matched[e]:
-                    v = edges[e][1]
-                    if room[v]:
-                        yield e, -1
-                    else:
-                        for f in into[v]:
-                            if matched[f]:
-                                yield e, f
-
+            out[u].append((e, v))
+            into[v].append((e, u))
     while missing:
-        # one round: each short left vertex not seen yet searches depth
-        # first, and a path found is flipped at once
-        short = missing
-        seen = [False] * len(need)
-        for source in range(len(need)):
-            if not need[source] or seen[source]:
-                continue
-            seen[source] = True
-            while need[source]:
-                scans = [steps(source)]  # one step iterator per vertex on the path
-                path: list[tuple[int, int]] = []  # (unmatched edge out, matched edge back)
-                while scans:
-                    for e, f in scans[-1]:
-                        if f < 0 or not seen[tail[f]]:
-                            break
-                    else:
-                        scans.pop()
-                        if path:
-                            path.pop()
-                        continue
-                    path.append((e, f))
-                    if f >= 0:
-                        seen[tail[f]] = True
-                        scans.append(steps(tail[f]))
-                        continue
-                    room[edges[e][1]] -= 1
-                    for e, f in path:
-                        matched[e] = 1
-                        if f >= 0:
-                            matched[f] = 0
-                    need[source] -= 1
-                    missing -= 1
+        # one breadth-first search from every short left vertex at once:
+        # via[w] is (u, e, f) when w was first reached from u out along
+        # the unmatched edge e and back along the matched edge f, and None
+        # at a root; a right vertex without room is crossed once, to all
+        # of its holders
+        via: dict[int, tuple[int, int, int] | None] = {u: None for u in range(len(need)) if need[u]}
+        queue = list(via)
+        crossed = bytearray(len(room))
+        end = -1
+        for u in queue:
+            for e, v in out[u]:
+                if matched[e] or crossed[v]:
+                    continue
+                if room[v]:
+                    end = e
                     break
-                else:  # a failed search ends the source's turn
-                    break
-        if missing == short:
-            return [u for u in range(len(need)) if seen[u]]
+                crossed[v] = 1
+                for f, w in into[v]:
+                    if matched[f] and w not in via:
+                        via[w] = u, e, f
+                        queue.append(w)
+            if end >= 0:
+                break
+        if end < 0:
+            return sorted(via)
+        # flip the path from its end edge back to its root
+        room[v] -= 1
+        matched[end] = 1
+        while via[u] is not None:
+            u, e, f = via[u]
+            matched[e], matched[f] = 1, 0
+        need[u] -= 1
+        missing -= 1
     return tuple(compress(range(len(edges)), matched))
 
 
 def _assign_on_masks(
     eligible: list[int], quota: int, free: int
 ) -> tuple[list[int], list[int]]:
-    """``_b_matching`` with left quota ``quota`` and unit right quotas,
-    replayed on int bitmasks.
+    """Degree matching with left quota ``quota`` and unit right quotas,
+    on int bitmasks.
 
     Left vertex u may take the values whose bits are set in
     ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
-    taken once.  The graph this stands for lists each left vertex's edges
-    in increasing bit order.  The rounds run as in ``_b_matching``:
-    matched edges become the bits each left vertex holds, and ``unvisited``
-    is the OR of the bits held by the vertices not seen yet, so the
-    candidates at a vertex u on the path are
+    taken once.  The greedy seed has each left vertex in turn take its
+    last-chance bits (free bits that no later vertex is eligible for)
+    before its lowest other free bits.  Then ``while missing:`` rounds
+    run: a round sets up one ``seen`` set, and every left vertex still
+    short and not yet seen searches depth first along alternating paths,
+    again while it is still short after a success.  ``unvisited`` is the
+    OR of the bits held by the vertices not seen yet, so the candidates
+    at a vertex u on the path are
     ``eligible[u] & ~assigned[u] & (free | unvisited)``, taken again at
-    every step.  A right vertex's one holder is read from ``assigned``
-    itself: the left vertex whose mask has its bit.  Two rules are this
-    kernel's own.  A free candidate ends the path at once; otherwise the
-    search descends into the holder of the lowest candidate.  And the
-    greedy seed has each left vertex in turn take its last-chance bits
-    (free bits that no later vertex is eligible for) before its lowest
-    other free bits.  So the assignment can differ from the one
-    degree_matching returns on that graph, but the reached set is the
-    same.
+    every step.  A free candidate ends the path at once, and the path is
+    flipped; otherwise the search descends into the holder of the lowest
+    candidate, read from ``assigned`` itself: the left vertex whose mask
+    has its bit.  Each round gains a unit or returns, so the loop ends.
+    On the graph these masks stand for, with each left vertex's edges in
+    increasing bit order, the assignment can differ from the one
+    degree_matching returns, but the reached set is the same.
 
     Returns (assigned, reached): the bits each left vertex holds, and the
     left vertices seen by a round that gained nothing, which is empty iff

@@ -151,7 +151,7 @@ def matching_bounds(n: int, r: int) -> tuple[float, float]:
     n!·(r/n)^n below, (r!)^(n/r) above.  Computed via lgamma throughout.
     """
     if not (1 <= r <= n):
-        raise CountingError(f"regularity {r} outside 1..{n}")
+        raise CountingError(f"regularity {_clip(str(r))} outside 1..{_clip(str(n))}")
     log_lower = lgamma(n + 1) + n * (log(r) - log(n))
     log_upper = (n / r) * lgamma(r + 1)
     return log_lower, log_upper
@@ -188,7 +188,7 @@ def sudoku_bounds(k: int) -> BoundsReport:
     """Evaluate both bound products, the closed-form lower bound
     n!^(2n)·k!^(kn)/(k^(n²)·n^(n²)), and the normalized ratios."""
     if k < 1:
-        raise CountingError(f"block side must be >= 1, got {k}")
+        raise CountingError(f"block side must be >= 1, got {_clip(str(k))}")
     n = k * k
     log_lower, log_upper = _log_products(k)
     closed = (

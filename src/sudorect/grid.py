@@ -61,7 +61,7 @@ class Order:
 
     def __init__(self, k: int):
         if type(k) is not int or k < 1:
-            raise GridError(f"block side must be a positive integer, got {k!r}")
+            raise GridError(f"block side must be a positive integer, got {_clip(repr(k))}")
         self.k = k
         self.n = k * k
 
@@ -132,7 +132,7 @@ class SudokuGrid:
     def _check_index(self, row: int, col: int) -> None:
         n = self.order.n
         if not (1 <= row <= n and 1 <= col <= n):
-            raise GridError(f"cell ({row},{col}) outside 1..{n}")
+            raise GridError(f"cell ({_clip(str(row))},{_clip(str(col))}) outside 1..{n}")
 
     # -- cell access
 
@@ -149,7 +149,7 @@ class SudokuGrid:
         self._check_index(row, col)
         n = self.order.n
         if type(value) is not int or not (1 <= value <= n):  # bool is not a value
-            raise GridError(f"value {value!r} outside 1..{n}")
+            raise GridError(f"value {_clip(repr(value))} outside 1..{n}")
         if self._cells[row - 1][col - 1] is not None:
             raise GridError(f"cell ({row},{col}) already filled; clear it first")
         self._cells[row - 1][col - 1] = value
@@ -404,7 +404,7 @@ def truncate_rows(grid: SudokuGrid, m: int) -> SudokuGrid:
     """Copy of the grid with rows m+1..n cleared."""
     n = grid.order.n
     if not (0 <= m <= n):
-        raise GridError(f"row count {m} outside 0..{n}")
+        raise GridError(f"row count {_clip(str(m))} outside 0..{n}")
     return SudokuGrid.from_rows(grid.order.k, grid.rows(m) + [(None,) * n] * (n - m))
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import random
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,23 @@ def test_graph_refuses_an_edge_out_of_range(edge):
     assert str(exc.value) == f"edge ({edge[0]},{edge[1]}) out of range"
 
 
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0.0, 0), "edge (float,int): vertices are ints"),
+        ((0, 0.5), "edge (int,float): vertices are ints"),
+        ((True, 0), "edge (bool,int): vertices are ints"),  # not vertex 1
+        ((0, False), "edge (int,bool): vertices are ints"),
+        (("0", 0), "edge (str,int): vertices are ints"),
+    ],
+    ids=["float-left", "float-right", "bool-left", "bool-right", "str-left"],
+)
+def test_graph_refuses_a_vertex_that_is_not_an_int(edge, message):
+    with pytest.raises(KernelError) as exc:
+        BipartiteGraph.build(2, 3, [(0, 0), edge])
+    assert str(exc.value) == message
+
+
 def test_star_matching_matches_exhaustive_search():
     edges = [(0, 0), (0, 1), (0, 2)]
     g = BipartiteGraph.build(1, 3, edges)
@@ -184,19 +202,20 @@ def test_matching_agrees_with_exhaustive_search(seed):
 
 
 def test_a_search_may_pass_through_a_short_left_vertex():
-    # the seed leaves vertices 0 and 1 one unit short each; the search from
-    # 0 steps into right vertex 0 and back to 1, still short, and on to 2,
-    # whose unmatched edge into right vertex 1 has room
+    # the seed leaves vertices 0 and 1 one unit short each; a search from
+    # 0 alone would step into right vertex 0 and back to 1, still short,
+    # and on to 2, whose unmatched edge into right vertex 1 has room.  The
+    # breadth-first search starts at both short vertices at once, so every
+    # vertex it reaches by a matched edge already has its quota
     edges = [(1, 0), (1, 1), (2, 0), (2, 0), (2, 0), (2, 1), (1, 0), (0, 0), (2, 1)]
     g = BipartiteGraph.build(3, 2, edges)
     demand = DegreeDemand((1, 3, 3), (4, 3))
-    through_short = with_replaced(
+    never_short = with_replaced(
         bipartite._b_matching,
-        "seen[tail[f]] = True",
-        "assert not need[tail[f]]; seen[tail[f]] = True",
+        "via[w] = u, e, f",
+        "assert not need[w]; via[w] = u, e, f",
     )
-    with pytest.raises(AssertionError):
-        through_short(g, demand, 7)
+    assert never_short(g, demand, 7) == (0, 1, 4, 5, 6, 7, 8)
     ours = degree_matching(g, demand)
     assert ours == (0, 1, 4, 5, 6, 7, 8)
     assert recount_matching(g, demand, ours)
@@ -532,8 +551,8 @@ NO_PATH = {
         (BipartiteGraph.build(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)]),
          DegreeDemand((2, 1), (2, 1)), 3),
         (1, 2, 3),
-        "yield e, -1",
-        "continue",
+        "if room[v]:",
+        "if False:",
         [0, 1],
     ),
     "_assign_on_masks": (
@@ -550,9 +569,9 @@ NO_PATH = {
 
 @pytest.mark.parametrize("name", sorted(NO_PATH))
 def test_a_matcher_that_misses_its_path_is_refused_at_the_boundary(name, monkeypatch):
-    # each round either gains a unit or returns, so the edited matcher
-    # ends; the reached set it returns is not deficient, and the boundary
-    # that turns it into a witness must refuse it
+    # each round or search either gains a unit or returns, so the edited
+    # matcher ends; the reached set it returns is not deficient, and the
+    # boundary that turns it into a witness must refuse it
     args, found, old, new, reached = NO_PATH[name]
     matcher = getattr(bipartite, name)
     assert matcher(*args) == found
@@ -569,3 +588,37 @@ def test_a_matcher_that_misses_its_path_is_refused_at_the_boundary(name, monkeyp
         monkeypatch.setattr(bipartite, name, edited)
         with pytest.raises(KernelError, match="min-cut certificate failed its own"):
             degree_matching(*args[:2])
+
+
+def test_one_augmenting_path_runs_through_a_chain_of_3000_vertices():
+    # the seed gives left vertex i >= 1 its edge (i, i) and leaves vertex 0
+    # short: right vertex 0 takes nothing, and (0, 1) leads into a full
+    # vertex.  The one augmenting path goes out along every edge (i, i + 1)
+    # and back along every (i + 1, i + 1), and ends at right vertex 3000
+    n = 3000
+    edges = [(i, i) for i in range(1, n)] + [(i, i + 1) for i in range(n)]
+    g = BipartiteGraph.build(n, n + 1, edges)
+    demand = DegreeDemand((1,) * n, (0,) + (1,) * n)
+    found = degree_matching(g, demand)
+    assert found == tuple(range(n - 1, 2 * n - 1))  # every edge (i, i + 1)
+    assert recount_matching(g, demand, found)
+    # the twin wants a unit at right vertex 0, which no edge reaches, and
+    # none at right vertex 3000: the search reaches every left vertex
+    twin = DegreeDemand((1,) * n, (1,) + (1,) * (n - 1) + (0,))
+    cert = degree_matching(g, twin)
+    assert cert == HallCertificate(tuple(range(n)), tuple(range(1, n + 1)), n, n - 1)
+
+
+def test_a_search_crosses_each_full_right_vertex_once():
+    # every left vertex has two parallel edges into right vertex 0, which
+    # the seed fills; the one search reaches every holder, and each of them
+    # leads back into right vertex 0 by its second edge.  Crossing it once
+    # keeps the search linear in the edges; crossing it again from each
+    # holder would rescan its 12,000 edges 6,000 times
+    n = 6000
+    g = BipartiteGraph.build(n, 2, [(u, 0) for u in range(n) for _ in range(2)])
+    demand = DegreeDemand((1,) * n, (n - 1, 1))
+    start = time.perf_counter()
+    cert = degree_matching(g, demand)
+    assert time.perf_counter() - start < 2  # about 0.01 s
+    assert cert == HallCertificate(tuple(range(n)), (0,), n, n - 1)

@@ -25,6 +25,7 @@ from oracles import (
 from sudorect import (
     BlockIndex,
     CellRef,
+    CountingError,
     GridError,
     Order,
     ParseError,
@@ -35,8 +36,10 @@ from sudorect import (
     complete_randomized,
     is_m_rectangle,
     is_pq_rectangle,
+    matching_bounds,
     parse,
     render,
+    sudoku_bounds,
     truncate_rows,
     validate,
 )
@@ -327,6 +330,36 @@ def test_parse_clips_long_tokens_in_its_messages():
         with pytest.raises(ParseError) as exc:
             parse(f"k=2\n1 2 3 {token}" + body)
         assert str(exc.value) == message + " (line 2, token 4)"
+
+
+HUGE = -int("9" * 4000)
+CLIPPED = str(HUGE)[:20] + "…"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Order(HUGE), f"block side must be a positive integer, got {CLIPPED}"),
+        (lambda: SudokuGrid(2).get(HUGE, 1), f"cell ({CLIPPED},1) outside 1..4"),
+        (lambda: SudokuGrid(2).set(1, HUGE, 3), f"cell (1,{CLIPPED}) outside 1..4"),
+        (lambda: SudokuGrid(2).clear(HUGE, HUGE), f"cell ({CLIPPED},{CLIPPED}) outside 1..4"),
+        (lambda: SudokuGrid(2).set(1, 1, HUGE), f"value {CLIPPED} outside 1..4"),
+        (lambda: truncate_rows(SudokuGrid(2), HUGE), f"row count {CLIPPED} outside 0..4"),
+        (lambda: matching_bounds(5, HUGE), f"regularity {CLIPPED} outside 1..5"),
+        (lambda: matching_bounds(HUGE, 1), f"regularity 1 outside 1..{CLIPPED}"),
+        (lambda: sudoku_bounds(HUGE), f"block side must be >= 1, got {CLIPPED}"),
+    ],
+    ids=[
+        "Order", "get", "set-index", "clear", "set-value", "truncate_rows",
+        "matching_bounds-r", "matching_bounds-n", "sudoku_bounds",
+    ],
+)
+def test_library_guards_clip_a_huge_argument(call, message):
+    # a 4,001-character argument is echoed in 21 characters, as parse and
+    # count_completions echo theirs
+    with pytest.raises((GridError, CountingError)) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_parse_adopts_its_rows_without_a_second_proof(monkeypatch):

@@ -1,8 +1,11 @@
 """The value-mask matcher against degree_matching on the graph it stands for.
 
-``_assign_on_masks`` replays the depth-first rounds of
-:func:`degree_matching` on int bitmasks, from a greedy seed of its own
-that takes each left vertex's last-chance values first.  Every test here
+:func:`degree_matching` runs one breadth-first augmenting search per
+missing unit on the graph.  ``_assign_on_masks`` keeps rules of its own
+on int bitmasks: a greedy seed that takes each left vertex's last-chance
+values first, depth-first rounds that share one ``seen`` set, and a
+search that takes a free bit before any held one.  Both return the same
+reached set, the source side of the minimal minimum cut.  Every test here
 materialises the graph the masks stand for (right vertices the bits of
 ``free`` in increasing order, each left vertex's edges in increasing bit
 order) and asks for the same feasibility and the same certificate left
