@@ -11,24 +11,23 @@ lists: ``edge_color`` builds them from a checked graph, stage 2 straight
 from its value masks.  Everything here is deterministic for a fixed edge
 order.
 
-Matchings are found on the graph itself by ``_b_matching``, for general
-quotas: a greedy seed in edge order, then, only if it falls short, one
-breadth-first augmenting search per missing unit (Ford and Fulkerson),
-started at every short left vertex at once.  A search that finds no
-augmenting path returns the left vertices it reached.
-
-The completion's matching runs on value bitmasks instead:
-``_assign_on_masks`` takes unit right quotas, with each left vertex's
-edges in increasing value order (stage 1 and the column-block widening),
-and keeps its own rules.  Its seed has each left vertex first take the
-bits no later vertex is eligible for, an ordering form of Karp and
-Sipser's forced choice, which leaves stage 1 and the widening far fewer
-units to augment; it then runs depth-first rounds that share one
-``seen`` set per round, and its search takes a free bit before any held
-one.  Its assignments can differ from ``_b_matching``'s, but its reached
-set cannot: in every maximum matching, the left vertices that
-alternating search reaches from the short ones are the source side of
-the minimal minimum cut.
+Both matchers run one search rule: a greedy seed, then, only if it falls
+short, one breadth-first augmenting search per missing unit (Ford and
+Fulkerson), started at every short left vertex at once.  A search that
+finds no augmenting path returns the left vertices it reached.
+``_b_matching`` runs it on the graph itself, for general quotas, and
+seeds in edge order.  The completion's matching, ``_assign_on_masks``,
+runs it on value bitmasks, with unit right quotas and each left vertex's
+edges in increasing value order (stage 1 and the column-block widening).
+Its seed has each left vertex first take the bits no later vertex is
+eligible for, an ordering form of Karp and Sipser's forced choice, which
+leaves stage 1 and the widening far fewer units to augment.  Its search
+tests a vertex for a free bit when it first reaches it, since on masks
+that costs one AND, where the graph search tests each edge as it scans
+it.  The two can pick different assignments, but not different reached
+sets: in every maximum matching, the left vertices that alternating
+search reaches from the short ones are the source side of the minimal
+minimum cut.
 """
 
 from __future__ import annotations
@@ -54,7 +53,10 @@ class BipartiteGraph:
             if type(u) is not int or type(v) is not int:  # bool is not a vertex
                 raise KernelError(f"edge ({type(u).__name__},{type(v).__name__}): vertices are ints")
             if not (0 <= u < self.left_count and 0 <= v < self.right_count):
-                raise KernelError(f"edge ({u},{v}) out of range")
+                # str() refuses ints of more than 4,300 digits, and a
+                # diagnostic stays one short line: a 20-digit end shows as …
+                ends = ",".join(str(x) if -10**19 < x < 10**19 else "…" for x in (u, v))
+                raise KernelError(f"edge ({ends}) out of range")
 
     @classmethod
     def build(cls, left_count: int, right_count: int, edges) -> "BipartiteGraph":
@@ -192,24 +194,19 @@ def _assign_on_masks(
     ``eligible[u]``, a subset of ``free``; each bit of ``free`` can be
     taken once.  The greedy seed has each left vertex in turn take its
     last-chance bits (free bits that no later vertex is eligible for)
-    before its lowest other free bits.  Then ``while missing:`` rounds
-    run: a round sets up one ``seen`` set, and every left vertex still
-    short and not yet seen searches depth first along alternating paths,
-    again while it is still short after a success.  ``unvisited`` is the
-    OR of the bits held by the vertices not seen yet, so the candidates
-    at a vertex u on the path are
-    ``eligible[u] & ~assigned[u] & (free | unvisited)``, taken again at
-    every step.  A free candidate ends the path at once, and the path is
-    flipped; otherwise the search descends into the holder of the lowest
-    candidate, read from ``assigned`` itself: the left vertex whose mask
-    has its bit.  Each round gains a unit or returns, so the loop ends.
-    On the graph these masks stand for, with each left vertex's edges in
-    increasing bit order, the assignment can differ from the one
+    before its lowest other free bits.  Then, per missing unit, one
+    breadth-first search starts at every short left vertex at once.  From
+    a vertex u it reaches, in index order, each vertex not reached yet
+    that holds a bit of ``eligible[u]``, and it ends at the first vertex
+    it reaches that is eligible for a free bit.  That vertex takes its
+    lowest free bit, and every step back to the root hands one held bit
+    on.  On the graph these masks stand for, with each left vertex's edges
+    in increasing bit order, the assignment can differ from the one
     degree_matching returns, but the reached set is the same.
 
     Returns (assigned, reached): the bits each left vertex holds, and the
-    left vertices seen by a round that gained nothing, which is empty iff
-    every left vertex got its quota.
+    left vertices reached by a search that found no free bit, which is
+    empty iff every left vertex got its quota.
     """
     left = len(eligible)
     if quota * left != free.bit_count():
@@ -224,7 +221,6 @@ def _assign_on_masks(
     for u in range(left - 1, 0, -1):
         later[u - 1] = later[u] | eligible[u]
     assigned = []
-    missing = 0
     for mask, others in zip(eligible, later):
         avail = mask & free
         take = 0
@@ -235,59 +231,49 @@ def _assign_on_masks(
                     low = pool & -pool
                     take |= low
                     pool ^= low
-                lack = 0
                 break
             take |= pool
             lack -= pool.bit_count()
-        missing += lack
         free ^= take
         assigned.append(take)
-    if missing:
-        need = [quota - mask.bit_count() for mask in assigned]
-    while missing:
-        short = missing
-        seen = [False] * left
-        unvisited = sum(assigned)  # disjoint: the bits held by vertices not seen yet
-        for source in range(left):
-            if not need[source] or seen[source]:
-                continue
-            seen[source] = True
-            unvisited &= ~assigned[source]
-            while need[source]:
-                stack = [source]
-                path: list[tuple[int, int]] = []  # (bit taken, its holder or -1)
-                while stack:
-                    u = stack[-1]
-                    scan = eligible[u] & ~assigned[u] & (free | unvisited)
-                    spare = scan & free
-                    if spare:  # a free bit ends the path at once
-                        low = spare & -spare
-                        path.append((low, -1))
-                        for taker, (bit, held_by) in zip(stack, path):
-                            assigned[taker] |= bit
-                            if held_by >= 0:
-                                assigned[held_by] ^= bit
-                        free ^= low
-                        need[source] -= 1
-                        missing -= 1
+    # while a left vertex is short, one breadth-first search from every
+    # short one at once, the roots: via[w] is (u, bit) when w was first
+    # reached from u by the lowest bit of w's that u may take, and None at
+    # a root; each vertex is reached once.  A root has no free eligible
+    # bit, as the seed gave it every one it could take and free only
+    # shrinks, so a search ends at the first vertex it reaches with one.
+    # Each search gains a root one unit or returns
+    roots = [u for u, mask in enumerate(assigned) if mask.bit_count() < quota]
+    while roots:
+        via = dict.fromkeys(roots)
+        queue = list(roots)
+        end = -1
+        for u in queue:
+            for w, held in enumerate(assigned):
+                bit = held & eligible[u]
+                if bit and w not in via:
+                    via[w] = u, bit & -bit
+                    if eligible[w] & free:
+                        end = w
                         break
-                    if not scan:
-                        stack.pop()
-                        if path:
-                            path.pop()
-                        continue
-                    # a candidate that is not free lies in unvisited: its
-                    # holder is the one unseen vertex whose mask has it
-                    low = scan & -scan
-                    w = next(x for x, held in enumerate(assigned) if held & low)
-                    seen[w] = True
-                    unvisited &= ~assigned[w]
-                    path.append((low, w))
-                    stack.append(w)
-                else:  # a failed search ends the source's turn
-                    break
-        if missing == short:
-            return assigned, [u for u in range(left) if seen[u]]
+                    queue.append(w)
+            if end >= 0:
+                break
+        if end < 0:
+            return assigned, sorted(via)
+        # the end takes its lowest free bit; each vertex on the path hands
+        # the bit it was reached by to the vertex that reached it, and the
+        # root, reached by none, gains a unit
+        low = eligible[end] & free
+        low &= -low
+        free ^= low
+        while via[end] is not None:
+            u, bit = via[end]
+            assigned[end] ^= bit | low
+            end, low = u, bit
+        assigned[end] |= low
+        if assigned[end].bit_count() == quota:
+            roots.remove(end)
     return assigned, []
 
 

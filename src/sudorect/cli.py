@@ -45,7 +45,7 @@ from .counting import (
     count_completions,
 )
 from .grid import (
-    GridError, ParseError, SudokuGrid, _clip, _squared, is_m_rectangle, parse, render, validate
+    GridError, ParseError, SudokuGrid, _clip, _echo, _squared, is_m_rectangle, parse, render, validate
 )
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def _cmd_complete(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.k > CONSTRUCT_K_LIMIT:
-        _warn(f"need k <= {CONSTRUCT_K_LIMIT}, got {_clip(str(args.k))}")
+        _warn(f"need k <= {CONSTRUCT_K_LIMIT}, got {_echo(args.k)}")
         return EXIT_ERROR
     report = construct_counterexample(args.k, args.m)
     l, r = divmod(args.m, args.k)
@@ -216,7 +216,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.k_max > BOUNDS_K_MAX_LIMIT:
-        _warn(f"need k_max <= {BOUNDS_K_MAX_LIMIT}, got {_clip(str(args.k_max))}")
+        _warn(f"need k_max <= {BOUNDS_K_MAX_LIMIT}, got {_echo(args.k_max)}")
         return EXIT_ERROR
     reports = bounds_table(args.k_max)
     if args.format == "kv":

@@ -40,7 +40,7 @@ from .bipartite import KernelError, _assign_on_masks, _color_edges
 from .grid import (
     BlockIndex,
     SudokuGrid,
-    _clip,
+    _echo,
     _squared,
     _value_bits,
     is_m_rectangle,
@@ -84,9 +84,9 @@ CompletionOutcome = Union[SudokuGrid, NotCompletable]
 def decide_guaranteed(k: int, m: int) -> Completability:
     """Evaluate the three shape conditions on m = l·k + r."""
     if k < 1:
-        raise CompletionError(f"block side must be >= 1, got {_clip(str(k))}")
+        raise CompletionError(f"block side must be >= 1, got {_echo(k)}")
     if not (0 <= m <= k * k):
-        raise CompletionError(f"row count {_clip(str(m))} outside 0..{_squared(k)}")
+        raise CompletionError(f"row count {_echo(m)} outside 0..{_squared(k)}")
     l, r = divmod(m, k)
     if r == 0:
         return Completability(k, m, True, "r=0")

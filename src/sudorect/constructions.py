@@ -41,7 +41,7 @@ from .completion import (
     extend_column_blocks,
     verify_certificate,
 )
-from .grid import GridError, Order, SudokuGrid, _clip
+from .grid import GridError, Order, SudokuGrid, _echo
 
 
 class ConstructionError(Exception):
@@ -292,7 +292,7 @@ def construct_counterexample(k: int, m: int) -> CounterexampleReport:
     verdict = decide_guaranteed(k, m)
     if verdict.guaranteed:
         raise ConstructionError(
-            f"every valid rectangle with k={_clip(str(k))}, m={_clip(str(m))}"
+            f"every valid rectangle with k={_echo(k)}, m={_echo(m)}"
             f" is completable ({verdict.reason})"
         )
     l, r = divmod(m, k)

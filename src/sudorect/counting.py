@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import exp, lgamma, log
 from typing import Optional
 
-from .grid import SudokuGrid, _clip, _value_bits, validate
+from .grid import SudokuGrid, _echo, _value_bits, validate
 
 
 class CountingError(Exception):
@@ -69,9 +69,9 @@ def count_completions(
     depth is not bounded by Python's recursion limit.
     """
     if max_nodes is not None and max_nodes < 0:
-        raise CountingError(f"max_nodes must be >= 0, got {_clip(str(max_nodes))}")
+        raise CountingError(f"max_nodes must be >= 0, got {_echo(max_nodes)}")
     if max_solutions is not None and max_solutions < 1:
-        raise CountingError(f"max_solutions must be >= 1, got {_clip(str(max_solutions))}")
+        raise CountingError(f"max_solutions must be >= 1, got {_echo(max_solutions)}")
     violation = validate(grid)
     if violation is not None:
         raise CountingError(f"input grid is invalid: {violation.describe()}")
@@ -151,7 +151,7 @@ def matching_bounds(n: int, r: int) -> tuple[float, float]:
     n!·(r/n)^n below, (r!)^(n/r) above.  Computed via lgamma throughout.
     """
     if not (1 <= r <= n):
-        raise CountingError(f"regularity {_clip(str(r))} outside 1..{_clip(str(n))}")
+        raise CountingError(f"regularity {_echo(r)} outside 1..{_echo(n)}")
     log_lower = lgamma(n + 1) + n * (log(r) - log(n))
     log_upper = (n / r) * lgamma(r + 1)
     return log_lower, log_upper
@@ -188,7 +188,7 @@ def sudoku_bounds(k: int) -> BoundsReport:
     """Evaluate both bound products, the closed-form lower bound
     n!^(2n)·k!^(kn)/(k^(n²)·n^(n²)), and the normalized ratios."""
     if k < 1:
-        raise CountingError(f"block side must be >= 1, got {_clip(str(k))}")
+        raise CountingError(f"block side must be >= 1, got {_echo(k)}")
     n = k * k
     log_lower, log_upper = _log_products(k)
     closed = (
@@ -208,5 +208,5 @@ def sudoku_bounds(k: int) -> BoundsReport:
 def bounds_table(k_max: int) -> list[BoundsReport]:
     """The bounds report of every k = 2..k_max."""
     if k_max < 2:
-        raise CountingError(f"need k_max >= 2, got {_clip(str(k_max))}")
+        raise CountingError(f"need k_max >= 2, got {_echo(k_max)}")
     return [sudoku_bounds(k) for k in range(2, k_max + 1)]

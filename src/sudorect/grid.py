@@ -61,7 +61,7 @@ class Order:
 
     def __init__(self, k: int):
         if type(k) is not int or k < 1:
-            raise GridError(f"block side must be a positive integer, got {_clip(repr(k))}")
+            raise GridError(f"block side must be a positive integer, got {_echo(k)}")
         self.k = k
         self.n = k * k
 
@@ -132,7 +132,7 @@ class SudokuGrid:
     def _check_index(self, row: int, col: int) -> None:
         n = self.order.n
         if not (1 <= row <= n and 1 <= col <= n):
-            raise GridError(f"cell ({_clip(str(row))},{_clip(str(col))}) outside 1..{n}")
+            raise GridError(f"cell ({_echo(row)},{_echo(col)}) outside 1..{n}")
 
     # -- cell access
 
@@ -149,7 +149,7 @@ class SudokuGrid:
         self._check_index(row, col)
         n = self.order.n
         if type(value) is not int or not (1 <= value <= n):  # bool is not a value
-            raise GridError(f"value {_clip(repr(value))} outside 1..{n}")
+            raise GridError(f"value {_echo(value)} outside 1..{n}")
         if self._cells[row - 1][col - 1] is not None:
             raise GridError(f"cell ({row},{col}) already filled; clear it first")
         self._cells[row - 1][col - 1] = value
@@ -404,7 +404,7 @@ def truncate_rows(grid: SudokuGrid, m: int) -> SudokuGrid:
     """Copy of the grid with rows m+1..n cleared."""
     n = grid.order.n
     if not (0 <= m <= n):
-        raise GridError(f"row count {_clip(str(m))} outside 0..{n}")
+        raise GridError(f"row count {_echo(m)} outside 0..{n}")
     return SudokuGrid.from_rows(grid.order.k, grid.rows(m) + [(None,) * n] * (n - m))
 
 
@@ -431,7 +431,7 @@ def parse(text: str) -> SudokuGrid:
         k = int(body[1:].strip())
     except ValueError:
         raise ParseError(f"bad block side {_clip(body[1:].strip())!r}", header_line) from None
-    side = _clip(str(k))  # int() took these digits, so str() gives them back
+    side = _echo(k)
     if k < 1:
         raise ParseError(f"block side must be >= 1, got {side}", header_line)
     n = k * k
@@ -462,6 +462,16 @@ def _clip(text: str) -> str:
     return text if len(text) <= 20 else text[:20] + "…"
 
 
+def _echo(value: object) -> str:
+    """repr(value) cut by :func:`_clip`.  str() refuses ints of more than
+    4,300 digits, so a long int first drops all but about 30 of its
+    leading digits."""
+    if type(value) is int and value.bit_length() > 128:
+        cut = 10 ** (value.bit_length() * 30103 // 100000 - 30)  # 0.30103 > log10(2)
+        value = value // cut if value > 0 else -(-value // cut)
+    return _clip(repr(value))
+
+
 def _squared(k: int) -> str:
     """k² written out while k < 10¹⁰, else ``k²``: str() refuses ints of
     more than 4,300 digits, and a diagnostic stays one short line."""
@@ -476,7 +486,7 @@ def _parse_token(token: str, n: int, lineno: int, column: int) -> Optional[int]:
     except ValueError:
         raise ParseError(f"bad token {_clip(token)!r}", lineno, column) from None
     if not (1 <= value <= n):
-        raise ParseError(f"value {_clip(str(value))} outside 1..{n}", lineno, column)
+        raise ParseError(f"value {_echo(value)} outside 1..{n}", lineno, column)
     return value
 
 

@@ -465,7 +465,7 @@ def test_stage2_path_work_is_pinned(monkeypatch):
         if not decide_guaranteed(5, m).guaranteed:
             construct_counterexample(5, m)
     monkeypatch.undo()
-    for recorded, edges, swapped in ((square, 6561, 2106), (graphs, 2700, 736)):
+    for recorded, edges, swapped in ((square, 6561, 2106), (graphs, 2700, 768)):
         work: list[int] = []
         for g in recorded:
             assert edge_color(g) == reference_edge_color(g, work)
@@ -560,8 +560,8 @@ NO_PATH = {
         # the seed gives vertex 0 bit 0 and leaves vertex 2 without one
         ([0b011, 0b110, 0b001], 1, 0b111),
         ([0b010, 0b100, 0b001], []),
-        "scan = eligible[u] & ~assigned[u] & (free | unvisited)",
-        "scan = eligible[u] & ~assigned[u] & unvisited",
+        "if eligible[w] & free:",
+        "if False:",
         ([0b001, 0b010, 0], [0, 1, 2]),
     ),
 }
@@ -569,9 +569,9 @@ NO_PATH = {
 
 @pytest.mark.parametrize("name", sorted(NO_PATH))
 def test_a_matcher_that_misses_its_path_is_refused_at_the_boundary(name, monkeypatch):
-    # each round or search either gains a unit or returns, so the edited
-    # matcher ends; the reached set it returns is not deficient, and the
-    # boundary that turns it into a witness must refuse it
+    # each search either gains a unit or returns, so the edited matcher
+    # ends; the reached set it returns is not deficient, and the boundary
+    # that turns it into a witness must refuse it
     args, found, old, new, reached = NO_PATH[name]
     matcher = getattr(bipartite, name)
     assert matcher(*args) == found

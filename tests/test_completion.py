@@ -758,13 +758,13 @@ PINNED_DIGESTS = {
     "empty k=2": "1b9dc9dddc983fcff7390f4dc0108b137eb6dba7980f91c38396bc0c8b709190",
     "empty k=3": "8d2d4e8e7c14fdbe6e1b3a84d3feffe3fd9c9c5e0c21032e4e8cedd426091244",
     "empty k=4": "8c5b58b2dff545a2056c76563872cf833ffc753748512e9ebb9d1b033ae54ffa",
-    "empty k=5": "f93641852f49e34038ba6a1c2c3f1e796451901162816866faec5282c70b9dc2",
-    "empty k=6": "08334cc194f41c41824cd25a8bc3b5c4e419b2a6effe1edec7a494cc87991a62",
-    "empty k=7": "26d9de9fa95966ea52708f8f11cba8d301a4974b666960490ba1d08923e4e275",
+    "empty k=5": "0ef7a867f712b927965f0217c450a6a203c2c8804162e2e49a1f3f03b920eb31",
+    "empty k=6": "6991183147fdd5fb5c6fae8e74332752af1629b90dd66498da64912f131c9693",
+    "empty k=7": "856e757a1a6383ddc84e7445f354ee3a0f18fbeec8c97e57cbf2042dc3a1fc5e",
     "empty k=8": "e67b61187970060e4e28d2f0cd64232ea24baaa757f474658c624b15e778d263",
-    "empty k=9": "4d6d143cdd2eb8fdf2704d00eb3641e1fe0ea5e56dc5e2fc322e86bc1d2b5720",
-    "empty k=10": "0020617ab4e436f13c9365b6146c28829f668f6c841917559ade3f8759d2b2d5",
-    "empty k=12": "bcec1707caaf66afbc58520501ddd1de7a75979d3907c5ec622d63c54d13947c",
+    "empty k=9": "2b7dba26921542a753fd16158b7cfc82d8196cd47a363ec4a43478e3d84563e3",
+    "empty k=10": "bace143b7938d508059d2df2cbd263c7ca8e0101df729078ab89857c8bff562c",
+    "empty k=12": "5df2e118300b7167925ba50dfaa13ab14c5e25afa08e33a0e1cfa8c89ae9f748",
     "empty k=16": "c35c48a79206777ac0a6d5d217137114dc5631d6ce43ab44d3809c867ad78a16",
     "pattern k=3 m=2": "c52622e528ecde50c2af1f9af3362c2026b26891282aea5d7378559bbab04ade",
     "pattern k=3 m=4": "f7356f53ab57d950f7ac66011b7310a94402563918f7fcfa30b2edf9a071dbaf",
@@ -772,8 +772,8 @@ PINNED_DIGESTS = {
     "pattern k=4 m=3": "971a42835d7c81636a41abe79b74a783b226adb6cfef7a183110223779295fd1",
     "pattern k=4 m=7": "9221a97af9325fb8496a511b5ecbc762e9376fc0878c8e54743c409bf6f31012",
     "pattern k=4 m=10": "c1b25df6add8ebec7b887e3e32c209e9f9e093148a299c01c5ccc1e6a159ff46",
-    "pattern k=12 m=30": "349fb6656ba79d423f17b99ca626102ef249eeff268b41526d4bdc9687dbbd15",
-    "pattern k=12 m=72": "f99dd4035138c653a3af1ae5df629e68d4b08b041e7520c228a429578ee77221",
+    "pattern k=12 m=30": "64570e243bf0094a13b4cda9d93100b7bd1a5e03025be64f7b4546eafc8398bb",
+    "pattern k=12 m=72": "c870b943cdc4c49122c7eade64d7fb5a1d70e4c925d74b3fdf023dcfe7accb98",
     "pattern k=12 m=131": "66f9087b5c71d3982aaa077622c5d199b13d70b3a7838374a62401b13fedb375",
     "construct k=4 m=7": "6c28435a763e52f1e15ff862d2cba8cfaa5d8429e2b962862c16db87c28e46f6",
     "construct k=4 m=9": "a7038f409f63df76e1f9a312f71dadd81743f943ca62c0c2cd04a2aa22e204b9",
@@ -781,22 +781,22 @@ PINNED_DIGESTS = {
     "construct k=4 m=11": "d69074d38eb15e232e24ca72164753b4621f79c58cf5c5ded3d64bd4935a953e",
     "construct k=5 m=9": "949834c4616fc44f3c6f28db99071bc22440af32d950c1fc87c14a141158c34d",
     "construct k=5 m=12": "7369d27b61a71298317b411a3b8a298b92073ab06e4d186d31998b5e20672dee",
-    "construct k=5 m=13": "5fe529dfd2f46cc6e5361823db19dfab0c2bbb3ab92769ae836e3bbfc239804b",
+    "construct k=5 m=13": "7ee8bb7668d97061b3fa24eedb76f98a31dee84cfe09606f0f11f6f209390049",
     "construct k=5 m=14": "032f8adb08a4a9e8076550ccedab8a482512edfbc6e4f705ede741c09eb2d15e",
-    "construct k=5 m=16": "202aca9623cdff7a1a7629d6ec3710e604028ce15ed2779cb5f6830976383165",
-    "construct k=5 m=17": "0ef7e58eb8200c087d8914fef907385bb932dcad9e2ac2878693f1729926f8d5",
-    "construct k=5 m=18": "91d66198812ee7125eff17a8be11985f7abcfb1c6683cc32c045ab15d3b6f3b1",
+    "construct k=5 m=16": "bcbfd5f9f43e720269b97f6430f2896089efb083c35c1e929c04a3c8f450cbbc",
+    "construct k=5 m=17": "24513f96214eb1cdde4b386e3d3a00e4b5e1f857bc544071a157f7000b39ee1c",
+    "construct k=5 m=18": "194eb0488241c91a1d4729b5f9445e2e503e784616f6e966b034aaaa501a56df",
     "construct k=5 m=19": "18d046798c8eb2a1acd5812b42c1340eec1892ac5dcad8da4ca0a43d2eaedfd1",
     "construct k=6 m=11": "bd59606303b197c38a0f22a0edee4270ec31966954cfa1f9be462b0b0a5e30d9",
     "construct k=6 m=16": "d3bacaabc66b1257ab1b74df28a0c389312e012911c7f7956f1d981975eac92f",
     "construct k=6 m=17": "a421a8edd90b0e511d95fd47cf1b4e9cad2a75c4dfd1fa1079b2972920471bb7",
-    "construct k=6 m=19": "d50ca1f4db7cbeaa85b7062345c2bdafeed461d11952dfcc944b4e28f94d25eb",
-    "construct k=6 m=20": "2e7294ebbbda6c3580868df8b6b41d981b1433bacd8812609700356d07b06d16",
+    "construct k=6 m=19": "1f1910cee3a87964af4a4284f77435de8a95ee5ae6fed2d8f38ddc616741cedb",
+    "construct k=6 m=20": "11b1d942396b3235d9d1dcf356d64bdf002ea585845eb47a4c91ec663c6c8cc9",
     "construct k=6 m=21": "5f1e6841f548f1204c776fe472745c94086b58b65ca0a29ba63e8c102c620204",
     "construct k=6 m=22": "6dea47f0c05fee0524b176a13e84aa329bdad768f379089df208a9b3eb7b9930",
     "construct k=6 m=23": "c3a44559b0ad3ca0dfa92da7bce1e03f48db482569f315a7050c7520c507d737",
-    "construct k=6 m=25": "1c46c235555eb879cfb13ccddc0078c8e2cf8c7e9a31844b8ff860bea3b812cb",
-    "construct k=6 m=26": "55516f80b9ea11f3ba18f2f3a655e6605b3a01fcdd8da3ce8d3f23a033ee3171",
+    "construct k=6 m=25": "4bd4e986f717f7bfd1a1298b6a9db795586c2c8f564cd19905dee15cd6813c6d",
+    "construct k=6 m=26": "cf41173ea2f598c2b5320513e31cd9b90c57bc6717fd18688e6149ea3910bb8f",
     "construct k=6 m=27": "739fbbb16e95bd0302b10902293c338db4595f51945a264dd32f796dbaea322a",
     "construct k=6 m=28": "4306c3f2b1691b7990570b985313e334df27299d857ce3f8ff0e3dcc2736602b",
     "construct k=6 m=29": "718801669b1ec5783210c9a002893015357fe09236e90799a53b94b61efb3c6c",

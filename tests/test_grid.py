@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from enum import IntEnum
 from pathlib import Path
 
@@ -23,10 +24,13 @@ from oracles import (
     row_values,
 )
 from sudorect import (
+    BipartiteGraph,
     BlockIndex,
     CellRef,
+    CompletionError,
     CountingError,
     GridError,
+    KernelError,
     Order,
     ParseError,
     RectShape,
@@ -34,6 +38,9 @@ from sudorect import (
     Violation,
     complete,
     complete_randomized,
+    construct_counterexample,
+    count_completions,
+    decide_guaranteed,
     is_m_rectangle,
     is_pq_rectangle,
     matching_bounds,
@@ -44,6 +51,8 @@ from sudorect import (
     validate,
 )
 from sudorect.constructions import _lemma2_matrix, _matrix_to_grid
+from sudorect.counting import bounds_table
+from sudorect.grid import _echo
 
 
 def test_figure1_is_valid(figure1):
@@ -360,6 +369,56 @@ def test_library_guards_clip_a_huge_argument(call, message):
     with pytest.raises((GridError, CountingError)) as exc:
         call()
     assert str(exc.value) == message
+
+
+# str() refuses an int of more than 4,300 digits with ValueError
+PAST_STR = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Order(-PAST_STR), GridError),
+        (lambda: SudokuGrid(2).get(-PAST_STR, 1), GridError),
+        (lambda: SudokuGrid(2).set(1, 1, PAST_STR), GridError),
+        (lambda: truncate_rows(SudokuGrid(2), PAST_STR), GridError),
+        (lambda: decide_guaranteed(-PAST_STR, 1), CompletionError),
+        (lambda: decide_guaranteed(3, PAST_STR), CompletionError),
+        (lambda: construct_counterexample(3, PAST_STR), CompletionError),
+        (lambda: count_completions(SudokuGrid(2), max_nodes=-PAST_STR), CountingError),
+        (lambda: matching_bounds(5, -PAST_STR), CountingError),
+        (lambda: sudoku_bounds(-PAST_STR), CountingError),
+        (lambda: bounds_table(-PAST_STR), CountingError),
+        (lambda: BipartiteGraph.build(2, 3, [(PAST_STR, 0)]), KernelError),
+    ],
+    ids=[
+        "Order", "get", "set-value", "truncate_rows", "decide_guaranteed-k",
+        "decide_guaranteed-m", "construct_counterexample", "count_completions",
+        "matching_bounds", "sudoku_bounds", "bounds_table", "BipartiteGraph",
+    ],
+)
+def test_library_guards_echo_an_int_too_long_for_str(call, error):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is error
+    assert len(str(exc.value)) < 100
+
+
+def test_echo_keeps_the_leading_digits_of_any_int():
+    # with str()'s limit lifted, the whole int can be written out and cut
+    # as _clip cuts it; _echo must give the same without that help
+    rng = random.Random(5)
+    values = [10**d + delta for d in (19, 20, 38, 39, 40, 4299, 4300, 4301, 9000) for delta in (-1, 0)]
+    values += [rng.randrange(10 ** (d - 1), 10**d) for d in range(1, 120)] + [rng.getrandbits(30000)]
+    echoed = [_echo(sign * value) for value in values for sign in (1, -1)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for value, text in zip((sign * v for v in values for sign in (1, -1)), echoed):
+            whole = str(value)
+            assert text == (whole if len(whole) <= 20 else whole[:20] + "…")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_adopts_its_rows_without_a_second_proof(monkeypatch):

@@ -1,11 +1,11 @@
 """The value-mask matcher against degree_matching on the graph it stands for.
 
-:func:`degree_matching` runs one breadth-first augmenting search per
-missing unit on the graph.  ``_assign_on_masks`` keeps rules of its own
-on int bitmasks: a greedy seed that takes each left vertex's last-chance
-values first, depth-first rounds that share one ``seen`` set, and a
-search that takes a free bit before any held one.  Both return the same
-reached set, the source side of the minimal minimum cut.  Every test here
+Both run one breadth-first augmenting search per missing unit, from every
+short left vertex at once: :func:`degree_matching` on the graph, and
+``_assign_on_masks`` on int bitmasks, after a greedy seed that takes each
+left vertex's last-chance values first; the mask search tests a vertex
+for a free bit when it first reaches it.  Both return the same reached
+set, the source side of the minimal minimum cut.  Every test here
 materialises the graph the masks stand for (right vertices the bits of
 ``free`` in increasing order, each left vertex's edges in increasing bit
 order) and asks for the same feasibility and the same certificate left
@@ -115,6 +115,19 @@ def mask_instances(draw) -> tuple[list[int], int, int]:
     return eligible, quota, free
 
 
+# the kernel edited to check that a search queues each left vertex once:
+# one that queued a vertex again would never end on an infeasible instance
+reached_once = with_replaced(
+    _assign_on_masks, "queue.append(w)", "queue.append(w); assert len(queue) <= left"
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=mask_instances())
+def test_a_search_reaches_each_left_vertex_once(instance):
+    assert reached_once(*instance) == _assign_on_masks(*instance)
+
+
 @settings(max_examples=800, deadline=None)
 @given(instance=mask_instances())
 def test_kernel_replays_degree_matching_on_random_masks(instance):
@@ -143,9 +156,11 @@ def test_kernel_takes_the_greedy_seed_when_it_suffices():
     assert (assigned, reached) == ([0b0011, 0b1100], [])
 
 
-# Instances on which a search steps into a left vertex that is itself still
-# short, and the reached set each ends with; the edited kernel fails on such
-# a step, which shows each instance takes it.
+# Instances on which a search from one short left vertex alone would step
+# into another that is itself still short, and the reached set each ends
+# with.  The breadth-first search starts at every short vertex at
+# once, so a held bit leads only to a vertex that has its quota: the
+# edited kernel asserts that at every such step and returns the same.
 THROUGH_SHORT = [
     (([0b101100110, 0b100101110, 0b101001011], 3, 0b111111111), [0, 1, 2]),
     (([0b111011, 0b000101, 0b11110000, 0b001011], 2, 0b11111111), []),
@@ -154,13 +169,43 @@ THROUGH_SHORT = [
 
 @pytest.mark.parametrize("instance, reached", THROUGH_SHORT)
 def test_a_search_may_pass_through_a_short_left_vertex(instance, reached):
-    through_short = with_replaced(
-        _assign_on_masks, "seen[w] = True", "assert not need[w]; seen[w] = True"
+    never_short = with_replaced(
+        _assign_on_masks,
+        "via[w] = u, bit & -bit",
+        "assert assigned[w].bit_count() == quota; via[w] = u, bit & -bit",
     )
-    with pytest.raises(AssertionError):
-        through_short(*instance)
+    assert never_short(*instance)[1] == reached
     assert _assign_on_masks(*instance)[1] == reached
     assert assert_replays(*instance) == (not reached)
+
+
+# the kernel cut off after its seed: it returns what each left vertex holds
+# and the bits still free
+seed_only = with_replaced(
+    _assign_on_masks,
+    "    while roots:\n",
+    "    return assigned, free\n    while roots:\n",
+)
+
+
+def short_after_seed(eligible: list[int], quota: int, free: int) -> bool:
+    """Check the premise of the search, and say whether the seed fell
+    short: a vertex the seed leaves short took every free bit it could,
+    and free only shrinks, so a search root never ends its own path."""
+    assigned, left_free = seed_only(list(eligible), quota, free)
+    short = False
+    for mask, allowed in zip(assigned, eligible):
+        if mask.bit_count() < quota:
+            assert allowed & left_free == 0
+            short = True
+    return short
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=mask_instances())
+def test_no_short_vertex_keeps_a_free_bit_after_the_seed(instance):
+    short_after_seed(*instance)
+
 
 # -- instances cut from the pipeline ---------------------------------------------
 
@@ -223,6 +268,16 @@ def test_construction_instances_replay(monkeypatch, k):
     assert outcomes == {True, False}
 
 
+def test_no_short_vertex_keeps_a_free_bit_on_construction_instances(monkeypatch):
+    calls = record_kernel_calls(monkeypatch)
+    for k in (3, 4, 5, 6):
+        for m in range(k * k + 1):
+            if not decide_guaranteed(k, m).guaranteed:
+                construct_counterexample(k, m)
+    short = sum(short_after_seed(*instance) for instance in calls)
+    assert short > 0  # some seeds fall short, so the premise is put to the test
+
+
 def test_figure1_instances_replay(monkeypatch):
     calls = record_kernel_calls(monkeypatch)
     figure1 = figure1_fixture()
@@ -252,20 +307,17 @@ def lowest_bits_shortfall(eligible: list[int], quota: int, free: int) -> int:
 
 
 def test_last_chance_seed_leaves_fewer_units_to_the_search(monkeypatch):
-    # the kernel's own seed, cut off before its first round: it returns
-    # the units the depth-first search would have to find
-    seed_shortfall = with_replaced(
-        _assign_on_masks, "    while missing:\n", "    return missing\n    while missing:\n"
-    )
     calls = record_kernel_calls(monkeypatch)
     for k in (5, 6):
         for m in range(k * k + 1):
             if not decide_guaranteed(k, m).guaranteed:
                 construct_counterexample(k, m)
     assert len(calls) == 394
-    short = sum(seed_shortfall(*instance) for instance in calls)
+    # the bits the kernel's own seed leaves free are the units the
+    # searches would have to find
+    short = sum(seed_only(*instance)[1].bit_count() for instance in calls)
     assert short == 45
-    assert short < sum(lowest_bits_shortfall(*instance) for instance in calls) == 1323
+    assert short < sum(lowest_bits_shortfall(*instance) for instance in calls) == 1319
 
 
 # -- stage 1 against the graph path ----------------------------------------------
