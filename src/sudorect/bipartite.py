@@ -2,14 +2,20 @@
 certificates, and max-degree edge coloring.
 
 Vertices are 0-based; parallel edges are allowed and matter (a matching is
-a subset of edge *positions*).  Colorings follow Kőnig's alternating-path
-proof: each edge is colored once, in edge order, and only an edge with no
-color free at both ends swaps two colors along one alternating path.  The
-public ``edge_color`` and the completion pipeline's stage 2 share that one
-loop, ``_color_edges``, which takes the edges as parallel tail and head
-lists: ``edge_color`` builds them from a checked graph, stage 2 straight
-from its value masks.  Everything here is deterministic for a fixed edge
-order.
+a subset of edge *positions*).  Colorings follow one rule, Kőnig's
+alternating-path proof: each edge is colored once, in edge order, with the
+lowest color free at both ends, and only an edge with none swaps two
+colors along the one alternating path that starts at its right end.  Two
+loops run it.  ``_color_edges``, behind the public ``edge_color``, takes
+the edges as parallel tail and head lists and records each vertex's edge
+of each color, since on a multigraph an edge's color is only known by the
+edge.  The completion's stage 2 runs ``_color_masks``, its replay on value
+bitmasks, as ``_assign_on_masks`` is the matching's: a left vertex meets a
+value at most once there, so a partner table names each edge by its ends.
+It builds no edge list, and its table's left rows, transposed, are the
+new rows.  On the graph the masks stand for, with each left vertex's
+edges in increasing value order, the two loops give the same colors.
+Everything here is deterministic for a fixed edge order.
 
 Both matchers run one search rule: a greedy seed, then, only if it falls
 short, one breadth-first augmenting search per missing unit (Ford and
@@ -316,11 +322,8 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
 
 def _color_edges(tail: list[int], head: list[int], vertices: int, delta: int) -> list[int]:
     """:func:`edge_color`'s loop on edge e = (tail[e], head[e]), the two
-    sides numbered apart in ``range(vertices)``: the colors in [1, delta].
-
-    Every tail must have at most ``delta`` edges.  A head with more raises
-    :class:`KernelError`, at its first edge past ``delta``: no color is
-    free there, so that edge is the one that finds b > delta.
+    sides numbered apart in ``range(vertices)``: the colors in [1, delta],
+    where no vertex has more than ``delta`` edges.
     """
     top = 1 << delta  # bit c stands for color c
     at = [[-1] * (delta + 1) for _ in range(vertices)]  # at[x][c]: x's edge of color c
@@ -334,8 +337,6 @@ def _color_edges(tail: list[int], head: list[int], vertices: int, delta: int) ->
         if low > top:
             a = (~here & (here + 1)).bit_length() - 1
             b = (~there & (there + 1)).bit_length() - 1
-            if b > delta:
-                raise KernelError(f"vertex {v} has more than {delta} edges")
             swap = a + b
             # swap the path from v edge by edge: f leaves x and takes
             # color d, and the next edge leaves f's far end by d, which f
@@ -357,3 +358,65 @@ def _color_edges(tail: list[int], head: list[int], vertices: int, delta: int) ->
         used[u] |= low
         used[v] |= low
     return colors
+
+
+def _color_masks(masks: list[int], quota: int, n: int) -> list[list]:
+    """:func:`_color_edges` replayed on value masks: the rows of colours
+    1 … ``quota``, each holding the value every left vertex meets by that
+    colour.
+
+    Left vertex j meets value v, in [1, n], when bit v − 1 of ``masks[j]``
+    is set, and has at most ``quota`` values.  Its edges are coloured in
+    increasing value order, left vertex by left vertex, so the colours are
+    those ``_color_edges`` gives that graph with its edges in that order.
+    No edge list is built: a partner table records whom each vertex meets
+    by each colour, and its left rows, transposed, are the result.  A
+    value with more than ``quota`` left vertices raises
+    :class:`KernelError` at its first edge past ``quota``, where no colour
+    is free.
+    """
+    top = 1 << quota  # bit c stands for colour c
+    first = n + 1  # value v is vertex v, left vertex j is vertex first + j
+    at = [[None] * (quota + 1) for _ in range(first + len(masks))]  # at[x][c]: x's partner by c
+    # the colours at each vertex, bit 0 set so that colour 0 is never
+    # free; a left vertex's are in ``here`` during its turn and are not
+    # read after it, as it ends no later edge
+    used = [1] * len(at)
+    for u, mask in enumerate(masks, first):
+        here = 1
+        partner = at[u]
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            v = bit.bit_length()
+            there = used[v]
+            both = here | there
+            low = ~both & (both + 1)
+            if low > top:
+                # a is free at u and b at v; the a/b path from v starts
+                # with an a-edge and enters left vertices by a-edges only,
+                # so it never reaches u.  Swapping a and b along it swaps
+                # the two slots at each of its vertices; of the colour
+                # sets, v's gains b (the edge then gives a back) and the
+                # far end's trades one colour for the other
+                a = (~here & (here + 1)).bit_length() - 1
+                b = (~there & (there + 1)).bit_length() - 1
+                if b > quota:
+                    raise KernelError(f"value {v} has more than {quota} edges")
+                x, d = v, a
+                while True:
+                    slots = at[x]
+                    y = slots[d]  # the next vertex, met by d before the swap
+                    slots[a], slots[b] = slots[b], slots[a]
+                    if y is None:
+                        break
+                    x, d = y, a + b - d
+                used[x] ^= (1 << a) | (1 << b)
+                there |= 1 << b
+                low = 1 << a
+            c = low.bit_length() - 1
+            partner[c] = v
+            at[v][c] = u
+            here |= low
+            used[v] = there | low
+    return [list(row) for row in zip(*at[first:])][1:]

@@ -12,21 +12,22 @@ and it comes with a deficient-column-set certificate that can be replayed
 against the input grid.
 
 Both stages run in one step, ``_row_block``: stage 1 on each block it is
-handed, on value bitmasks with ``bipartite._assign_on_masks``, then stage 2
-on the union of the assigned masks.  The seeded stage 1 of
+handed, on value bitmasks with ``bipartite._assign_on_masks``, then
+stage 2 on the union of the assigned masks.  The seeded stage 1 of
 :func:`complete_randomized` runs the same matcher under a random order of
-the value bits.  The pipeline calls the step once per row block and keeps
-one value mask per column: it reads a column block from the grid when
-stage 1 first reaches it, and the step ORs in the values stage 1 gives each
-column, so later row blocks read nothing.  Stage 2 splits the masks' bits
-into (column, value) edges and colours them into the row block's new rows
-along Kőnig's alternating paths, with the loop behind :func:`edge_color`,
-``bipartite._color_edges``, called directly on the edge ends.  Once the
-last row block is coloured, the pipeline copies the given rows, adds the
-new ones, builds the square from them once and proves it once with
-:func:`validate`; a rejection copies nothing.  The
-column-block widening is the same step on rows: one call per new column
-block, whose colours name the new columns.
+the value bits, and its stage 2 colours the columns in a random order.  The
+pipeline calls the step once per row block and keeps one value mask per
+column: it reads a column block from the grid when stage 1 first reaches
+it, and the step ORs in the values stage 1 gives each column, so later row
+blocks read nothing.  Stage 2 colours the masks' (column, value) edges into
+the row block's new rows along Kőnig's alternating paths with
+``bipartite._color_masks``, the replay on masks of the loop behind
+:func:`edge_color`: it walks the masks' bits, with no edge list, and its
+partner table, read column by column, is the new rows.  Once the last row
+block is coloured, the pipeline copies the given rows, adds the new ones,
+builds the square from them once and proves it once with :func:`validate`;
+a rejection copies nothing.  The column-block widening is the same step on
+rows: one call per new column block, whose colours name the new columns.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Union
 
-from .bipartite import KernelError, _assign_on_masks, _color_edges
+from .bipartite import KernelError, _assign_on_masks, _color_masks
 from .grid import (
     BlockIndex,
     SudokuGrid,
@@ -178,36 +179,30 @@ def _stage2(k: int, quota: int, masks: list[int], rng: random.Random | None) -> 
     ``len(masks)`` entries, one per colour.
 
     The (left vertex, value) edges, in mask order and increasing value
-    order, are coloured with ``quota`` colours by the loop behind
-    :func:`edge_color`; value vi is vertex ``len(masks) + vi`` there.  In
-    the pipeline the masks are the n columns' stage-1 values and each
-    colour names a new row; in the widening they are the rows' assigned
-    values and each colour names a new column.  With ``rng`` the edge list
-    is shuffled before colouring.  A value used more than ``quota`` times
-    needs a colour past ``quota``, which the loop refuses; a colouring that
-    clashes leaves a hole (None), which the callers refuse.
+    order, are coloured with ``quota`` colours by Kőnig's rule, the
+    replay of :func:`edge_color`'s loop on masks.  In the pipeline the
+    masks are the n columns' stage-1 values and each colour names a new
+    row; in the widening they are the rows' assigned values and each
+    colour names a new column.  With ``rng`` the left vertices are
+    coloured in a random order, drawn once per call.  A value used more
+    than ``quota`` times needs a colour past ``quota``, which the kernel
+    refuses; a colouring that clashes leaves a hole (None), which the
+    callers refuse.
     """
-    left = len(masks)
-    tail, head = [], []  # edge e joins left vertex tail[e] and value vertex head[e]
     for c, mask in enumerate(masks):
         if mask.bit_count() != quota:
             raise CompletionError(f"column {c + 1} got {mask.bit_count()} values, expected {quota}")
-        while mask:
-            low = mask & -mask
-            tail.append(c)
-            head.append(left + low.bit_length() - 1)
-            mask ^= low
     if rng is not None:
-        order = list(range(len(tail)))  # shuffled in place of the edges: same draws
+        order = list(range(len(masks)))
         rng.shuffle(order)
-        tail, head = [tail[i] for i in order], [head[i] for i in order]
+        masks = [masks[c] for c in order]
     try:
-        colors = _color_edges(tail, head, left + k * k, quota)
+        rows = _color_masks(masks, quota, k * k)
     except KernelError as err:
         raise CompletionError("assignments are not value-regular; stage-1 bug") from err
-    rows: list[list] = [[None] * left for _ in range(quota)]
-    for c, vertex, color in zip(tail, head, colors):
-        rows[color - 1][c] = vertex - left + 1
+    if rng is not None:
+        back = sorted(range(len(order)), key=order.__getitem__)
+        rows = [[row[i] for i in back] for row in rows]
     return rows
 
 
@@ -285,8 +280,8 @@ def complete(grid: SudokuGrid) -> CompletionOutcome:
 
 def complete_randomized(grid: SudokuGrid, seed: int) -> CompletionOutcome:
     """Like :func:`complete` but matches under random value orders and
-    shuffles the colouring's edge list; deterministic per seed.  A rejection
-    carries the same witness as :func:`complete`'s."""
+    colours the columns in a random order; deterministic per seed.  A
+    rejection carries the same witness as :func:`complete`'s."""
     return _complete(grid, random.Random(seed))
 
 
@@ -298,11 +293,15 @@ def verify_certificate(grid: SudokuGrid, witness: NotCompletable) -> bool:
     that it equals the witness's ``candidates`` and is smaller than
     quota × |columns|.  Each witnessed column must be a distinct column of
     the block with at least ``quota`` empty cells there: those cells need
-    distinct placeable values, so the grid then has no completion.
+    distinct placeable values, so the grid then has no completion.  Every
+    index, the quota and every candidate must be an int, as
+    :meth:`SudokuGrid.set` requires of a value: a bool is not one.
     """
     k = grid.order.k
     n = grid.order.n
     (block_row, block_col), quota, columns = witness.block, witness.quota, witness.columns
+    if any(type(x) is not int for x in (block_row, block_col, quota, *columns, *witness.candidates)):
+        return False
     if not (1 <= block_row <= k and 1 <= block_col <= k and quota >= 1):
         return False
     if not columns or len(set(columns)) != len(columns):

@@ -32,6 +32,7 @@ from sudorect import (
     HallCertificate,
     NotCompletable,
     SudokuGrid,
+    bipartite,
     complete,
     complete_randomized,
     construct_counterexample,
@@ -229,8 +230,14 @@ def test_criterion_9_kernel_properties():
 
 
 def test_stage2_coloring_oracle_anchor():
-    # tiny independent anchor for the coloring used inside stage 2: the
-    # 8-cycle has exactly two proper 2-colorings and ours is one of them
+    # tiny independent anchor for the coloring and its replay on masks,
+    # which stage 2 runs: the 8-cycle has exactly two proper 2-colorings
+    # and ours is one of them
     edges = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 0)]
     colorings = all_proper_edge_colorings(edges, 2)
     assert edge_color(BipartiteGraph.build(4, 4, edges)) in colorings
+    masks = [0] * 4
+    for u, v in edges:
+        masks[u] |= 1 << v
+    rows = bipartite._color_masks(masks, 2, 4)  # row c - 1: the value each left vertex meets by c
+    assert tuple(1 + [row[u] for row in rows].index(v + 1) for u, v in edges) in colorings

@@ -424,23 +424,37 @@ def test_coloring_equals_reference_on_random_multigraphs(g):
     assert edge_color(g) == reference_edge_color(g)
 
 
-def _recording_stage2_graphs(monkeypatch) -> list[BipartiteGraph]:
-    """The graphs stage 2 colours from now on, rebuilt from the kernel's
-    edge lists; each side spans all the kernel's vertices, which keeps
-    the edges and their order."""
-    graphs = []
-    color_edges = completion._color_edges
+def _recording_stage2_inputs(monkeypatch) -> list[tuple[list[int], int, int]]:
+    """The (masks, quota, n) inputs stage 2 colours from now on."""
+    inputs = []
+    color_masks = completion._color_masks
 
-    def recording(tail, head, vertices, delta):
-        graphs.append(BipartiteGraph.build(vertices, vertices, zip(tail, head)))
-        return color_edges(tail, head, vertices, delta)
+    def recording(masks, quota, n):
+        inputs.append((list(masks), quota, n))
+        return color_masks(masks, quota, n)
 
-    monkeypatch.setattr(completion, "_color_edges", recording)
-    return graphs
+    monkeypatch.setattr(completion, "_color_masks", recording)
+    return inputs
+
+
+def _mask_graph(masks: list[int], n: int) -> BipartiteGraph:
+    """The (left vertex, value − 1) edges of ``masks``, column-major: each
+    left vertex's values in increasing order, the order stage 2 colours."""
+    edges = [(j, v) for j, mask in enumerate(masks) for v in range(n) if mask >> v & 1]
+    return BipartiteGraph.build(len(masks), n, edges)
+
+
+def _rows(g: BipartiteGraph, colors, quota: int) -> list[list]:
+    """The rows a colouring of a mask graph stands for: row c − 1 holds
+    the value each left vertex meets by colour c."""
+    rows = [[None] * g.left_count for _ in range(quota)]
+    for (j, v), c in zip(g.edges, colors):
+        rows[c - 1][j] = v + 1
+    return rows
 
 
 def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
-    graphs = _recording_stage2_graphs(monkeypatch)
+    inputs = _recording_stage2_inputs(monkeypatch)
     for k in range(2, 7):
         complete(SudokuGrid(k))
     for k in (4, 5, 6):
@@ -448,28 +462,87 @@ def test_coloring_equals_reference_on_pipeline_graphs(monkeypatch):
             if not decide_guaranteed(k, m).guaranteed:
                 construct_counterexample(k, m)
     monkeypatch.undo()
+    graphs = [_mask_graph(masks, n) for masks, _, n in inputs]
     degrees = {max_degree(g) for g in graphs}
     assert degrees == set(range(2, 7)) and len(graphs) == 129
-    for g in graphs:
-        assert edge_color(g) == reference_edge_color(g)
+    for g, (masks, quota, n) in zip(graphs, inputs):
+        rows = bipartite._color_masks(masks, quota, n)
+        assert rows == _rows(g, edge_color(g), quota) == _rows(g, reference_edge_color(g), quota)
 
 
 def test_stage2_path_work_is_pinned(monkeypatch):
     # the edges the colouring swaps, over all of stage 2's graphs for one
     # input: a rule that shortens the alternating paths changes this count
-    graphs = _recording_stage2_graphs(monkeypatch)
+    inputs = _recording_stage2_inputs(monkeypatch)
     complete(SudokuGrid(9))
-    square = list(graphs)
-    graphs.clear()
+    square = list(inputs)
+    inputs.clear()
     for m in range(25):
         if not decide_guaranteed(5, m).guaranteed:
             construct_counterexample(5, m)
     monkeypatch.undo()
-    for recorded, edges, swapped in ((square, 6561, 2106), (graphs, 2700, 768)):
+    for recorded, edges, swapped in ((square, 6561, 2106), (inputs, 2700, 768)):
         work: list[int] = []
-        for g in recorded:
-            assert edge_color(g) == reference_edge_color(g, work)
-        assert (sum(len(g.edges) for g in recorded), sum(work)) == (edges, swapped)
+        graphs = [_mask_graph(masks, n) for masks, _, n in recorded]
+        for g, (masks, quota, n) in zip(graphs, recorded):
+            rows = bipartite._color_masks(masks, quota, n)
+            assert rows == _rows(g, edge_color(g), quota) == _rows(g, reference_edge_color(g, work), quota)
+        assert (sum(len(g.edges) for g in graphs), sum(work)) == (edges, swapped)
+
+
+@st.composite
+def regular_masks(draw) -> tuple[list[int], int, int]:
+    """Quota-regular mask instances: ``side`` left vertices and ``side`` of
+    the n values, both in random order, the i-th left vertex meeting the
+    i-th to (i + quota − 1)-th values, cyclically.  Every left vertex and
+    every value used meets ``quota`` partners; quota 1 included."""
+    side = draw(st.integers(1, 9))
+    quota = draw(st.integers(1, side))
+    n = draw(st.integers(side, side + 3))
+    lefts = draw(st.permutations(range(side)))
+    values = draw(st.permutations(range(n)))[:side]
+    masks = [0] * side
+    for j in range(side):
+        for i in range(quota):
+            masks[lefts[j]] |= 1 << values[(j + i) % side]
+    return masks, quota, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=regular_masks())
+def test_mask_coloring_replays_the_edge_loop(instance):
+    masks, quota, n = instance
+    g = _mask_graph(masks, n)
+    tail = [j for j, _ in g.edges]
+    head = [len(masks) + v for _, v in g.edges]
+    colors = bipartite._color_edges(tail, head, len(masks) + n, quota)
+    assert bipartite._color_masks(masks, quota, n) == _rows(g, colors, quota)
+
+
+def test_mask_coloring_swaps_a_path_that_ends_at_an_earlier_left_vertex():
+    # left 0 meets value 1 and left 1 value 2, both by colour 1.  Left 2
+    # meets value 1 by colour 2; its edge to value 2 finds no colour free
+    # at both ends, with a = 1 free at left 2 and b = 2 at value 2.  The
+    # path from value 2 is the one colour-1 edge to left 1, which ends it:
+    # left 1 meets value 2 by colour 2 from then on
+    masks, quota, n = [0b01, 0b10, 0b11], 2, 3
+    ends = []
+    color_masks = with_replaced(bipartite._color_masks, "used[x] ^=", "ends.append(x)\n                used[x] ^=")
+    color_masks.__globals__["ends"] = ends
+    rows = color_masks(masks, quota, n)
+    assert ends == [n + 1 + 1]  # vertex n + 1 + j is left vertex j
+    assert rows == bipartite._color_masks(masks, quota, n) == [[1, None, 2], [None, 2, 1]]
+    g = _mask_graph(masks, n)
+    assert rows == _rows(g, edge_color(g), quota)
+
+
+def test_mask_coloring_refuses_a_value_past_the_quota_at_its_first_edge_past_it():
+    # values 1 and 2 each meet three left vertices where the quota is 2;
+    # value 1's third edge comes first.  Left 3 has more values than the
+    # quota, which the kernel would index past its colours on: it is
+    # never reached
+    with pytest.raises(KernelError, match=r"^value 1 has more than 2 edges$"):
+        bipartite._color_masks([0b11, 0b11, 0b11, 0b1111], 2, 4)
 
 
 # -- all-ones quotas ---------------------------------------------------------

@@ -283,33 +283,46 @@ def test_complete_contract_errors(figure1):
         complete(broken)
 
 
-def _colors_in_column_order(tail, head, vertices, delta):
+def _colors_in_column_order(edges):
     """Colours 1, 2, ... along each column's edges: every cell gets one
     value, but one value may land twice in a row."""
     seen: dict[int, int] = {}
     colors = []
-    for col in tail:
+    for col, _ in edges:
         seen[col] = seen.get(col, 0) + 1
         colors.append(seen[col])
     return colors
 
 
-def _all_color_one(tail, head, vertices, delta):
+def _all_color_one(edges):
     """Every value of a column into the same cell."""
-    return [1] * len(tail)
+    return [1] * len(edges)
+
+
+def _coloring_kernel(coloring, proper=None):
+    """A stand-in for ``_color_masks`` that colours the masks' (column,
+    value) edges by ``coloring`` and writes the rows as the kernel does: a
+    cell given two values keeps the last.  With ``proper``, it appends
+    whether the colouring was proper."""
+
+    def color_masks(masks, quota, n):
+        edges = [(c, v) for c, mask in enumerate(masks) for v in completion._mask_values(mask)]
+        colors = coloring(edges)
+        if proper is not None:
+            graph = BipartiteGraph.build(len(masks), n + 1, edges)
+            proper.append(coloring_is_proper(graph, colors))
+        rows = [[None] * len(masks) for _ in range(quota)]
+        for (c, v), color in zip(edges, colors):
+            rows[color - 1][c] = v
+        return rows
+
+    return color_masks
 
 
 @pytest.mark.parametrize("coloring", [_colors_in_column_order, _all_color_one])
 def test_clashing_stage2_coloring_raises_completion_error(monkeypatch, coloring):
     proper = []
-
-    def clashing(tail, head, vertices, delta):
-        colors = coloring(tail, head, vertices, delta)
-        graph = BipartiteGraph.build(vertices, vertices, zip(tail, head))
-        proper.append(coloring_is_proper(graph, colors))
-        return colors
-
-    monkeypatch.setattr(completion, "_color_edges", clashing)
+    monkeypatch.setattr(completion, "_color_masks", _coloring_kernel(coloring, proper))
     with pytest.raises(CompletionError):
         complete(SudokuGrid(3))
     assert not all(proper)
@@ -323,7 +336,7 @@ def _five_row_column_block() -> SudokuGrid:
 
 def test_widening_refuses_a_coloring_that_leaves_a_hole(monkeypatch):
     block = _five_row_column_block()
-    monkeypatch.setattr(completion, "_color_edges", _all_color_one)
+    monkeypatch.setattr(completion, "_color_masks", _coloring_kernel(_all_color_one))
     with pytest.raises(CompletionError, match="column block 2 left a hole"):
         extend_column_blocks(block)
 
@@ -354,7 +367,7 @@ def test_widening_refuses_a_coloring_that_clashes_without_a_hole(monkeypatch):
     # each row's values take colours 1, 2, 3 in order: every cell is filled,
     # but a new column repeats a value
     block = _five_row_column_block()
-    monkeypatch.setattr(completion, "_color_edges", _colors_in_column_order)
+    monkeypatch.setattr(completion, "_color_masks", _coloring_kernel(_colors_in_column_order))
     with pytest.raises(CompletionError) as exc:
         extend_column_blocks(block)
     assert str(exc.value).startswith("extension failed validity: ")
@@ -438,7 +451,7 @@ def test_extend_keeps_first_column_block():
 def test_widening_colours_each_new_column_block_through_stage2(monkeypatch):
     # one copy of stage 2: the widening calls _stage2 once per new column
     # block on the padded height, and never colours on its own
-    stage2, color_edges = completion._stage2, completion._color_edges
+    stage2, color_masks = completion._stage2, completion._color_masks
     calls, inside = [], []
 
     def counted_stage2(k, quota, masks, rng):
@@ -449,12 +462,12 @@ def test_widening_colours_each_new_column_block_through_stage2(monkeypatch):
         finally:
             inside.pop()
 
-    def guarded_color_edges(tail, head, vertices, delta):
-        assert inside, "_color_edges called outside _stage2"
-        return color_edges(tail, head, vertices, delta)
+    def guarded_color_masks(masks, quota, n):
+        assert inside, "_color_masks called outside _stage2"
+        return color_masks(masks, quota, n)
 
     monkeypatch.setattr(completion, "_stage2", counted_stage2)
-    monkeypatch.setattr(completion, "_color_edges", guarded_color_edges)
+    monkeypatch.setattr(completion, "_color_masks", guarded_color_masks)
     for k in range(2, 6):
         n = k * k
         square = complete_randomized(SudokuGrid(k), k)
@@ -607,6 +620,30 @@ def test_certificate_replay_requires_the_witnessed_candidates(figure1):
             forged = dataclasses.replace(witness, candidates=candidates)
             assert not verify_certificate(grid, forged), candidates
     assert complete(construction).candidates == (4, 13, 14, 15, 16)
+
+
+# a witness field that is not an int, on figure 1's witness (block (2, 1),
+# quota 1, column 1, no candidates) or on construction (4, 9)'s (block
+# (3, 1), quota 3, columns 1 and 2, candidates 4, 13, 14, 15, 16)
+NOT_INT_FIELDS = {
+    "float column": ("figure 1", {"columns": (1.0,)}),
+    "float block row": ("figure 1", {"block": (1.0, 1)}),
+    "str block row": ("figure 1", {"block": ("a", 1)}),
+    "str quota": ("figure 1", {"quota": "2"}),
+    "bool column": ("figure 1", {"columns": (True,)}),
+    "bool quota": ("figure 1", {"quota": True}),
+    "bool block column": ("figure 1", {"block": (2, True)}),
+    "float candidates": ("construction", {"candidates": (4.0, 13.0, 14.0, 15.0, 16.0)}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NOT_INT_FIELDS))
+def test_certificate_replay_refuses_a_field_that_is_not_an_int(field):
+    source, changes = NOT_INT_FIELDS[field]
+    grid = figure1_fixture() if source == "figure 1" else construct_counterexample(4, 9).rectangle
+    witness = complete(grid)
+    assert verify_certificate(grid, witness)
+    assert verify_certificate(grid, dataclasses.replace(witness, **changes)) is False
 
 
 def _symmetry_image(grid: SudokuGrid, seed: int) -> SudokuGrid:
@@ -800,18 +837,18 @@ PINNED_DIGESTS = {
     "construct k=6 m=27": "739fbbb16e95bd0302b10902293c338db4595f51945a264dd32f796dbaea322a",
     "construct k=6 m=28": "4306c3f2b1691b7990570b985313e334df27299d857ce3f8ff0e3dcc2736602b",
     "construct k=6 m=29": "718801669b1ec5783210c9a002893015357fe09236e90799a53b94b61efb3c6c",
-    "seeded k=2 seed=0": "2644194e3f4773b71e04695d715581f11d02b93584994d28a8e7b599224a41a7",
-    "seeded k=2 seed=1": "d0f2eb4afa46d8dc53f05ebca5a09c6329e36f45345599ebc6b6e473fe72e058",
+    "seeded k=2 seed=0": "914191398eb2175cafd0594051b86a4b5be78b3d5dc5b4ba604292449b3cf67e",
+    "seeded k=2 seed=1": "3f8c3ad8df80bda036c2c89371b41dd99ba7bdda663e45310b43a0b811782392",
     "seeded k=2 seed=2": "3190c78511b5781431978710a8771af82de2343d9bd7e30ac71fdde5b8941ef1",
-    "seeded k=3 seed=0": "db290af8bfeb5f94b1d063777a1a0afc1b67f91892714af20edc8288ac5457b1",
-    "seeded k=3 seed=1": "07cfbd0e432d14cb0d4c741ba49f1e0ac2dd4543b4fb5f41c16e27a77fd3436b",
-    "seeded k=3 seed=2": "70da6c6863ba32b4c1b806b001227f6f09a2649c0f5cfecae5dc8d17676e8a47",
-    "seeded k=4 seed=0": "918aab8795afa723998160afa2f640166c7e80c8f8206c3f73aed42283979334",
-    "seeded k=4 seed=1": "8319dd59d1a70ce11da50fb48266d6ad26b3020b11ca64c3b600161972ae8b63",
-    "seeded k=4 seed=2": "f4a4038e667eb7a52987d8ff931b5573764cf44bb59f92659cbc1569fc8980cd",
-    "seeded k=5 seed=0": "02a4c02e2cd7ae031b16bf5e38dafc2ba9dde617e5f810fc77c4822f2ecaf8fd",
-    "seeded k=5 seed=1": "0798f180c5e3a2abf0dd96cd597a0ae7546ce6e2fd72cf62e55dd778eca574c7",
-    "seeded k=5 seed=2": "6a8889dfa434e02a9a461b134dbc2e30cf026e84952653c9a79b3ae598ee65b8",
+    "seeded k=3 seed=0": "80c83d5bbffa064189cb4efe69c72419159d99985c4f610a30bb453085145dfa",
+    "seeded k=3 seed=1": "bac21ffe167a12720209bcebc816d4af4d2f2dfc0c84dbfb8a5979866d049094",
+    "seeded k=3 seed=2": "4cbc2a75ac08ed5d9e172dacb898a482152885665988e2250e6ae107a24a75eb",
+    "seeded k=4 seed=0": "f415a8e22928462b3198474f04ec9ce1f6538bff2803f5015d4cef753727aff5",
+    "seeded k=4 seed=1": "be5d0282390b677d3cc5bad1fd65eafef97cc5b3b1978ccae16bf99ec0b4fa3a",
+    "seeded k=4 seed=2": "40b8c86172550cff24520887628b811655b166fed67f7805b87c998faa18dc10",
+    "seeded k=5 seed=0": "0ee352292631db62fe35f8817517f90be9b34ead7ee2728b6df5cbcf6e07eb66",
+    "seeded k=5 seed=1": "09286d414d8730550787d751c35c8e8c30ccc9036994a0421fed43a857838802",
+    "seeded k=5 seed=2": "09f3190f1d34c6251606d9095a4496d79a1cf40f2d8838fa31f6e09f41136290",
 }
 
 
