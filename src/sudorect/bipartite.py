@@ -2,20 +2,28 @@
 certificates, and max-degree edge coloring.
 
 Vertices are 0-based; parallel edges are allowed and matter (a matching is
-a subset of edge *positions*).  Colorings follow one rule, Kőnig's
-alternating-path proof: each edge is colored once, in edge order, with the
-lowest color free at both ends, and only an edge with none swaps two
-colors along the one alternating path that starts at its right end.  Two
-loops run it.  ``_color_edges``, behind the public ``edge_color``, takes
-the edges as parallel tail and head lists and records each vertex's edge
-of each color, since on a multigraph an edge's color is only known by the
-edge.  The completion's stage 2 runs ``_color_masks``, its replay on value
-bitmasks, as ``_assign_on_masks`` is the matching's: a left vertex meets a
-value at most once there, so a partner table names each edge by its ends.
-It builds no edge list, and its table's left rows, transposed, are the
-new rows.  On the graph the masks stand for, with each left vertex's
-edges in increasing value order, the two loops give the same colors.
-Everything here is deterministic for a fixed edge order.
+a subset of edge *positions*).  Everything here is deterministic for a
+fixed edge order.
+
+Colorings follow Kőnig's alternating-path proof.  Each edge (u, v) is
+colored once, in edge order, with the lowest color free at both ends.  If
+none is, let a be the lowest color free at u and b the lowest free at v:
+the edges colored a or b form paths and even cycles, v ends one path,
+which starts with an a-edge, and the path never reaches u, as it enters
+left vertices by a-edges only and u has none.  Swapping a and b along it
+frees a at v, and the edge takes a.  Both coloring loops keep a table of
+slots, ``at[x][c]`` naming what vertex x meets by color c, and swap a path
+by swapping slots a and b at each of its vertices, both ends included:
+the walk starts at v with color a, moves on along the current color,
+alternating a and b, and stops at the first vertex whose slot of the
+current color is empty, whose colors then trade one for the other.
+``edge_color`` holds edge positions in its slots, as on a multigraph only
+the edge tells parallel edges apart, and reads each edge's color off its
+left end's slots once the last edge is placed.  The completion's stage 2
+runs ``_color_masks``, its replay on value bitmasks, as
+``_assign_on_masks`` is the matching's: a left vertex meets a value at
+most once there, so the slots hold partner vertices, and the table's left
+rows, transposed, are the new rows.
 
 Both matchers run one search rule: a greedy seed, then, only if it falls
 short, one breadth-first augmenting search per missing unit (Ford and
@@ -119,17 +127,15 @@ def degree_matching(g: BipartiteGraph, demand: DegreeDemand) -> MatchingResult:
     total = sum(left)
     if total != sum(right):
         raise KernelError(f"quota sums differ: left {total}, right {sum(right)}")
-    found = _b_matching(g, demand, total)
+    found = _b_matching(g, demand)
     if isinstance(found, list):
         return _certificate(g, demand, found)
     return found
 
 
-def _b_matching(
-    g: BipartiteGraph, demand: DegreeDemand, total: int
-) -> Union[tuple[int, ...], list[int]]:
+def _b_matching(g: BipartiteGraph, demand: DegreeDemand) -> Union[tuple[int, ...], list[int]]:
     """The matched edge positions, or the left vertices that alternating
-    search reaches when the matching stays short of ``total``.
+    search reaches when the matching stays short of the left quotas' sum.
 
     An augmenting path leaves a left vertex along an unmatched edge and
     returns from a right vertex along a matched edge, until it reaches a
@@ -140,7 +146,7 @@ def _b_matching(
     need = list(demand.left_quota)  # units each left vertex still lacks
     room = list(demand.right_quota)  # units each right vertex can still take
     matched = bytearray(len(edges))
-    missing = total
+    missing = sum(need)  # units the matching still lacks
     for e, (u, v) in enumerate(edges):
         if need[u] and room[v]:
             need[u] -= 1
@@ -303,74 +309,55 @@ def _certificate(
 
 
 def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
-    """Proper edge coloring with colors in [1, max degree Δ].
-
-    Kőnig's alternating-path proof, run in edge order.  An edge (u, v)
-    takes the lowest color free at both ends.  If there is none, let a be
-    the lowest color free at u and b the lowest free at v; the edges
-    colored a or b form paths and even cycles, and v ends one path, which
-    starts with an a-edge.  Swapping a and b along that path frees a at v,
-    and the edge takes a.  The path never reaches u: it enters left
-    vertices only along a-edges, and u has none.
+    """Proper edge coloring with colors in [1, max degree Δ]: Kőnig's
+    alternating-path rule, run in edge order.
     """
     left = g.left_count
     tail = [u for u, _ in g.edges]
     head = [left + v for _, v in g.edges]  # right vertex v is vertex left + v
     delta = max(Counter(tail + head).values(), default=0)
-    return tuple(_color_edges(tail, head, left + g.right_count, delta))
-
-
-def _color_edges(tail: list[int], head: list[int], vertices: int, delta: int) -> list[int]:
-    """:func:`edge_color`'s loop on edge e = (tail[e], head[e]), the two
-    sides numbered apart in ``range(vertices)``: the colors in [1, delta],
-    where no vertex has more than ``delta`` edges.
-    """
     top = 1 << delta  # bit c stands for color c
-    at = [[-1] * (delta + 1) for _ in range(vertices)]  # at[x][c]: x's edge of color c
-    used = [1] * vertices  # the colors at each vertex; bit 0 set, so color 0 is never free
-    colors = [0] * len(tail)
-    for e, u in enumerate(tail):
-        v = head[e]
+    at = [[-1] * (delta + 1) for _ in range(left + g.right_count)]  # at[x][c]: x's edge of color c
+    used = [1] * len(at)  # the colors at each vertex; bit 0 set, so color 0 is never free
+    for e, (u, v) in enumerate(zip(tail, head)):
         here, there = used[u], used[v]
         both = here | there
         low = ~both & (both + 1)
         if low > top:
             a = (~here & (here + 1)).bit_length() - 1
             b = (~there & (there + 1)).bit_length() - 1
-            swap = a + b
-            # swap the path from v edge by edge: f leaves x and takes
-            # color d, and the next edge leaves f's far end by d, which f
-            # holds there from now on
-            x, f, d = v, at[v][a], b
-            while f >= 0:
-                colors[f] = d
-                at[x][d] = f
-                x ^= tail[f] ^ head[f]  # f's far end
-                f, at[x][d] = at[x][d], f
-                d = swap - d
-            at[x][d] = -1  # the far end no longer holds the last edge's old color d
+            x, d = v, a
+            while True:
+                slots = at[x]
+                f = slots[d]  # the next edge, colored d before the swap
+                slots[a], slots[b] = slots[b], slots[a]
+                if f < 0:
+                    break
+                x, d = x ^ tail[f] ^ head[f], a + b - d  # f's far end
             used[x] ^= (1 << a) | (1 << b)
             used[v] |= 1 << b  # v's first path edge; a follows with e
             low = 1 << a
         c = low.bit_length() - 1
-        colors[e] = c
         at[u][c] = at[v][c] = e
         used[u] |= low
         used[v] |= low
-    return colors
+    colors = [0] * (len(tail) + 1)  # an empty slot, -1, writes the spare last entry
+    for c, edges in enumerate(zip(*at[:left])):  # every left vertex's edge of color c
+        for e in edges:
+            colors[e] = c
+    return tuple(colors[:-1])
 
 
 def _color_masks(masks: list[int], quota: int, n: int) -> list[list]:
-    """:func:`_color_edges` replayed on value masks: the rows of colours
+    """:func:`edge_color` replayed on value masks: the rows of colours
     1 … ``quota``, each holding the value every left vertex meets by that
     colour.
 
     Left vertex j meets value v, in [1, n], when bit v − 1 of ``masks[j]``
     is set, and has at most ``quota`` values.  Its edges are coloured in
-    increasing value order, left vertex by left vertex, so the colours are
-    those ``_color_edges`` gives that graph with its edges in that order.
-    No edge list is built: a partner table records whom each vertex meets
-    by each colour, and its left rows, transposed, are the result.  A
+    increasing value order, left vertex by left vertex, so where some
+    vertex meets ``quota`` others the colours are those
+    :func:`edge_color` gives that graph with its edges in that order.  A
     value with more than ``quota`` left vertices raises
     :class:`KernelError` at its first edge past ``quota``, where no colour
     is free.

@@ -280,8 +280,11 @@ def complete(grid: SudokuGrid) -> CompletionOutcome:
 
 def complete_randomized(grid: SudokuGrid, seed: int) -> CompletionOutcome:
     """Like :func:`complete` but matches under random value orders and
-    colours the columns in a random order; deterministic per seed.  A
-    rejection carries the same witness as :func:`complete`'s."""
+    colours the columns in a random order; deterministic per seed, which
+    must be an int (a bool is not one).  A rejection carries the same
+    witness as :func:`complete`'s."""
+    if type(seed) is not int:  # None would seed from the OS
+        raise CompletionError(f"seed must be an int, got {_echo(seed)}")
     return _complete(grid, random.Random(seed))
 
 

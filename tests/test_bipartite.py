@@ -215,7 +215,7 @@ def test_a_search_may_pass_through_a_short_left_vertex():
         "via[w] = u, e, f",
         "assert not need[w]; via[w] = u, e, f",
     )
-    assert never_short(g, demand, 7) == (0, 1, 4, 5, 6, 7, 8)
+    assert never_short(g, demand) == (0, 1, 4, 5, 6, 7, 8)
     ours = degree_matching(g, demand)
     assert ours == (0, 1, 4, 5, 6, 7, 8)
     assert recount_matching(g, demand, ours)
@@ -424,6 +424,19 @@ def test_coloring_equals_reference_on_random_multigraphs(g):
     assert edge_color(g) == reference_edge_color(g)
 
 
+def test_a_swapped_path_moves_one_edge_of_a_parallel_pair():
+    # left 1 and right 1 share edges 2 and 3, colored 2 and 3.  The last
+    # edge (2, 1) has a = 2 free at left 2 and b = 1 at right 1; the path
+    # from right 1 leaves by edge 2, the pair's 2-edge, to left 1 and on
+    # by edge 1 to right 2, which ends it.  Edges 2 and 1 swap colors, and
+    # edge 3, the pair's other edge, keeps 3 at both of its ends
+    g = BipartiteGraph.build(3, 3, [(2, 0), (1, 2), (1, 1), (1, 1), (2, 1)])
+    swapped: list[int] = []
+    assert edge_color(BipartiteGraph.build(3, 3, g.edges[:-1])) == (1, 1, 2, 3)
+    assert edge_color(g) == reference_edge_color(g, swapped) == (1, 2, 1, 3, 2)
+    assert swapped == [2]
+
+
 def _recording_stage2_inputs(monkeypatch) -> list[tuple[list[int], int, int]]:
     """The (masks, quota, n) inputs stage 2 colours from now on."""
     inputs = []
@@ -513,10 +526,7 @@ def regular_masks(draw) -> tuple[list[int], int, int]:
 def test_mask_coloring_replays_the_edge_loop(instance):
     masks, quota, n = instance
     g = _mask_graph(masks, n)
-    tail = [j for j, _ in g.edges]
-    head = [len(masks) + v for _, v in g.edges]
-    colors = bipartite._color_edges(tail, head, len(masks) + n, quota)
-    assert bipartite._color_masks(masks, quota, n) == _rows(g, colors, quota)
+    assert bipartite._color_masks(masks, quota, n) == _rows(g, edge_color(g), quota)
 
 
 def test_mask_coloring_swaps_a_path_that_ends_at_an_earlier_left_vertex():
@@ -622,7 +632,7 @@ def within(seconds: float):
 NO_PATH = {
     "_b_matching": (
         (BipartiteGraph.build(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)]),
-         DegreeDemand((2, 1), (2, 1)), 3),
+         DegreeDemand((2, 1), (2, 1))),
         (1, 2, 3),
         "if room[v]:",
         "if False:",
@@ -660,7 +670,7 @@ def test_a_matcher_that_misses_its_path_is_refused_at_the_boundary(name, monkeyp
     else:
         monkeypatch.setattr(bipartite, name, edited)
         with pytest.raises(KernelError, match="min-cut certificate failed its own"):
-            degree_matching(*args[:2])
+            degree_matching(*args)
 
 
 def test_one_augmenting_path_runs_through_a_chain_of_3000_vertices():

@@ -436,6 +436,18 @@ def test_randomized_completion_reproducible_and_varied():
     assert validate(first) is None and first.is_full()
 
 
+@pytest.mark.parametrize(
+    "seed, shown",
+    [(None, "None"), (1.5, "1.5"), ("7", "'7'"), (True, "True"), ([1], r"\[1\]")],
+    ids=["None", "float", "str", "bool", "list"],
+)
+def test_randomized_completion_refuses_a_seed_that_is_not_an_int(seed, shown):
+    # None would seed from the OS, and a list is refused by random's own
+    # TypeError: either breaks the per-seed contract
+    with pytest.raises(CompletionError, match=rf"^seed must be an int, got {shown}$"):
+        complete_randomized(SudokuGrid(3), seed)
+
+
 # -- extend_column_blocks --------------------------------------------------------
 
 
