@@ -18,12 +18,12 @@ the walk starts at v with color a, moves on along the current color,
 alternating a and b, and stops at the first vertex whose slot of the
 current color is empty, whose colors then trade one for the other.
 ``edge_color`` holds edge positions in its slots, as on a multigraph only
-the edge tells parallel edges apart, and reads each edge's color off its
-left end's slots once the last edge is placed.  The completion's stage 2
-runs ``_color_masks``, its replay on value bitmasks, as
-``_assign_on_masks`` is the matching's: a left vertex meets a value at
-most once there, so the slots hold partner vertices, and the table's left
-rows, transposed, are the new rows.
+the edge tells parallel edges apart, and records each swapped edge's new
+color as the walk passes it.  The completion's stage 2 runs
+``_color_masks``, its replay on value bitmasks, as ``_assign_on_masks`` is
+the matching's: a left vertex meets a value at most once there, so the
+slots hold partner vertices, and the table's left rows, transposed, are
+the new rows.
 
 Both matchers run one search rule: a greedy seed, then, only if it falls
 short, one breadth-first augmenting search per missing unit (Ford and
@@ -319,7 +319,9 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
     top = 1 << delta  # bit c stands for color c
     at = [[-1] * (delta + 1) for _ in range(left + g.right_count)]  # at[x][c]: x's edge of color c
     used = [1] * len(at)  # the colors at each vertex; bit 0 set, so color 0 is never free
-    for e, (u, v) in enumerate(zip(tail, head)):
+    colors = [0] * len(tail)
+    for e, u in enumerate(tail):
+        v = head[e]
         here, there = used[u], used[v]
         both = here | there
         low = ~both & (both + 1)
@@ -334,18 +336,16 @@ def edge_color(g: BipartiteGraph) -> tuple[int, ...]:
                 if f < 0:
                     break
                 x, d = x ^ tail[f] ^ head[f], a + b - d  # f's far end
+                colors[f] = d
             used[x] ^= (1 << a) | (1 << b)
             used[v] |= 1 << b  # v's first path edge; a follows with e
             low = 1 << a
         c = low.bit_length() - 1
+        colors[e] = c
         at[u][c] = at[v][c] = e
         used[u] |= low
         used[v] |= low
-    colors = [0] * (len(tail) + 1)  # an empty slot, -1, writes the spare last entry
-    for c, edges in enumerate(zip(*at[:left])):  # every left vertex's edge of color c
-        for e in edges:
-            colors[e] = c
-    return tuple(colors[:-1])
+    return tuple(colors)
 
 
 def _color_masks(masks: list[int], quota: int, n: int) -> list[list]:

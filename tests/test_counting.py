@@ -116,15 +116,6 @@ def capped_partial_grids(draw):
     return grid, max_nodes, max_solutions
 
 
-# The counter and the reference walk the same nodes in the same order, and
-# one example compares at most NODE_BUDGET of them.  An uncapped draw can
-# hold far more, as hypothesis' random tends to clear clustered cells: one
-# draw of 44 holes held over 400,000 nodes, and 45 holes in the last five
-# rows of a k = 3 square hold over 3,000,000, two minutes or more at the
-# reference's 17,000-25,000 nodes a second.
-NODE_BUDGET = 50_000
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=capped_partial_grids())
 @example(case=(SudokuGrid(2), None, None))
@@ -134,8 +125,6 @@ NODE_BUDGET = 50_000
 @example(case=(_square(3, 0), 0, None))
 def test_count_matches_recursive_reference(case):
     grid, max_nodes, max_solutions = case
-    if max_nodes is None and not count_completions(grid, NODE_BUDGET, max_solutions).exhausted:
-        max_nodes = NODE_BUDGET
     assert count_completions(grid, max_nodes, max_solutions) == reference_count(
         grid, max_nodes, max_solutions
     )
